@@ -5,9 +5,9 @@ from .distributions import (Deterministic, Erlang, Exponential, Gamma,
                             HyperExponential, ServiceDistribution,
                             dist_from_dict, dist_to_dict, parse_dist_spec)
 from .errors import DamctlError, NumericDegeneracyError, RegimeError
-from .exact import (BusyPeriodMetrics, CostModel, DamModel, StationaryMetrics,
+from .exact import (BusyPeriodMetrics, CostModel, DamModel, ExactSolution,
                     busy_period_counts, busy_period_metrics, cost,
-                    gf_coefficients, stationary_probs)
+                    gf_coefficients, solve, stationary_probs)
 from .asymptotics import (AsymptoticRegime, critical_decay, heavy_lower,
                           heavy_upper, j_lower, j_upper, limit_subcritical,
                           rho12_tilde, root_phi, supercritical)

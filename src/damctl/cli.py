@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric error.
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import asymptotics, control, exact, simulator
@@ -138,6 +139,8 @@ def _parse_grid(val):
         grid = [float(x) for x in val]
     if not grid:
         raise ValueError("empty C grid")
+    if not all(math.isfinite(c) for c in grid):
+        raise ValueError("C grid values must be finite")
     return grid
 
 
@@ -147,8 +150,8 @@ def cmd_analyze(args):
     cfg = _load_config(args)
     model = _model_from(cfg)
     costs = _costs_from(cfg)
-    bp = exact.busy_period_metrics(model)
-    p1, p2 = exact.stationary_probs(model)
+    sol = exact.solve(model, costs)
+    bp = sol.busy
     rec = {
         "command": "analyze",
         "model": _model_dict(model),
@@ -160,9 +163,9 @@ def cmd_analyze(args):
         "e_t2": bp.e_t2,
         "e_t": bp.e_t,
         "e_idle": bp.e_idle,
-        "p1": p1,
-        "p2": p2,
-        "cost": model.level * (costs.j1 * p1 + costs.j2 * p2),
+        "p1": sol.p1,
+        "p2": sol.p2,
+        "cost": sol.cost,
     }
     _emit_record(rec, args.format)
     return 0
@@ -254,12 +257,12 @@ def cmd_simulate(args):
                                          seed=int(cfg.get("seed", 0)),
                                          batch_count=int(cfg.get("batches", 32)))
     report = simulator.simulate(sim_cfg)
-    bp = exact.busy_period_metrics(model)
-    p1, p2 = exact.stationary_probs(model)
+    sol = exact.solve(model)
+    bp = sol.busy
     rec = {"command": "simulate", "model": _model_dict(model)}
     rec.update(report.to_dict())
-    rec["exact"] = {"p1": p1, "p2": p2, "e_nu1": bp.e_nu1, "e_nu2": bp.e_nu2,
-                    "e_t1": bp.e_t1, "e_t2": bp.e_t2}
+    rec["exact"] = {"p1": sol.p1, "p2": sol.p2, "e_nu1": bp.e_nu1,
+                    "e_nu2": bp.e_nu2, "e_t1": bp.e_t1, "e_t2": bp.e_t2}
     _emit_record(rec, args.format)
     return 0
 

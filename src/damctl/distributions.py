@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "ServiceDistribution",
@@ -41,14 +40,23 @@ def _check_s(s):
         raise ValueError("LST argument must be nonnegative, got %r" % (s,))
 
 
+def _check_finite(name, *values):
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("%s parameters must be finite, got %r" % (name, values))
+
+
 def _negbin_log_weights(shape, rate, lam, n):
     # r_j for Gamma(shape, rate) service: negative binomial with success
-    # probability rate/(lam+rate).
+    # probability p = rate/(lam+rate), so r_j/r_{j-1} = q*(shape+j-1)/j.
+    # log r_j = shape*log p + j*log q + log_coef_j, where log_coef_j is the
+    # running sum of log1p((shape-1)/i) over i <= j; its terms are small, so
+    # the sum keeps its accuracy out to thousands of terms.
     j = np.arange(n + 1, dtype=np.float64)
     log_p = math.log(rate) - math.log(lam + rate)
     log_q = math.log(lam) - math.log(lam + rate)
-    return gammaln(shape + j) - gammaln(j + 1.0) - gammaln(shape) \
-        + shape * log_p + j * log_q
+    log_coef = np.zeros(n + 1)
+    np.cumsum(np.log1p((shape - 1.0) / j[1:]), out=log_coef[1:])
+    return shape * log_p + j * log_q + log_coef
 
 
 class ServiceDistribution:
@@ -71,8 +79,8 @@ class ServiceDistribution:
 
     def mixed_poisson_weights(self, lam, n):
         """Weights (r_0, ..., r_n) for Poisson arrival rate lam."""
-        if lam <= 0:
-            raise ValueError("arrival rate must be positive, got %r" % (lam,))
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError("arrival rate must be positive and finite, got %r" % (lam,))
         if n < 0:
             raise ValueError("weight count must be nonnegative")
         return np.exp(self._log_weights(float(lam), int(n)))
@@ -86,6 +94,7 @@ class Exponential(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
+        _check_finite("Exponential", self.rate)
         if self.rate <= 0:
             raise ValueError("Exponential rate must be positive")
 
@@ -116,6 +125,7 @@ class Erlang(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
+        _check_finite("Erlang", self.shape, self.rate)
         if int(self.shape) != self.shape or self.shape < 1:
             raise ValueError("Erlang shape must be a positive integer")
         if self.rate <= 0:
@@ -151,6 +161,7 @@ class Gamma(ServiceDistribution):
     rate: float
 
     def __post_init__(self):
+        _check_finite("Gamma", self.shape, self.rate)
         if self.shape <= 0 or self.rate <= 0:
             raise ValueError("Gamma shape and rate must be positive")
 
@@ -183,6 +194,7 @@ class Deterministic(ServiceDistribution):
     duration: float
 
     def __post_init__(self):
+        _check_finite("Deterministic", self.duration)
         if self.duration <= 0:
             raise ValueError("Deterministic duration must be positive")
 
@@ -199,10 +211,14 @@ class Deterministic(ServiceDistribution):
         return -self.duration * math.exp(-s * self.duration)
 
     def _log_weights(self, lam, n):
-        # Poisson(lam * duration) pmf.
+        # Poisson(mu) pmf, mu = lam * duration: log r_0 = -mu plus the running
+        # sum of log(r_j/r_{j-1}) = log(mu/j); the partial sums are the log
+        # weights themselves, so no large intermediate loses digits.
         mu = lam * self.duration
-        j = np.arange(n + 1, dtype=np.float64)
-        return -mu + j * math.log(mu) - gammaln(j + 1.0)
+        steps = np.empty(n + 1)
+        steps[0] = -mu
+        steps[1:] = np.log(mu / np.arange(1, n + 1, dtype=np.float64))
+        return np.cumsum(steps)
 
     def scale_to_mean(self, b):
         if b <= 0:
@@ -222,6 +238,7 @@ class HyperExponential(ServiceDistribution):
         object.__setattr__(self, "rates", r)
         if len(w) != len(r) or not w:
             raise ValueError("HyperExponential needs matching nonempty weights and rates")
+        _check_finite("HyperExponential", *w, *r)
         if any(x < 0 for x in w):
             raise ValueError("HyperExponential weights must be nonnegative")
         if abs(sum(w) - 1.0) > _WEIGHT_SUM_TOL:

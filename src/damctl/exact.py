@@ -25,9 +25,10 @@ __all__ = [
     "DamModel",
     "CostModel",
     "BusyPeriodMetrics",
-    "StationaryMetrics",
+    "ExactSolution",
     "busy_period_counts",
     "gf_coefficients",
+    "solve",
     "busy_period_metrics",
     "stationary_probs",
     "cost",
@@ -47,8 +48,8 @@ class DamModel:
     level: int
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("arrival rate must be positive and finite")
         if int(self.level) != self.level or self.level < 1:
             raise ValueError("level must be an integer >= 1")
         if self.rho2 >= 1.0:
@@ -78,6 +79,8 @@ class CostModel:
     j2: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.j1) and math.isfinite(self.j2)):
+            raise ValueError("damage costs must be finite")
         if self.j1 < 0 or self.j2 < 0:
             raise ValueError("damage costs must be nonnegative")
 
@@ -93,10 +96,12 @@ class BusyPeriodMetrics:
 
 
 @dataclass(frozen=True)
-class StationaryMetrics:
+class ExactSolution:
+    """Everything one Q_L gives for a model; cost is None without costs."""
+    busy: BusyPeriodMetrics
     p1: float
     p2: float
-    cost: float
+    cost: float = None
 
 
 def _env_precision():
@@ -109,15 +114,21 @@ def _env_precision():
     return digits
 
 
-def _counts_scaled(model, backend=None):
-    """(mantissas, binary exponents) of Q_0..Q_L."""
-    L = int(model.level)
-    r = model.b1.mixed_poisson_weights(model.lam, max(L - 1, 0))
+def _weights(model, n):
+    """r_0..r_n of the normal-regime law, refusing an underflowing r_0."""
+    r = model.b1.mixed_poisson_weights(model.lam, n)
     if r[0] < _R0_FLOOR:
         raise NumericDegeneracyError(
             "r_0 = %g underflows; the normal-regime service law puts its mass "
             "too far from the origin for arrival rate %g" % (r[0], model.lam))
-    return kernels.busy_period_recurrence(r, L, backend=backend)
+    return r
+
+
+def _counts_scaled(model, backend=None):
+    """(mantissas, binary exponents) of Q_0..Q_L."""
+    L = int(model.level)
+    return kernels.busy_period_recurrence(_weights(model, max(L - 1, 0)), L,
+                                          backend=backend)
 
 
 def _counts_mp(model, digits):
@@ -125,9 +136,9 @@ def _counts_mp(model, digits):
     import mpmath
 
     L = int(model.level)
+    weights = _weights(model, max(L - 1, 0))
     with mpmath.workdps(digits):
-        r = [mpmath.mpf(x) for x in
-             model.b1.mixed_poisson_weights(model.lam, max(L - 1, 0))]
+        r = [mpmath.mpf(x) for x in weights]
         q = [mpmath.mpf(1)]
         for n in range(L):
             s = mpmath.fsum(r[j] * q[n - j + 1] for j in range(1, n + 1))
@@ -161,9 +172,7 @@ def gf_coefficients(model, n, backend=None):
     the weight generating function by (r(z) - z).
     """
     n = int(n)
-    num = model.b1.mixed_poisson_weights(model.lam, n)
-    if num[0] < _R0_FLOOR:
-        raise NumericDegeneracyError("r_0 = %g underflows" % (num[0],))
+    num = _weights(model, n)
     den = num.copy()
     den[1] -= 1.0
     out = np.empty(n + 1)
@@ -187,25 +196,8 @@ def _q_top(model, precision=None, backend=None):
     return float(q[-1]), int(ex[-1])
 
 
-def busy_period_metrics(model, precision=None, backend=None):
-    """Busy-period expectations via Wald identities; e_nu1 = Q_L."""
-    m, e = _q_top(model, precision=precision, backend=backend)
-    try:
-        e_nu1 = math.ldexp(m, e)
-    except OverflowError:
-        e_nu1 = math.inf
-    rho1, rho2 = model.rho1, model.rho2
-    e_nu2 = 1.0 / (1.0 - rho2) - (1.0 - rho1) / (1.0 - rho2) * e_nu1
-    e_t1 = model.b1.mean() * e_nu1
-    e_t2 = model.b2.mean() * e_nu2
-    return BusyPeriodMetrics(
-        e_nu1=e_nu1, e_nu2=e_nu2, e_t1=e_t1, e_t2=e_t2,
-        e_t=e_t1 + e_t2, e_idle=1.0 / model.lam)
-
-
-def stationary_probs(model, precision=None, backend=None):
-    """(p1, p2) from the renewal-reward closed forms."""
-    m, e = _q_top(model, precision=precision, backend=backend)
+def _probs(model, m, e):
+    """(p1, p2) from Q_L = m * 2**e by the renewal-reward closed forms."""
     rho1, rho2 = model.rho1, model.rho2
     # work with 1/Q_L so that supercritical growth cannot overflow
     inv_q = math.ldexp(1.0 / m, -e)
@@ -217,13 +209,40 @@ def stationary_probs(model, precision=None, backend=None):
     return p1, max(p2, 0.0)
 
 
+def solve(model, costs=None, precision=None, backend=None):
+    """Busy-period metrics, (p1, p2) and, given costs, J(L) from one Q_L.
+
+    e_nu1 = Q_L; the other busy-period expectations follow from Wald
+    identities.
+    """
+    m, e = _q_top(model, precision=precision, backend=backend)
+    try:
+        e_nu1 = math.ldexp(m, e)
+    except OverflowError:
+        e_nu1 = math.inf
+    rho1, rho2 = model.rho1, model.rho2
+    e_nu2 = 1.0 / (1.0 - rho2) - (1.0 - rho1) / (1.0 - rho2) * e_nu1
+    e_t1 = model.b1.mean() * e_nu1
+    e_t2 = model.b2.mean() * e_nu2
+    busy = BusyPeriodMetrics(
+        e_nu1=e_nu1, e_nu2=e_nu2, e_t1=e_t1, e_t2=e_t2,
+        e_t=e_t1 + e_t2, e_idle=1.0 / model.lam)
+    p1, p2 = _probs(model, m, e)
+    cost_l = None if costs is None else model.level * (costs.j1 * p1 + costs.j2 * p2)
+    return ExactSolution(busy=busy, p1=p1, p2=p2, cost=cost_l)
+
+
+def busy_period_metrics(model, precision=None, backend=None):
+    """Busy-period expectations via Wald identities; e_nu1 = Q_L."""
+    return solve(model, precision=precision, backend=backend).busy
+
+
+def stationary_probs(model, precision=None, backend=None):
+    """(p1, p2) from the renewal-reward closed forms."""
+    return _probs(model, *_q_top(model, precision=precision, backend=backend))
+
+
 def cost(model, costs, precision=None, backend=None):
     """Long-run average damage cost J(L) = L * (j1 * p1 + j2 * p2)."""
     p1, p2 = stationary_probs(model, precision=precision, backend=backend)
     return model.level * (costs.j1 * p1 + costs.j2 * p2)
-
-
-def stationary_metrics(model, costs, precision=None, backend=None):
-    p1, p2 = stationary_probs(model, precision=precision, backend=backend)
-    return StationaryMetrics(p1=p1, p2=p2,
-                             cost=model.level * (costs.j1 * p1 + costs.j2 * p2))

@@ -12,16 +12,19 @@ order; see `kernels.stream_key` for the splitting rule.
 """
 
 from dataclasses import dataclass, asdict
+import math
 
 import numpy as np
-from scipy import stats
 
 from .distributions import (Deterministic, Erlang, Exponential, Gamma,
                             HyperExponential)
 from .exact import DamModel
 from . import kernels
 
-__all__ = ["SimulationConfig", "SimulationReport", "simulate", "sweep_simulate"]
+__all__ = ["SimulationConfig", "SimulationReport", "simulate", "sweep_simulate",
+           "t_quantile"]
+
+_SEED_LIMIT = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,8 @@ class SimulationConfig:
     batch_count: int = 32
 
     def __post_init__(self):
+        if not 0 <= self.seed < _SEED_LIMIT:
+            raise ValueError("seed must lie in [0, 2**64), got %r" % (self.seed,))
         if self.batch_count < 2:
             raise ValueError("batch_count must be at least 2")
         if self.n_cycles < self.batch_count:
@@ -77,6 +82,47 @@ def _encode(dist):
     raise ValueError("cannot encode distribution %r for simulation" % (dist,))
 
 
+def _t_central(t, df):
+    """P(|T| <= t) for Student's t with integer df: the finite series of
+    Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df) in
+    cos^2(theta) = 1/(1 + t^2/df), theta = atan(t/sqrt(df))."""
+    log_c2 = -math.log1p(t * t / df)
+    odd = df % 2
+    coef, terms = 1.0, []
+    for k in range((df - 1) // 2 if odd else df // 2):
+        # cos^(2k) as one exp, so the rounding of cos^2 is not raised to
+        # the k-th power
+        terms.append(coef * math.exp(k * log_c2))
+        coef *= (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    sin = t / math.sqrt(df + t * t)
+    if odd:
+        return 2.0 / math.pi * (math.atan(t / math.sqrt(df)) +
+                                sin * math.exp(0.5 * log_c2) * math.fsum(terms))
+    return sin * math.fsum(terms)
+
+
+def t_quantile(p, df):
+    """Upper quantile (p >= 1/2) of Student's t with integer df >= 1."""
+    if int(df) != df or df < 1:
+        raise ValueError("df must be a positive integer, got %r" % (df,))
+    if not 0.5 <= p < 1.0:
+        raise ValueError("p must lie in [0.5, 1), got %r" % (p,))
+    df = int(df)
+    target = 2.0 * p - 1.0
+    log_norm = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
+                - 0.5 * math.log(df * math.pi))
+    # Newton from t = 0: P(|T| <= t) is concave in t >= 0, so the iterates
+    # rise monotonically to the root
+    t = 0.0
+    for _ in range(100):
+        density = math.exp(log_norm - 0.5 * (df + 1) * math.log1p(t * t / df))
+        step = (target - _t_central(t, df)) / (2.0 * density)
+        t += step
+        if step <= 1e-15 * t:
+            break
+    return t
+
+
 def _batch_ratio_halfwidth(num, den, batch_count, tcrit):
     sums_n = np.array([b.sum() for b in np.array_split(num, batch_count)])
     sums_d = np.array([b.sum() for b in np.array_split(den, batch_count)])
@@ -101,7 +147,7 @@ def simulate(config, backend=None):
 
     cycle = idle + below + above
     total_cycle = cycle.sum()
-    tcrit = float(stats.t.ppf(0.975, config.batch_count - 1))
+    tcrit = t_quantile(0.975, config.batch_count - 1)
     nu1f = nu1.astype(np.float64)
     nu2f = nu2.astype(np.float64)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -186,3 +189,63 @@ def test_sweep_empty_grid_exits_2(capsys):
 
 def test_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--lambda", "nan", "--b1", "exp:1.25", "--b2", "exp:2", "--level", "5"],
+    ["analyze", "--lambda", "1", "--b1", "exp:inf", "--b2", "exp:2", "--level", "5"],
+    ["analyze", "--lambda", "1", "--b1", "gamma:nan:1", "--b2", "exp:2", "--level", "5"],
+    ["analyze"] + MM1_FLAGS[:-2] + ["--j2", "inf"],
+    ["optimize", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+     "--level", "100", "--c-max", "nan"],
+    ["sweep", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+     "--c-grid", "0,nan"],
+])
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "finite" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_simulate_seed_out_of_range_exits_2(capsys, seed):
+    code, out, err = run(capsys, ["simulate"] + MM1_FLAGS +
+                         ["--cycles", "100", "--seed", seed])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "seed" in err
+
+
+def test_extended_precision_degeneracy_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv(exact.PRECISION_ENV_VAR, "30")
+    code, _, err = run(capsys, ["analyze", "--lambda", "1", "--b1", "det:800",
+                                "--b2", "exp:2", "--level", "5"])
+    assert code == 3
+    assert "numeric error" in err
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    """Every command runs on numpy and mpmath alone; scipy is test-only."""
+    script = """
+import contextlib, io, sys
+from damctl import cli
+model = ["--lambda", "1", "--b1", "exp:1", "--b2", "exp:2"]
+runs = [
+    ["analyze"] + model + ["--level", "50"],
+    ["optimize"] + model + ["--level", "20", "--mode", "exact"],
+    ["verify"] + model + ["--regime", "upper", "--levels", "50,100"],
+    ["simulate"] + model + ["--level", "5", "--cycles", "256"],
+    ["sweep"] + model + ["--c-grid", "0:1:0.5"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -159,3 +159,57 @@ def test_parse_dist_spec():
         parse_dist_spec("weird:1")
     with pytest.raises(ValueError):
         parse_dist_spec("exp")
+
+
+def _mpmath_log_weights(kind, params, lam, n):
+    """40-digit log r_0..log r_n from mpmath loggamma."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        if kind == "poisson":
+            mu = lam * mpmath.mpf(params[0])
+            return [float(-mu + j * mpmath.log(mu) - mpmath.loggamma(j + 1))
+                    for j in range(n + 1)]
+        shape, rate = (mpmath.mpf(x) for x in params)
+        log_p = mpmath.log(rate / (lam + rate))
+        log_q = mpmath.log(lam / (lam + rate))
+        return [float(mpmath.loggamma(shape + j) - mpmath.loggamma(j + 1)
+                      - mpmath.loggamma(shape) + shape * log_p + j * log_q)
+                for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("d, kind, params", [
+    (Gamma(shape=0.6, rate=0.6 / 1.0005), "negbin", (0.6, 0.6 / 1.0005)),
+    (Gamma(shape=2.3, rate=2.3 * 1.0005), "negbin", (2.3, 2.3 * 1.0005)),
+    (Erlang(shape=3, rate=3.0), "negbin", (3, 3.0)),
+    (Deterministic(duration=0.9995), "poisson", (0.9995,)),
+    (Deterministic(duration=25.0), "poisson", (25.0,)),
+])
+def test_weights_match_loggamma_reference(d, kind, params):
+    n = 4000
+    want = np.exp(_mpmath_log_weights(kind, params, 1.0, n))
+    got = d.mixed_poisson_weights(1.0, n)
+    normal = want > 1e-300  # compare where the reference is a normal double
+    assert normal.sum() > 100
+    np.testing.assert_allclose(got[normal], want[normal], rtol=2e-11, atol=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: Exponential(rate=x),
+    lambda x: Erlang(shape=2, rate=x),
+    lambda x: Gamma(shape=x, rate=1.0),
+    lambda x: Gamma(shape=1.0, rate=x),
+    lambda x: Deterministic(duration=x),
+    lambda x: HyperExponential(weights=(0.5, 0.5), rates=(1.0, x)),
+    lambda x: HyperExponential(weights=(x, 0.5), rates=(1.0, 2.0)),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constructors_reject_non_finite(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weights_reject_non_finite_lambda(bad):
+    with pytest.raises(ValueError):
+        Exponential(rate=1.0).mixed_poisson_weights(bad, 5)

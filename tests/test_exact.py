@@ -187,3 +187,48 @@ def test_precision_env_variable(monkeypatch):
     monkeypatch.setenv(exact.PRECISION_ENV_VAR, "40")
     q = exact.busy_period_counts(model)
     assert q[50] == pytest.approx(mm1_closed_form(0.8, 50), rel=1e-12)
+
+
+@pytest.mark.parametrize("tag", ALL_FAMILIES)
+@pytest.mark.parametrize("rho1", [0.8, 1.0, 1.25])
+def test_solve_matches_single_metric_entry_points(tag, rho1):
+    model = exact.DamModel(lam=1.0, b1=shape_family(tag).scale_to_mean(rho1),
+                           b2=B2, level=60)
+    costs = exact.CostModel(j1=2.0, j2=0.5)
+    sol = exact.solve(model, costs)
+    assert sol.busy == exact.busy_period_metrics(model)
+    assert (sol.p1, sol.p2) == exact.stationary_probs(model)
+    assert sol.cost == exact.cost(model, costs)
+    assert exact.solve(model).cost is None
+
+
+def test_solve_runs_one_recurrence(monkeypatch):
+    calls = []
+    real = exact.kernels.busy_period_recurrence
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exact.kernels, "busy_period_recurrence", counting)
+    exact.solve(mm1(1.0, 50), exact.CostModel(j1=1.0, j2=1.0))
+    assert calls == [50]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_models_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        exact.DamModel(lam=bad, b1=Exponential(rate=1.25), b2=B2, level=5)
+    with pytest.raises(ValueError, match="finite"):
+        exact.CostModel(j1=bad, j2=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        exact.CostModel(j1=1.0, j2=bad)
+
+
+def test_extended_precision_refuses_underflowing_r0():
+    model = exact.DamModel(lam=1.0, b1=Deterministic(duration=800.0), b2=B2,
+                           level=5)
+    with pytest.raises(NumericDegeneracyError):
+        exact.busy_period_counts(model, precision=30)
+    with pytest.raises(NumericDegeneracyError):
+        exact.solve(model, precision=30)
