@@ -107,8 +107,8 @@ def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
     regime = classify_regime(costs, rho2)
     if c_max is None:
         c_max = 10.0 * rho12t
-    if not (math.isfinite(c_max) and c_max > 0):
-        raise ValueError("c_max must be positive and finite")
+    if not math.isfinite(c_max):
+        raise ValueError("c_max must be finite, got %r" % (c_max,))
 
     if regime == REGIME_CRITICAL:
         c_star = 0.0

@@ -196,11 +196,9 @@ def _q_top(model, precision=None, backend=None):
     return float(q[-1]), int(ex[-1])
 
 
-def _probs(model, m, e):
-    """(p1, p2) from Q_L = m * 2**e by the renewal-reward closed forms."""
+def _probs(model, inv_q):
+    """(p1, p2) from 1/Q_L by the renewal-reward closed forms."""
     rho1, rho2 = model.rho1, model.rho2
-    # work with 1/Q_L so that supercritical growth cannot overflow
-    inv_q = math.ldexp(1.0 / m, -e)
     denom = inv_q + (rho1 - rho2)
     p1 = (1.0 - rho2) * inv_q / denom
     p2 = (rho2 * inv_q + rho2 * (rho1 - 1.0)) / denom
@@ -209,12 +207,8 @@ def _probs(model, m, e):
     return p1, max(p2, 0.0)
 
 
-def solve(model, costs=None, precision=None, backend=None):
-    """Busy-period metrics, (p1, p2) and, given costs, J(L) from one Q_L.
-
-    e_nu1 = Q_L; the other busy-period expectations follow from Wald
-    identities.
-    """
+def busy_period_metrics(model, precision=None, backend=None):
+    """Busy-period expectations via Wald identities; e_nu1 = Q_L."""
     m, e = _q_top(model, precision=precision, backend=backend)
     try:
         e_nu1 = math.ldexp(m, e)
@@ -224,25 +218,32 @@ def solve(model, costs=None, precision=None, backend=None):
     e_nu2 = 1.0 / (1.0 - rho2) - (1.0 - rho1) / (1.0 - rho2) * e_nu1
     e_t1 = model.b1.mean() * e_nu1
     e_t2 = model.b2.mean() * e_nu2
-    busy = BusyPeriodMetrics(
+    return BusyPeriodMetrics(
         e_nu1=e_nu1, e_nu2=e_nu2, e_t1=e_t1, e_t2=e_t2,
         e_t=e_t1 + e_t2, e_idle=1.0 / model.lam)
-    p1, p2 = _probs(model, m, e)
-    cost_l = None if costs is None else model.level * (costs.j1 * p1 + costs.j2 * p2)
-    return ExactSolution(busy=busy, p1=p1, p2=p2, cost=cost_l)
-
-
-def busy_period_metrics(model, precision=None, backend=None):
-    """Busy-period expectations via Wald identities; e_nu1 = Q_L."""
-    return solve(model, precision=precision, backend=backend).busy
 
 
 def stationary_probs(model, precision=None, backend=None):
     """(p1, p2) from the renewal-reward closed forms."""
-    return _probs(model, *_q_top(model, precision=precision, backend=backend))
+    m, e = _q_top(model, precision=precision, backend=backend)
+    # work with 1/Q_L so that supercritical growth cannot overflow
+    return _probs(model, math.ldexp(1.0 / m, -e))
 
 
 def cost(model, costs, precision=None, backend=None):
     """Long-run average damage cost J(L) = L * (j1 * p1 + j2 * p2)."""
     p1, p2 = stationary_probs(model, precision=precision, backend=backend)
     return model.level * (costs.j1 * p1 + costs.j2 * p2)
+
+
+def solve(model, costs=None, precision=None, backend=None):
+    """Busy-period metrics, (p1, p2) and, given costs, J(L) from one Q_L.
+
+    The one recurrence runs inside `busy_period_metrics`, so a wrapper of
+    that entry point (perfbench/launcher.py) sees the solve; p1 and p2
+    then follow from e_nu1 = Q_L, which is inf only where 1/Q_L is 0.
+    """
+    busy = busy_period_metrics(model, precision=precision, backend=backend)
+    p1, p2 = _probs(model, 1.0 / busy.e_nu1)
+    cost_l = None if costs is None else model.level * (costs.j1 * p1 + costs.j2 * p2)
+    return ExactSolution(busy=busy, p1=p1, p2=p2, cost=cost_l)

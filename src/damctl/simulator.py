@@ -21,8 +21,7 @@ from .distributions import (Deterministic, Erlang, Exponential, Gamma,
 from .exact import DamModel
 from . import kernels
 
-__all__ = ["SimulationConfig", "SimulationReport", "simulate", "sweep_simulate",
-           "t_quantile"]
+__all__ = ["SimulationConfig", "SimulationReport", "simulate", "sweep_simulate"]
 
 _SEED_LIMIT = 2 ** 64
 
@@ -101,13 +100,8 @@ def _t_central(t, df):
     return sin * math.fsum(terms)
 
 
-def t_quantile(p, df):
-    """Upper quantile (p >= 1/2) of Student's t with integer df >= 1."""
-    if int(df) != df or df < 1:
-        raise ValueError("df must be a positive integer, got %r" % (df,))
-    if not 0.5 <= p < 1.0:
-        raise ValueError("p must lie in [0.5, 1), got %r" % (p,))
-    df = int(df)
+def _t_quantile(p, df):
+    """Upper quantile (1/2 <= p < 1) of Student's t with integer df >= 1."""
     target = 2.0 * p - 1.0
     log_norm = (math.lgamma(0.5 * (df + 1)) - math.lgamma(0.5 * df)
                 - 0.5 * math.log(df * math.pi))
@@ -147,7 +141,7 @@ def simulate(config, backend=None):
 
     cycle = idle + below + above
     total_cycle = cycle.sum()
-    tcrit = t_quantile(0.975, config.batch_count - 1)
+    tcrit = _t_quantile(0.975, config.batch_count - 1)
     nu1f = nu1.astype(np.float64)
     nu2f = nu2.astype(np.float64)
 

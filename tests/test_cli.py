@@ -208,6 +208,14 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert "config error" in err and "finite" in err
 
 
+def test_optimize_zero_c_range_exits_0(capsys):
+    code, out, _ = run(capsys, ["optimize", "--lambda", "1", "--b1", "exp:1",
+                                "--b2", "exp:2", "--j1", "2", "--j2", "1",
+                                "--level", "100", "--c-max", "0"])
+    assert code == 0
+    assert json.loads(out)["c_star"] == 0.0
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_simulate_seed_out_of_range_exits_2(capsys, seed):
     code, out, err = run(capsys, ["simulate"] + MM1_FLAGS +

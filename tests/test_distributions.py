@@ -184,6 +184,7 @@ def _mpmath_log_weights(kind, params, lam, n):
     (Erlang(shape=3, rate=3.0), "negbin", (3, 3.0)),
     (Deterministic(duration=0.9995), "poisson", (0.9995,)),
     (Deterministic(duration=25.0), "poisson", (25.0,)),
+    (Deterministic(duration=600.0), "poisson", (600.0,)),
 ])
 def test_weights_match_loggamma_reference(d, kind, params):
     n = 4000

@@ -215,6 +215,20 @@ def test_solve_runs_one_recurrence(monkeypatch):
     assert calls == [50]
 
 
+def test_solve_goes_through_busy_period_metrics(monkeypatch):
+    # tracing wrappers replace the module attribute; solve must still hit it
+    calls = []
+    real = exact.busy_period_metrics
+
+    def counting(model, **kwargs):
+        calls.append(model.level)
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(exact, "busy_period_metrics", counting)
+    exact.solve(mm1(1.0, 50))
+    assert calls == [50]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_models_reject_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
