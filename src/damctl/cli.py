@@ -350,7 +350,7 @@ def main(argv=None):
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except DamctlError as exc:
+    except (DamctlError, ArithmeticError) as exc:
         print("numeric error: %s" % exc, file=sys.stderr)
         return 3
 

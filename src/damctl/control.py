@@ -89,15 +89,20 @@ def golden_section(f, a, b, tol):
     return 0.5 * (lo + hi)
 
 
-def _grid_then_golden(f, lo, hi, grid_points, tol):
+def _grid_then_golden(f, f_grid, lo, hi, grid_points, tol):
+    """(x, f(x)) at the minimum: f_grid maps the coarse grid to its values,
+    then golden-section search on f refines around the best grid point."""
     grid = np.linspace(lo, hi, grid_points)
-    vals = np.array([f(x) for x in grid])
+    vals = np.array(f_grid(grid))
     i = int(np.argmin(vals))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
     x = golden_section(f, a, b, tol)
+    fx = f(x)
     # keep whichever of the refined point and the coarse minimum wins
-    return float(x) if f(x) <= vals[i] else float(grid[i])
+    if fx <= vals[i]:
+        return float(x), float(fx)
+    return float(grid[i]), float(vals[i])
 
 
 def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
@@ -120,11 +125,12 @@ def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
         else:
             def f(c):
                 return asymptotics.j_lower(c, rho12t, rho2, costs)
-        c_star = _grid_then_golden(f, 0.0, c_max, 256, 1e-8)
+        c_star, predicted = _grid_then_golden(
+            f, lambda cs: [f(c) for c in cs], 0.0, c_max, 256, 1e-8)
         # boundary optimum at C = 0 is legal (nondecreasing functional)
-        if f(0.0) <= f(c_star):
-            c_star = 0.0
-        predicted = f(c_star)
+        f0 = f(0.0)
+        if f0 <= predicted:
+            c_star, predicted = 0.0, f0
 
     sign = {REGIME_CRITICAL: 0.0, REGIME_UPPER: 1.0, REGIME_LOWER: -1.0}[regime]
     delta = sign * c_star / level
@@ -139,21 +145,26 @@ def optimize_exact(lam, shape, b2, level, costs, rho1_range=(0.5, 1.5),
     """Minimize the exact finite-L cost over rho1 within the given range.
 
     `shape` fixes the family of the normal-regime law; each candidate rho1
-    is realized by rescaling it to mean rho1 / lam.
+    is realized by rescaling it to mean rho1 / lam.  The coarse grid runs
+    as one batched recurrence (`exact.cost_batch`), the golden-section
+    refinement one `exact.cost` per point.
     """
     lo, hi = rho1_range
-    if not (0 < lo < hi):
-        raise ValueError("rho1_range must satisfy 0 < lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
+        raise ValueError("rho1_range must satisfy 0 < lo < hi < inf, got %r"
+                         % (rho1_range,))
     rho2 = lam * b2.mean()
 
-    def f(rho1):
-        model = exact.DamModel(lam=lam, b1=shape.scale_to_mean(rho1 / lam),
-                               b2=b2, level=level)
-        return exact.cost(model, costs)
+    def model(rho1):
+        return exact.DamModel(lam=lam, b1=shape.scale_to_mean(rho1 / lam),
+                              b2=b2, level=level)
 
-    rho1_star = _grid_then_golden(f, lo, hi, grid_points, tol)
+    rho1_star, predicted = _grid_then_golden(
+        lambda rho1: exact.cost(model(rho1), costs),
+        lambda grid: exact.cost_batch([model(x) for x in grid], costs),
+        lo, hi, grid_points, tol)
     delta = rho1_star - 1.0
     return ControlSolution(regime=classify_regime(costs, rho2),
                            c_star=level * abs(delta), delta_star=delta,
                            rho1_star=rho1_star, b1_star=rho1_star / lam,
-                           predicted_cost=float(f(rho1_star)), mode="exact")
+                           predicted_cost=predicted, mode="exact")

@@ -32,6 +32,7 @@ __all__ = [
     "busy_period_metrics",
     "stationary_probs",
     "cost",
+    "cost_batch",
 ]
 
 PRECISION_ENV_VAR = "DAMCTL_PRECISION"
@@ -183,6 +184,15 @@ def gf_coefficients(model, n, backend=None):
     return out
 
 
+def _check_tops(mantissas):
+    """Refuse a Q_L whose mantissa is inf or NaN: a recurrence step
+    overflowed before it could be rescaled."""
+    if not np.isfinite(mantissas).all():
+        raise NumericDegeneracyError(
+            "the busy-period recurrence overflowed within one step; r_0 is "
+            "too small for double precision at this arrival rate")
+
+
 def _q_top(model, precision=None, backend=None):
     """Q_L as a (mantissa, binary exponent) pair."""
     if precision is None:
@@ -191,9 +201,12 @@ def _q_top(model, precision=None, backend=None):
         import mpmath
         q = _counts_mp(model, precision)[-1]
         m, e = mpmath.frexp(q)
-        return float(m), int(e)
-    q, ex = _counts_scaled(model, backend=backend)
-    return float(q[-1]), int(ex[-1])
+    else:
+        q, ex = _counts_scaled(model, backend=backend)
+        m, e = q[-1], ex[-1]
+    m, e = float(m), int(e)
+    _check_tops(m)
+    return m, e
 
 
 def _probs(model, inv_q):
@@ -205,6 +218,10 @@ def _probs(model, inv_q):
     # deep subcritical: the numerator of p2 cancels to round-off and can come
     # out a hair negative; the true value is a nonnegative probability
     return p1, max(p2, 0.0)
+
+
+def _level_cost(model, costs, p1, p2):
+    return model.level * (costs.j1 * p1 + costs.j2 * p2)
 
 
 def busy_period_metrics(model, precision=None, backend=None):
@@ -233,7 +250,29 @@ def stationary_probs(model, precision=None, backend=None):
 def cost(model, costs, precision=None, backend=None):
     """Long-run average damage cost J(L) = L * (j1 * p1 + j2 * p2)."""
     p1, p2 = stationary_probs(model, precision=precision, backend=backend)
-    return model.level * (costs.j1 * p1 + costs.j2 * p2)
+    return _level_cost(model, costs, p1, p2)
+
+
+def cost_batch(models, costs, precision=None):
+    """[cost(m, costs) for m in models] for models that share one level.
+
+    One row-batched recurrence serves all models, and each value equals
+    `cost`'s.  Under an extended precision each model goes through `cost`.
+    """
+    if precision is None:
+        precision = _env_precision()
+    if precision is not None:
+        return [cost(m, costs, precision=precision) for m in models]
+    if not models:
+        return []
+    L = int(models[0].level)
+    if any(int(m.level) != L for m in models):
+        raise ValueError("cost_batch needs models that share one level")
+    mant, ex = kernels.busy_period_recurrence_rows(
+        [_weights(m, L - 1) for m in models], L)
+    _check_tops(mant)
+    return [_level_cost(m, costs, *_probs(m, math.ldexp(1.0 / q, -e)))
+            for m, q, e in zip(models, mant.tolist(), ex.tolist())]
 
 
 def solve(model, costs=None, precision=None, backend=None):
@@ -245,5 +284,5 @@ def solve(model, costs=None, precision=None, backend=None):
     """
     busy = busy_period_metrics(model, precision=precision, backend=backend)
     p1, p2 = _probs(model, 1.0 / busy.e_nu1)
-    cost_l = None if costs is None else model.level * (costs.j1 * p1 + costs.j2 * p2)
+    cost_l = None if costs is None else _level_cost(model, costs, p1, p2)
     return ExactSolution(busy=busy, p1=p1, p2=p2, cost=cost_l)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -257,3 +258,39 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_arithmetic_overflow_exits_3(capsys):
+    # heavy_upper's e^(2C/rho12_tilde) leaves double range at C = 3000
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", "upper",
+                                  "--c", "3000", "--levels", "4000"])
+    assert code == 3
+    assert out == ""
+    assert "numeric error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--mode", "exact", "--b1", "exp:1", "--rho1-max", "1e300"],
+    ["analyze", "--b1", "exp:2e-300"],
+])
+def test_overflowing_recurrence_exits_3(capsys, argv):
+    # r_0 near 1e-300 passes the floor, but one step overflows to inf and
+    # the next makes NaN; that must not print as a cost
+    code, out, err = run(capsys, argv + ["--lambda", "1", "--b2", "exp:2",
+                                         "--level", "50"])
+    assert code == 3
+    assert out == ""
+    assert "numeric error" in err
+
+
+def test_optimize_exact_non_finite_range_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the grid
+        code, out, err = run(capsys, ["optimize", "--mode", "exact",
+                                      "--lambda", "1", "--b1", "exp:1",
+                                      "--b2", "exp:2", "--level", "50",
+                                      "--rho1-max", "inf"])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "rho1_range" in err

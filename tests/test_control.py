@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from damctl import asymptotics, control, exact
-from damctl.distributions import Exponential
+from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
+                                  HyperExponential)
 
 B2 = Exponential(rate=2.0)
 
@@ -115,3 +118,64 @@ def test_optimize_exact_monotone_oracle():
 def test_solution_round_trip():
     sol = control.optimize_asymptotic(exact.CostModel(2.0, 1.0), 0.5, 2.0, 1000)
     assert control.ControlSolution.from_dict(sol.to_dict()) == sol
+
+
+EXACT_SHAPES = {
+    "exp": Exponential(rate=1.0),
+    "erlang": Erlang(shape=3, rate=3.0),
+    "gamma": Gamma(shape=0.7, rate=0.7),
+    "det": Deterministic(duration=1.0),
+    "hyper": HyperExponential(weights=(0.4, 0.6), rates=(0.5, 3.0)),
+}
+
+
+@pytest.mark.parametrize("j1", [2.0, 0.5])  # upper- and lower-penalized
+@pytest.mark.parametrize("family", sorted(EXACT_SHAPES))
+def test_optimize_exact_batched_grid_matches_per_point_grid(family, j1,
+                                                            monkeypatch):
+    args = (1.0, EXACT_SHAPES[family], B2, 200, exact.CostModel(j1, 1.0))
+    sol = control.optimize_exact(*args)
+    monkeypatch.setattr(exact, "cost_batch",
+                        lambda models, costs: [exact.cost(m, costs) for m in models])
+    want = control.optimize_exact(*args)
+    assert sol.regime == want.regime != control.REGIME_CRITICAL
+    assert sol.rho1_star == want.rho1_star
+    assert sol.predicted_cost == pytest.approx(want.predicted_cost, rel=1e-12)
+
+
+def test_optimize_exact_reports_the_winning_cost():
+    costs = exact.CostModel(2.0, 1.0)
+    sol = control.optimize_exact(1.0, Exponential(rate=1.0), B2, 60, costs)
+    model = exact.DamModel(1.0, Exponential(rate=1.0 / sol.rho1_star), B2, 60)
+    assert sol.predicted_cost == pytest.approx(exact.cost(model, costs), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [(0.5, math.inf), (-math.inf, 1.5),
+                                 (0.5, math.nan), (1.5, 0.5)])
+def test_optimize_exact_rejects_bad_range(bad):
+    with pytest.raises(ValueError, match="rho1_range"):
+        control.optimize_exact(1.0, Exponential(rate=1.0), B2, 10,
+                               exact.CostModel(1.0, 1.0), rho1_range=bad)
+
+
+def test_optimizers_evaluate_the_optimum_once(monkeypatch):
+    rho1s, cs = [], []
+    real_cost, real_j_upper = exact.cost, asymptotics.j_upper
+
+    def cost(model, costs, **kwargs):
+        rho1s.append(model.rho1)
+        return real_cost(model, costs, **kwargs)
+
+    def j_upper(c, *args):
+        cs.append(c)
+        return real_j_upper(c, *args)
+
+    monkeypatch.setattr(exact, "cost", cost)
+    monkeypatch.setattr(asymptotics, "j_upper", j_upper)
+    costs = exact.CostModel(2.0, 1.0)
+    sol = control.optimize_exact(1.0, Exponential(rate=1.0), B2, 40, costs)
+    assert len(rho1s) == len(set(rho1s))
+    sol = control.optimize_asymptotic(costs, 0.5, 2.0, 1000)
+    assert sol.c_star > 0
+    assert cs.count(sol.c_star) == 1
+    assert sol.predicted_cost == real_j_upper(sol.c_star, 2.0, 0.5, costs)

@@ -246,3 +246,47 @@ def test_extended_precision_refuses_underflowing_r0():
         exact.busy_period_counts(model, precision=30)
     with pytest.raises(NumericDegeneracyError):
         exact.solve(model, precision=30)
+
+
+def test_cost_batch_matches_cost():
+    costs = exact.CostModel(j1=2.0, j2=0.5)
+    models = [exact.DamModel(lam=1.0, b1=shape_family(tag).scale_to_mean(rho1),
+                             b2=B2, level=80)
+              for tag in ALL_FAMILIES for rho1 in (0.6, 1.0, 1.4, 6.0)]
+    want = [exact.cost(m, costs) for m in models]
+    assert exact.cost_batch(models, costs) == pytest.approx(want, rel=1e-12)
+    assert exact.cost_batch([], costs) == []
+    with pytest.raises(ValueError, match="one level"):
+        exact.cost_batch([mm1(0.8, 5), mm1(0.8, 6)], costs)
+
+
+def test_cost_batch_follows_extended_precision(monkeypatch):
+    monkeypatch.setenv(exact.PRECISION_ENV_VAR, "30")
+    costs = exact.CostModel(j1=1.0, j2=2.0)
+    models = [mm1(rho1, 40) for rho1 in (0.7, 1.0, 1.3)]
+    assert exact.cost_batch(models, costs) == [exact.cost(m, costs) for m in models]
+    # the 30-digit route, not the double one
+    monkeypatch.delenv(exact.PRECISION_ENV_VAR)
+    assert exact.cost_batch(models, costs, precision=30) == \
+        [exact.cost(m, costs, precision=30) for m in models]
+
+
+def test_cost_batch_keeps_r0_floor():
+    floor = exact.DamModel(lam=1.0, b1=Deterministic(duration=800.0), b2=B2,
+                           level=5)
+    with pytest.raises(NumericDegeneracyError, match="r_0"):
+        exact.cost_batch([mm1(0.8, 5), floor], exact.CostModel(1.0, 1.0))
+
+
+def test_overflowing_step_is_a_numeric_error():
+    # r_0 = 2e-300 passes the floor, but Q_2 = Q_1 (1 - r_1) / r_0 overflows
+    # before it can be rescaled, and the next step makes inf - inf = NaN
+    model = exact.DamModel(lam=1.0, b1=Exponential(rate=2e-300), b2=B2,
+                           level=50)
+    costs = exact.CostModel(1.0, 1.0)
+    with pytest.raises(NumericDegeneracyError, match="overflowed"):
+        exact.cost(model, costs)
+    with pytest.raises(NumericDegeneracyError, match="overflowed"):
+        exact.solve(model)
+    with pytest.raises(NumericDegeneracyError, match="overflowed"):
+        exact.cost_batch([mm1(0.8, 50), model], costs)

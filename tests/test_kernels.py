@@ -105,3 +105,34 @@ def test_simulation_backends_agree(b1):
     cfg = simulator.SimulationConfig(model=model, n_cycles=1500, seed=9)
     assert simulator.simulate(cfg, backend="numba") == \
         simulator.simulate(cfg, backend="numpy")
+
+
+@pytest.mark.parametrize("block_rows", [None, 34])
+def test_batched_rows_match_single_recurrence(block_rows, monkeypatch):
+    # rho1 from 0.5 to 10 over three families, shuffled so that rows which
+    # rescale (up to four times) and rows which do not share every block;
+    # 101 rows in blocks of 34 leave a short last block
+    L = 300
+    if block_rows is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_rows * (L + 1))
+    shapes = [Exponential(rate=1.0), Deterministic(duration=1.0),
+              Gamma(shape=0.6, rate=0.6)]
+    rho1 = np.random.default_rng(7).permutation(np.geomspace(0.5, 10.0, 101))
+    r = np.array([shapes[i % 3].scale_to_mean(x).mixed_poisson_weights(1.0, L - 1)
+                  for i, x in enumerate(rho1)])
+    mant, ex = kernels.busy_period_recurrence_rows(r, L)
+    want = [kernels.busy_period_recurrence(row, L, backend="numpy") for row in r]
+    want_mant = np.array([q[-1] for q, _ in want])
+    want_ex = np.array([e[-1] for _, e in want])
+    assert np.array_equal(ex, want_ex)
+    assert np.allclose(mant, want_mant, rtol=1e-12, atol=0.0)
+    for block in np.array_split(want_ex > 0, 3):
+        assert 0 < block.sum() < len(block)
+
+
+def test_batched_rows_edge_sizes():
+    r = Exponential(rate=0.8).mixed_poisson_weights(1.0, 4)
+    mant, ex = kernels.busy_period_recurrence_rows(r[None, :1], 1)
+    assert mant[0] == 1.0 / r[0] and ex[0] == 0
+    mant, ex = kernels.busy_period_recurrence_rows(np.empty((0, 5)), 5)
+    assert mant.shape == ex.shape == (0,)
