@@ -185,12 +185,10 @@ def gf_coefficients(model, n, backend=None):
 
 
 def _check_tops(mantissas):
-    """Refuse a Q_L whose mantissa is inf or NaN: a recurrence step
-    overflowed before it could be rescaled."""
+    """Refuse a Q_L whose mantissa is inf or NaN rather than report it."""
     if not np.isfinite(mantissas).all():
         raise NumericDegeneracyError(
-            "the busy-period recurrence overflowed within one step; r_0 is "
-            "too small for double precision at this arrival rate")
+            "the busy-period recurrence gave a non-finite Q_L mantissa")
 
 
 def _q_top(model, precision=None, backend=None):
@@ -253,16 +251,15 @@ def cost(model, costs, precision=None, backend=None):
     return _level_cost(model, costs, p1, p2)
 
 
-def cost_batch(models, costs, precision=None):
+def cost_batch(models, costs):
     """[cost(m, costs) for m in models] for models that share one level.
 
-    One row-batched recurrence serves all models, and each value equals
-    `cost`'s.  Under an extended precision each model goes through `cost`.
+    On the numpy backend one row-batched recurrence serves all models, and
+    each value equals `cost`'s.  Under DAMCTL_PRECISION or the numba backend
+    each model goes through `cost`, so every value comes from one route.
     """
-    if precision is None:
-        precision = _env_precision()
-    if precision is not None:
-        return [cost(m, costs, precision=precision) for m in models]
+    if _env_precision() is not None or kernels.active_backend() == "numba":
+        return [cost(m, costs) for m in models]
     if not models:
         return []
     L = int(models[0].level)

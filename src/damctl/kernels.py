@@ -68,11 +68,15 @@ def active_backend():
 _RESCALE_BITS = 1024
 _RESCALE_LIMIT = 1e300
 
+# A step divides by r_0, so the values it reads must stay below
+# DBL_MAX * r_0.  For r_0 below about 1e-7 the rescale threshold drops from
+# 1e300 to _STEP_HEADROOM * r_0, which keeps every step finite down to the
+# r_0 floor of exact; above it the threshold stays 1e300.
+_STEP_HEADROOM = 1e307
 
-# A step that overflows before it can be rescaled (r_0 near its floor)
-# leaves inf or NaN behind; the numpy recurrences run without the warnings,
-# and exact rejects a non-finite Q_L.
-_QUIET = dict(over="ignore", invalid="ignore")
+
+def _rescale_limit(r0):
+    return np.minimum(_RESCALE_LIMIT, _STEP_HEADROOM * r0)
 
 
 def _recurrence_numpy(r, L):
@@ -82,6 +86,7 @@ def _recurrence_numpy(r, L):
     q[0] = w[0] = 1.0
     shift = 0
     r0 = float(r[0])
+    limit = float(_rescale_limit(r0))
     for n in range(L):
         # terms r_j * Q_{n-j+1}, j = 1..n, as one BLAS dot product.  The
         # terms are nonnegative, so uncompensated summation loses little:
@@ -90,7 +95,7 @@ def _recurrence_numpy(r, L):
         # gives 4.8e-11 at about 25 times the cost.
         s = float(np.dot(r[1:n + 1], w[n:0:-1]))
         v = (w[n] - s) / r0
-        if v > _RESCALE_LIMIT:
+        if v > limit:
             w[:n + 1] = np.ldexp(w[:n + 1], -_RESCALE_BITS)
             v = math.ldexp(v, -_RESCALE_BITS)
             shift += _RESCALE_BITS
@@ -103,14 +108,7 @@ def _recurrence_numpy(r, L):
 # Row-batched recurrence.  Each row keeps its history backwards, w_m at
 # column L - m, so step n's terms are the contiguous slices r[:, 1:n+1] and
 # w[:, L-n:L], and np.vecdot takes every row's inner product with the BLAS
-# dot of the loop above.  Each row rescales on its own.  Rows run in blocks
-# of at most _BLOCK_ENTRIES history entries (512 KiB, and as much again of
-# weights), which bounds memory at large L.  For 1,024 rows on a 2-vCPU
-# x86_64 VM this size took 13-15 ms at L=200 and 1.5-1.6 s at L=2000; one
-# block of all rows took 17 ms and 1.7 s, blocks of 2^14 entries 21 ms and
-# 2.9 s, and blocks of 2^17 entries did as well as this size.
-
-_BLOCK_ENTRIES = 1 << 16
+# dot of the loop above.  Each row rescales on its own.
 
 
 def busy_period_recurrence_rows(r, L):
@@ -121,29 +119,20 @@ def busy_period_recurrence_rows(r, L):
     """
     r = np.ascontiguousarray(r, dtype=np.float64)
     L = int(L)
-    rows = len(r)
-    mant = np.empty(rows)
-    ex = np.zeros(rows, dtype=np.int64)
-    # equal blocks: 1,024 rows at L=200 run as four of 256 rows
-    blocks = max(-(-rows // max(_BLOCK_ENTRIES // (L + 1), 1)), 1)
-    size = max(-(-rows // blocks), 1)
-    for start in range(0, rows, size):
-        rb = r[start:start + size]
-        w = np.zeros((len(rb), L + 1))
-        w[:, L] = 1.0
-        shift = ex[start:start + size]
-        r0 = rb[:, 0]
-        with np.errstate(**_QUIET):
-            for n in range(L):
-                v = (w[:, L - n] - np.vecdot(rb[:, 1:n + 1], w[:, L - n:L])) / r0
-                big = np.flatnonzero(v > _RESCALE_LIMIT)
-                if len(big):
-                    w[big, L - n:] = np.ldexp(w[big, L - n:], -_RESCALE_BITS)
-                    v[big] = np.ldexp(v[big], -_RESCALE_BITS)
-                    shift[big] += _RESCALE_BITS
-                w[:, L - n - 1] = v
-        mant[start:start + size] = w[:, 0]
-    return mant, ex
+    w = np.zeros((len(r), L + 1))
+    w[:, L] = 1.0
+    ex = np.zeros(len(r), dtype=np.int64)
+    r0 = r[:, 0]
+    limit = _rescale_limit(r0)
+    for n in range(L):
+        v = (w[:, L - n] - np.vecdot(r[:, 1:n + 1], w[:, L - n:L])) / r0
+        big = np.flatnonzero(v > limit)
+        if len(big):
+            w[big, L - n:] = np.ldexp(w[big, L - n:], -_RESCALE_BITS)
+            v[big] = np.ldexp(v[big], -_RESCALE_BITS)
+            ex[big] += _RESCALE_BITS
+        w[:, L - n - 1] = v
+    return w[:, 0].copy(), ex
 
 
 def _recurrence_loop(r, L):
@@ -154,6 +143,7 @@ def _recurrence_loop(r, L):
     w[0] = 1.0
     shift = 0
     r0 = r[0]
+    limit = min(1e300, 1e307 * r0)  # as _rescale_limit
     for n in range(L):
         # Kahan-compensated inner product
         s = 0.0
@@ -164,7 +154,7 @@ def _recurrence_loop(r, L):
             c = (t - s) - y
             s = t
         v = (w[n] - s) / r0
-        if v > 1e300:
+        if v > limit:
             for m in range(n + 1):
                 w[m] = math.ldexp(w[m], -1024)
             v = math.ldexp(v, -1024)
@@ -191,8 +181,7 @@ def busy_period_recurrence(r, L, backend=None):
         backend = active_backend()
     if backend == "numba":
         return _recurrence_numba(r, int(L))
-    with np.errstate(**_QUIET):
-        return _recurrence_numpy(r, int(L))
+    return _recurrence_numpy(r, int(L))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import damctl
-from damctl import exact
+from damctl import exact, kernels
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
                                   HyperExponential)
 from damctl.errors import NumericDegeneracyError
@@ -265,10 +265,17 @@ def test_cost_batch_follows_extended_precision(monkeypatch):
     costs = exact.CostModel(j1=1.0, j2=2.0)
     models = [mm1(rho1, 40) for rho1 in (0.7, 1.0, 1.3)]
     assert exact.cost_batch(models, costs) == [exact.cost(m, costs) for m in models]
-    # the 30-digit route, not the double one
-    monkeypatch.delenv(exact.PRECISION_ENV_VAR)
-    assert exact.cost_batch(models, costs, precision=30) == \
-        [exact.cost(m, costs, precision=30) for m in models]
+
+
+def test_cost_batch_follows_numba_backend(monkeypatch):
+    # the numba kernel's source, run uncompiled, stands in for numba here
+    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numba")
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
+    monkeypatch.setattr(kernels, "_recurrence_numba", kernels._recurrence_loop)
+    monkeypatch.setattr(kernels, "busy_period_recurrence_rows", None)
+    costs = exact.CostModel(j1=1.0, j2=2.0)
+    models = [mm1(rho1, 30) for rho1 in (0.7, 1.0, 1.3)]
+    assert exact.cost_batch(models, costs) == [exact.cost(m, costs) for m in models]
 
 
 def test_cost_batch_keeps_r0_floor():
@@ -278,15 +285,37 @@ def test_cost_batch_keeps_r0_floor():
         exact.cost_batch([mm1(0.8, 5), floor], exact.CostModel(1.0, 1.0))
 
 
-def test_overflowing_step_is_a_numeric_error():
-    # r_0 = 2e-300 passes the floor, but Q_2 = Q_1 (1 - r_1) / r_0 overflows
-    # before it can be rescaled, and the next step makes inf - inf = NaN
-    model = exact.DamModel(lam=1.0, b1=Exponential(rate=2e-300), b2=B2,
-                           level=50)
+@pytest.mark.parametrize("b1", [Exponential(rate=2e-300),
+                                Deterministic(duration=20.0),
+                                Deterministic(duration=600.0)])
+def test_tiny_r0_matches_extended_precision(b1):
+    # r_0 = 2e-300, 2.1e-9 and 2.6e-261: each step divides by r_0, so a
+    # value just under a fixed 1e300 rescale threshold would overflow
+    model = exact.DamModel(lam=1.0, b1=b1, b2=B2, level=50)
+    costs = exact.CostModel(2.0, 1.0)
+    want = exact.cost(model, costs, precision=40)
+    assert exact.cost(model, costs) == pytest.approx(want, rel=1e-12)
+    assert exact.solve(model, costs).cost == pytest.approx(want, rel=1e-12)
+    assert exact.cost_batch([mm1(0.8, 50), model], costs)[1] == \
+        pytest.approx(want, rel=1e-12)
+    m, e = exact._q_top(model)
+    m40, e40 = exact._q_top(model, precision=40)
+    assert math.log2(m) + e == pytest.approx(math.log2(m40) + e40, rel=1e-12)
+
+
+def test_non_finite_q_top_is_a_numeric_error(monkeypatch):
+    def nan_rows(r, L):
+        return np.full(len(r), np.nan), np.zeros(len(r), dtype=np.int64)
+
+    def nan_single(r, L, backend=None):
+        return np.full(L + 1, np.nan), np.zeros(L + 1, dtype=np.int64)
+
+    monkeypatch.setattr(kernels, "busy_period_recurrence_rows", nan_rows)
+    monkeypatch.setattr(kernels, "busy_period_recurrence", nan_single)
     costs = exact.CostModel(1.0, 1.0)
-    with pytest.raises(NumericDegeneracyError, match="overflowed"):
-        exact.cost(model, costs)
-    with pytest.raises(NumericDegeneracyError, match="overflowed"):
-        exact.solve(model)
-    with pytest.raises(NumericDegeneracyError, match="overflowed"):
-        exact.cost_batch([mm1(0.8, 50), model], costs)
+    with pytest.raises(NumericDegeneracyError, match="non-finite"):
+        exact.cost(mm1(0.8, 10), costs)
+    with pytest.raises(NumericDegeneracyError, match="non-finite"):
+        exact.solve(mm1(0.8, 10))
+    with pytest.raises(NumericDegeneracyError, match="non-finite"):
+        exact.cost_batch([mm1(0.8, 10)], costs)

@@ -107,27 +107,25 @@ def test_simulation_backends_agree(b1):
         simulator.simulate(cfg, backend="numpy")
 
 
-@pytest.mark.parametrize("block_rows", [None, 34])
-def test_batched_rows_match_single_recurrence(block_rows, monkeypatch):
+def test_batched_rows_match_single_recurrence():
     # rho1 from 0.5 to 10 over three families, shuffled so that rows which
-    # rescale (up to four times) and rows which do not share every block;
-    # 101 rows in blocks of 34 leave a short last block
+    # rescale (up to four times) and rows which do not sit side by side,
+    # plus rows with r_0 = 2e-300 and 2.1e-9 that rescale below 1e300
     L = 300
-    if block_rows is not None:
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_rows * (L + 1))
     shapes = [Exponential(rate=1.0), Deterministic(duration=1.0),
               Gamma(shape=0.6, rate=0.6)]
     rho1 = np.random.default_rng(7).permutation(np.geomspace(0.5, 10.0, 101))
-    r = np.array([shapes[i % 3].scale_to_mean(x).mixed_poisson_weights(1.0, L - 1)
-                  for i, x in enumerate(rho1)])
+    laws = [shapes[i % 3].scale_to_mean(x) for i, x in enumerate(rho1)]
+    laws[40:40] = [Exponential(rate=2e-300), Deterministic(duration=20.0)]
+    r = np.array([law.mixed_poisson_weights(1.0, L - 1) for law in laws])
     mant, ex = kernels.busy_period_recurrence_rows(r, L)
     want = [kernels.busy_period_recurrence(row, L, backend="numpy") for row in r]
     want_mant = np.array([q[-1] for q, _ in want])
     want_ex = np.array([e[-1] for _, e in want])
     assert np.array_equal(ex, want_ex)
     assert np.allclose(mant, want_mant, rtol=1e-12, atol=0.0)
-    for block in np.array_split(want_ex > 0, 3):
-        assert 0 < block.sum() < len(block)
+    assert np.isfinite(mant).all()
+    assert 0 < (want_ex > 0).sum() < len(r)
 
 
 def test_batched_rows_edge_sizes():
@@ -136,3 +134,16 @@ def test_batched_rows_edge_sizes():
     assert mant[0] == 1.0 / r[0] and ex[0] == 0
     mant, ex = kernels.busy_period_recurrence_rows(np.empty((0, 5)), 5)
     assert mant.shape == ex.shape == (0,)
+
+
+@pytest.mark.parametrize("b1", [Exponential(rate=2e-300),
+                                Deterministic(duration=20.0)])
+def test_numba_source_stays_finite_at_tiny_r0(b1):
+    # the loop numba compiles, run uncompiled, rescales below 1e300 as the
+    # numpy recurrence does
+    r = b1.mixed_poisson_weights(1.0, 59)
+    q, ex = kernels._recurrence_loop(r, 60)
+    want_q, want_ex = kernels.busy_period_recurrence(r, 60, backend="numpy")
+    assert np.isfinite(q).all()
+    assert np.array_equal(ex, want_ex)
+    assert np.allclose(q, want_q, rtol=1e-12, atol=0.0)
