@@ -15,8 +15,6 @@ exact recurrence is the ground truth and `damctl verify
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .errors import RegimeError
 
 __all__ = [
@@ -163,40 +161,82 @@ def _critical_cost(rho12t, rho2, costs):
     return rho12t / 2.0 * (costs.j1 + costs.j2 * rho2 / (1.0 - rho2))
 
 
-def j_upper(c, rho12t, rho2, costs):
-    """Limiting cost in the upper regime; continuous extension at C = 0.
-
-    Accepts a scalar or a numpy array of C values.
-    """
+def _check_cost_args(rho12t, rho2):
     if rho12t <= 0:
         raise ValueError("rho12_tilde must be positive")
     if not 0 <= rho2 < 1:
         raise ValueError("rho2 must lie in [0, 1)")
+
+
+def _exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def j_upper(c, rho12t, rho2, costs):
+    """Limiting cost in the upper regime; continuous extension at C = 0.
+
+    A Python float C goes through `math`; a numpy array (or any other
+    sequence) through numpy, which its caller has already loaded.
+    """
+    _check_cost_args(rho12t, rho2)
+    if not isinstance(c, (int, float)):
+        return _j_upper_array(c, rho12t, rho2, costs)
+    c = float(c)
+    if c == 0.0:
+        return _critical_cost(rho12t, rho2, costs)
+    e = _exp(2.0 * c / rho12t)
+    if not math.isfinite(e):
+        # exp overflows for very large C: the cost tends to
+        # j2 * rho2 / (1 - rho2) * C there
+        return costs.j2 * rho2 / (1.0 - rho2) * c
+    if e == 1.0:
+        # C so small that e - 1 rounds to 0: the quotients are infinite
+        return math.copysign(math.inf, c)
+    return c * (costs.j1 / (e - 1.0)
+                + costs.j2 * rho2 * e / ((1.0 - rho2) * (e - 1.0)))
+
+
+def _j_upper_array(c, rho12t, rho2, costs):
+    import numpy as np
+
     c_arr = np.asarray(c, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.exp(2.0 * c_arr / rho12t)
         val = c_arr * (costs.j1 / (e - 1.0)
                        + costs.j2 * rho2 * e / ((1.0 - rho2) * (e - 1.0)))
     val = np.where(c_arr == 0.0, _critical_cost(rho12t, rho2, costs), val)
-    # guard against overflow of exp for very large C: the cost tends to
-    # j2 * rho2 / (1 - rho2) * C there
     big = ~np.isfinite(e)
     if np.any(big):
         val = np.where(big, costs.j2 * rho2 / (1.0 - rho2) * c_arr, val)
-    return float(val) if np.isscalar(c) or np.ndim(c) == 0 else val
+    return float(val) if np.ndim(c) == 0 else val
 
 
 def j_lower(c, rho12t, rho2, costs):
     """Limiting cost in the lower regime (literal formula).
 
     At C = 0 the literal expression diverges; the continuous extension
-    (the critical-regime cost) is returned instead.  Accepts scalars or
-    numpy arrays.
+    (the critical-regime cost) is returned instead.  A Python float C goes
+    through `math`, a numpy array through numpy.
     """
-    if rho12t <= 0:
-        raise ValueError("rho12_tilde must be positive")
-    if not 0 <= rho2 < 1:
-        raise ValueError("rho2 must lie in [0, 1)")
+    _check_cost_args(rho12t, rho2)
+    if not isinstance(c, (int, float)):
+        return _j_lower_array(c, rho12t, rho2, costs)
+    c = float(c)
+    if c == 0.0:
+        return _critical_cost(rho12t, rho2, costs)
+    e = _exp(rho12t / (2.0 * c))
+    val = c * (costs.j1 * e + costs.j2 * rho2 / (1.0 - rho2) * (e - 1.0))
+    if not math.isfinite(val) and c > 0.0:
+        return math.inf
+    return val
+
+
+def _j_lower_array(c, rho12t, rho2, costs):
+    import numpy as np
+
     c_arr = np.asarray(c, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.exp(rho12t / (2.0 * c_arr))
@@ -206,7 +246,7 @@ def j_lower(c, rho12t, rho2, costs):
     big = ~np.isfinite(val) & (c_arr > 0.0)
     if np.any(big):
         val = np.where(big, np.inf, val)
-    return float(val) if np.isscalar(c) or np.ndim(c) == 0 else val
+    return float(val) if np.ndim(c) == 0 else val
 
 
 def rho12_tilde(lam, shape_dist):

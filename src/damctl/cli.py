@@ -7,19 +7,32 @@ Subcommands: analyze (exact metrics), optimize (control problem), verify
 (stdout, or a file via --out).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
+
+numpy is loaded only by the commands that need it (analyze, verify,
+simulate, optimize --mode exact): they import `exact` and `simulator` when
+they run, after checking their options, so optimize --mode asymptotic,
+sweep, --help and a rejected option never load it.
 """
 
 import argparse
 import csv
 import json
 import math
+import os
 import sys
 
-from . import asymptotics, control, exact, simulator
+from . import asymptotics, control
 from .distributions import dist_from_dict, dist_to_dict, parse_dist_spec
 from .errors import DamctlError
+from .model import CostModel, DamModel, SimulationConfig
 
 __all__ = ["main", "entry"]
+
+# a start:stop:step C grid may hold at most this many points
+MAX_C_GRID_POINTS = 10 ** 6
+# simulate refuses a run whose expected services, cycles x (E nu1 + E nu2),
+# exceed this
+MAX_SIM_SERVICES = 10 ** 9
 
 
 def _round12(obj):
@@ -99,15 +112,12 @@ def _require(cfg, *keys):
 
 def _model_from(cfg):
     _require(cfg, "lambda", "b1", "b2", "level")
-    return exact.DamModel(lam=float(cfg["lambda"]),
-                          b1=_dist(cfg["b1"], "b1"),
-                          b2=_dist(cfg["b2"], "b2"),
-                          level=int(cfg["level"]))
+    return DamModel(lam=float(cfg["lambda"]), b1=_dist(cfg["b1"], "b1"),
+                    b2=_dist(cfg["b2"], "b2"), level=int(cfg["level"]))
 
 
 def _costs_from(cfg):
-    return exact.CostModel(j1=float(cfg.get("j1", 1.0)),
-                           j2=float(cfg.get("j2", 1.0)))
+    return CostModel(j1=float(cfg.get("j1", 1.0)), j2=float(cfg.get("j2", 1.0)))
 
 
 def _model_dict(model):
@@ -121,6 +131,8 @@ def _parse_levels(val):
     levels = [int(x) for x in val]
     if not levels:
         raise ValueError("empty level list")
+    if min(levels) < 1:
+        raise ValueError("levels must be integers >= 1, got %r" % (levels,))
     return levels
 
 
@@ -129,10 +141,15 @@ def _parse_grid(val):
         parts = val.split(":")
         if len(parts) == 3:
             start, stop, step = (float(p) for p in parts)
+            if not all(math.isfinite(x) for x in (start, stop, step)):
+                raise ValueError("C grid values must be finite")
             if step <= 0 or stop < start:
                 raise ValueError("bad C grid %r" % (val,))
-            n = int(round((stop - start) / step))
-            grid = [start + i * step for i in range(n + 1)]
+            span = (stop - start) / step
+            if not span < MAX_C_GRID_POINTS:
+                raise ValueError("C grid %r has more than %d points"
+                                 % (val, MAX_C_GRID_POINTS))
+            grid = [start + i * step for i in range(round(span) + 1)]
         else:
             grid = [float(p) for p in val.split(",") if p.strip()]
     else:
@@ -150,6 +167,8 @@ def cmd_analyze(args):
     cfg = _load_config(args)
     model = _model_from(cfg)
     costs = _costs_from(cfg)
+    from . import exact
+
     sol = exact.solve(model, costs)
     bp = sol.busy
     rec = {
@@ -229,7 +248,9 @@ def cmd_verify(args):
         else:
             raise ValueError("unknown regime %r (expected critical|upper|lower)"
                              % (regime,))
-        model = exact.DamModel(lam=lam, b1=b1, b2=b2, level=level)
+        model = DamModel(lam=lam, b1=b1, b2=b2, level=level)
+        from . import exact
+
         p1_exact, p2_exact = exact.stationary_probs(model)
         rows.append((level, delta, c_row,
                      p1_exact, p1_asym, abs(p1_asym - p1_exact) / p1_exact,
@@ -252,13 +273,23 @@ def cmd_verify(args):
 def cmd_simulate(args):
     cfg = _load_config(args)
     model = _model_from(cfg)
-    sim_cfg = simulator.SimulationConfig(model=model,
-                                         n_cycles=int(cfg.get("cycles", 100000)),
-                                         seed=int(cfg.get("seed", 0)),
-                                         batch_count=int(cfg.get("batches", 32)))
-    report = simulator.simulate(sim_cfg)
+    sim_cfg = SimulationConfig(model=model,
+                               n_cycles=int(cfg.get("cycles", 100000)),
+                               seed=int(cfg.get("seed", 0)),
+                               batch_count=int(cfg.get("batches", 32)))
+    from . import exact, simulator
+
+    # the exact solution predicts the work before any cycle is drawn
     sol = exact.solve(model)
     bp = sol.busy
+    services = sim_cfg.n_cycles * (bp.e_nu1 + bp.e_nu2)
+    if not services <= MAX_SIM_SERVICES:
+        raise ValueError(
+            "simulation would draw about %.3g services (%d cycles of %.3g "
+            "expected services each), more than the limit of %.0e"
+            % (services, sim_cfg.n_cycles, bp.e_nu1 + bp.e_nu2,
+               MAX_SIM_SERVICES))
+    report = simulator.simulate(sim_cfg)
     rec = {"command": "simulate", "model": _model_dict(model)}
     rec.update(report.to_dict())
     rec["exact"] = {"p1": sol.p1, "p2": sol.p2, "e_nu1": bp.e_nu1,
@@ -340,6 +371,10 @@ def build_parser():
 
 
 def main(argv=None):
+    # numpy's OpenBLAS otherwise starts a worker thread per CPU whose idle
+    # spinning costs CPU time and saves no wall time on these problem sizes;
+    # set here, before a command loads numpy, so library users keep theirs
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

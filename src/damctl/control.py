@@ -14,10 +14,8 @@ cost over rho1 directly, as a cross-check of the asymptotic answer.
 from dataclasses import dataclass, asdict
 import math
 
-import numpy as np
-
 from . import asymptotics
-from . import exact
+from .model import DamModel
 
 __all__ = [
     "ControlSolution",
@@ -89,12 +87,28 @@ def golden_section(f, a, b, tol):
     return 0.5 * (lo + hi)
 
 
+def _linspace(lo, hi, n):
+    """np.linspace(lo, hi, n) for n >= 2 as a list, bit for bit: the same
+    step, the same special case for a step that underflows to 0, and the
+    same exact end point."""
+    lo, hi = float(lo), float(hi)
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        grid = [i / div * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
+
+
 def _grid_then_golden(f, f_grid, lo, hi, grid_points, tol):
     """(x, f(x)) at the minimum: f_grid maps the coarse grid to its values,
     then golden-section search on f refines around the best grid point."""
-    grid = np.linspace(lo, hi, grid_points)
-    vals = np.array(f_grid(grid))
-    i = int(np.argmin(vals))
+    grid = _linspace(lo, hi, grid_points)
+    vals = f_grid(grid)
+    i = min(range(len(vals)), key=vals.__getitem__)
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
     x = golden_section(f, a, b, tol)
@@ -153,18 +167,19 @@ def optimize_exact(lam, shape, b2, level, costs, rho1_range=(0.5, 1.5),
     if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
         raise ValueError("rho1_range must satisfy 0 < lo < hi < inf, got %r"
                          % (rho1_range,))
-    rho2 = lam * b2.mean()
+    regime = classify_regime(costs, lam * b2.mean())
+    from . import exact
 
     def model(rho1):
-        return exact.DamModel(lam=lam, b1=shape.scale_to_mean(rho1 / lam),
-                              b2=b2, level=level)
+        return DamModel(lam=lam, b1=shape.scale_to_mean(rho1 / lam),
+                        b2=b2, level=level)
 
     rho1_star, predicted = _grid_then_golden(
         lambda rho1: exact.cost(model(rho1), costs),
         lambda grid: exact.cost_batch([model(x) for x in grid], costs),
         lo, hi, grid_points, tol)
     delta = rho1_star - 1.0
-    return ControlSolution(regime=classify_regime(costs, rho2),
-                           c_star=level * abs(delta), delta_star=delta,
+    return ControlSolution(regime=regime, c_star=level * abs(delta),
+                           delta_star=delta,
                            rho1_star=rho1_star, b1_star=rho1_star / lam,
                            predicted_cost=predicted, mode="exact")

@@ -8,12 +8,13 @@ Laplace-Stieltjes transform (LST) and the arrival-count weights
 i.e. the probability that exactly j Poisson(lam) arrivals occur during one
 service.  The weights are evaluated in the log domain so that very deep
 tails (or a tiny r_0) do not underflow prematurely.
+
+numpy is imported only by the weight code, so building and describing a
+distribution does not load it.
 """
 
 from dataclasses import dataclass
 import math
-
-import numpy as np
 
 __all__ = [
     "ServiceDistribution",
@@ -51,6 +52,8 @@ def _negbin_log_weights(shape, rate, lam, n):
     # log r_j = shape*log p + j*log q + log_coef_j, where log_coef_j is the
     # running sum of log1p((shape-1)/i) over i <= j; its terms are small, so
     # the sum keeps its accuracy out to thousands of terms.
+    import numpy as np
+
     j = np.arange(n + 1, dtype=np.float64)
     log_p = math.log(rate) - math.log(lam + rate)
     log_q = math.log(lam) - math.log(lam + rate)
@@ -83,6 +86,8 @@ class ServiceDistribution:
             raise ValueError("arrival rate must be positive and finite, got %r" % (lam,))
         if n < 0:
             raise ValueError("weight count must be nonnegative")
+        import numpy as np
+
         return np.exp(self._log_weights(float(lam), int(n)))
 
     def scale_to_mean(self, b):
@@ -214,6 +219,8 @@ class Deterministic(ServiceDistribution):
         # Poisson(mu) pmf, mu = lam * duration: log r_0 = -mu plus the running
         # sum of log(r_j/r_{j-1}) = log(mu/j); the partial sums are the log
         # weights themselves, so no large intermediate loses digits.
+        import numpy as np
+
         mu = lam * self.duration
         steps = np.empty(n + 1)
         steps[0] = -mu
@@ -260,6 +267,8 @@ class HyperExponential(ServiceDistribution):
         return -sum(w * r / (r + s) ** 2 for w, r in zip(self.weights, self.rates))
 
     def _log_weights(self, lam, n):
+        import numpy as np
+
         total = np.zeros(n + 1)
         for w, r in zip(self.weights, self.rates):
             if w > 0:

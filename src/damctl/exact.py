@@ -17,8 +17,8 @@ import os
 
 import numpy as np
 
-from .distributions import ServiceDistribution
 from .errors import NumericDegeneracyError
+from .model import CostModel, DamModel  # re-exported as exact.DamModel etc.
 from . import kernels
 
 __all__ = [
@@ -38,52 +38,6 @@ __all__ = [
 PRECISION_ENV_VAR = "DAMCTL_PRECISION"
 
 _R0_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class DamModel:
-    """Arrival rate, below/above-threshold service laws and threshold."""
-    lam: float
-    b1: ServiceDistribution
-    b2: ServiceDistribution
-    level: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("arrival rate must be positive and finite")
-        if int(self.level) != self.level or self.level < 1:
-            raise ValueError("level must be an integer >= 1")
-        if self.rho2 >= 1.0:
-            raise ValueError("stability requires rho2 = lam * mean(b2) < 1")
-
-    @property
-    def rho1(self):
-        return self.lam * self.b1.mean()
-
-    @property
-    def rho2(self):
-        return self.lam * self.b2.mean()
-
-    @property
-    def rho12(self):
-        return self.lam ** 2 * self.b1.raw_moment(2)
-
-    @property
-    def rho13(self):
-        return self.lam ** 3 * self.b1.raw_moment(3)
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Per-level damage costs for lower (j1) and upper (j2) passages."""
-    j1: float
-    j2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.j1) and math.isfinite(self.j2)):
-            raise ValueError("damage costs must be finite")
-        if self.j1 < 0 or self.j2 < 0:
-            raise ValueError("damage costs must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -18,28 +18,10 @@ import numpy as np
 
 from .distributions import (Deterministic, Erlang, Exponential, Gamma,
                             HyperExponential)
-from .exact import DamModel
+from .model import SimulationConfig  # re-exported as simulator.SimulationConfig
 from . import kernels
 
 __all__ = ["SimulationConfig", "SimulationReport", "simulate", "sweep_simulate"]
-
-_SEED_LIMIT = 2 ** 64
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    model: DamModel
-    n_cycles: int
-    seed: int = 0
-    batch_count: int = 32
-
-    def __post_init__(self):
-        if not 0 <= self.seed < _SEED_LIMIT:
-            raise ValueError("seed must lie in [0, 2**64), got %r" % (self.seed,))
-        if self.batch_count < 2:
-            raise ValueError("batch_count must be at least 2")
-        if self.n_cycles < self.batch_count:
-            raise ValueError("n_cycles must be at least batch_count")
 
 
 @dataclass(frozen=True)

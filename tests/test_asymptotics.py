@@ -174,3 +174,53 @@ def test_rho12_tilde():
     assert asymptotics.rho12_tilde(1.0, Exponential(rate=5.0)) == pytest.approx(2.0)
     assert asymptotics.rho12_tilde(1.0, Deterministic(duration=3.0)) == pytest.approx(1.0)
     assert asymptotics.rho12_tilde(2.0, Erlang(shape=2, rate=1.0)) == pytest.approx(1.5)
+
+
+def test_j_lower_is_infinite_where_the_literal_formula_gives_nan():
+    # j1 = 0 and e^(rho12_tilde/2C) overflowing: 0 * inf is NaN, the limit inf
+    free = exact.CostModel(j1=0.0, j2=1.0)
+    assert asymptotics.j_lower(1e-3, 2.0, 0.5, free) == math.inf
+    assert asymptotics.j_lower(np.array([1e-3]), 2.0, 0.5, free)[0] == math.inf
+
+
+def _ulps(a, b):
+    if a == b:
+        return 0.0
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("fn", [asymptotics.j_upper, asymptotics.j_lower])
+@pytest.mark.parametrize("rho12t, rho2, j1, j2", [
+    (1.0, 0.5, 2.0, 1.0), (2.0, 0.3, 0.5, 1.0), (1.37, 0.8, 3.0, 0.25)])
+def test_scalar_and_array_paths_agree(fn, rho12t, rho2, j1, j2):
+    # a float C goes through math, an array through numpy: the same
+    # expression, so they differ only by the last bit of exp
+    costs = exact.CostModel(j1, j2)
+    overflow = 709.7 * rho12t / 2.0  # 2C/rho12_tilde just below exp's limit
+    cs = [0.0, 5e-324, 1e-300, 1e-8, 1.0, overflow, 1.001 * overflow, 1e6]
+    arr = fn(np.array(cs), rho12t, rho2, costs)
+    for c, want in zip(cs, arr.tolist()):
+        got = fn(c, rho12t, rho2, costs)
+        assert isinstance(got, float)
+        assert (got == want) if not math.isfinite(want) else _ulps(got, want) <= 4, c
+    assert fn(0.0, rho12t, rho2, costs) == pytest.approx(
+        rho12t / 2.0 * (j1 + j2 * rho2 / (1.0 - rho2)), rel=1e-15)
+    assert fn(5e-324, rho12t, rho2, costs) == math.inf
+    if fn is asymptotics.j_upper:
+        assert fn(1e6, rho12t, rho2, costs) == j2 * rho2 / (1.0 - rho2) * 1e6
+
+
+def test_scalar_and_array_paths_agree_to_exps_conditioning():
+    # for small C, e - 1 in J_upper cancels and magnifies a one-bit
+    # difference between math.exp and np.exp by e / (e - 1); J_lower has no
+    # such cancellation
+    costs = exact.CostModel(2.0, 1.0)
+    cs = np.geomspace(1e-6, 700.0, 2001)
+    uppers = asymptotics.j_upper(cs, 2.0, 0.5, costs)
+    lowers = asymptotics.j_lower(cs, 2.0, 0.5, costs)
+    for c, upper, lower in zip(cs.tolist(), uppers.tolist(), lowers.tolist()):
+        e = math.exp(c)  # 2C / rho12_tilde = C
+        assert _ulps(asymptotics.j_upper(c, 2.0, 0.5, costs), upper) <= \
+            4.0 * (1.0 + e / (e - 1.0)), c
+        got = asymptotics.j_lower(c, 2.0, 0.5, costs)
+        assert got == lower if lower == math.inf else _ulps(got, lower) <= 4, c

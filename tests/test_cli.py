@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from damctl import cli, exact
+from damctl import cli, exact, kernels, simulator
 from damctl.distributions import dist_from_dict
 
 MM1_FLAGS = ["--lambda", "1", "--b1", "exp:1.25", "--b2", "exp:2",
@@ -201,12 +201,93 @@ def test_unknown_command_exits_2(capsys):
      "--level", "100", "--c-max", "nan"],
     ["sweep", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
      "--c-grid", "0,nan"],
+    ["sweep", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+     "--c-grid", "0:inf:1"],
+    ["sweep", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+     "--c-grid", "0:1:nan"],
 ])
 def test_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert "config error" in err and "finite" in err
+
+
+@pytest.mark.parametrize("grid", ["0:1e308:1e-308", "0:1e9:1e-9",
+                                  "-1e308:1e308:1", "0:1000000:1"])
+def test_c_grid_point_count_is_bounded(capsys, grid):
+    # refused before the list is built: 0:1e9:1e-9 alone asks for 1e18 points
+    code, out, err = run(capsys, ["sweep", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--c-grid=" + grid])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "points" in err
+
+
+def test_c_grid_of_many_points_runs(capsys):
+    code, out, err = run(capsys, ["sweep", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--c-grid", "0:1:1e-4"])
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 10001
+
+
+def test_verify_level_zero_exits_2(capsys):
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", "upper",
+                                  "--levels", "100,0"])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "levels" in err
+
+
+def _count_recurrences(monkeypatch):
+    calls = []
+    real = kernels.busy_period_recurrence
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(kernels, "busy_period_recurrence", counting)
+    return calls
+
+
+class _Started(Exception):
+    pass
+
+
+def _never_simulate(config, backend=None):
+    raise _Started
+
+
+def test_simulate_refuses_unbounded_work(capsys, monkeypatch):
+    # rho1 = 2 at L = 3000: one busy period draws about 2^3000 services
+    monkeypatch.setattr(simulator, "simulate", _never_simulate)
+    calls = _count_recurrences(monkeypatch)
+    code, out, err = run(capsys, ["simulate", "--lambda", "1", "--b1", "exp:0.5",
+                                  "--b2", "exp:2", "--level", "3000",
+                                  "--cycles", "1000"])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "services" in err
+    assert calls == [3000]
+
+
+def test_simulate_work_bound_counts_cycles(capsys, monkeypatch):
+    # this model draws about 4.2 services per cycle, so 10^8 cycles pass the
+    # bound of 10^9 services and 3 x 10^8 do not
+    monkeypatch.setattr(simulator, "simulate", _never_simulate)
+    flags = ["simulate"] + MM1_FLAGS[:8]
+    code, _, err = run(capsys, flags + ["--cycles", str(3 * 10 ** 8)])
+    assert code == 2 and "services" in err
+    with pytest.raises(_Started):
+        cli.main(flags + ["--cycles", str(10 ** 8)])
+
+
+def test_simulate_runs_one_recurrence(capsys, monkeypatch):
+    calls = _count_recurrences(monkeypatch)
+    code, _, err = run(capsys, ["simulate"] + MM1_FLAGS[:8] + ["--cycles", "256"])
+    assert code == 0, err
+    assert calls == [5]
 
 
 def test_optimize_zero_c_range_exits_0(capsys):
@@ -258,6 +339,48 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_asymptotic_paths_do_not_import_numpy(tmp_path):
+    """Start-up, the asymptotic commands and config errors run without numpy;
+    the first command that needs it pins OpenBLAS to one thread."""
+    script = """
+import contextlib, io, os, sys
+def numpy_loaded():
+    return any(m.split(".")[0] == "numpy" for m in sys.modules)
+import damctl.cli
+from damctl import cli, CostModel, DamModel, optimize_asymptotic
+assert not numpy_loaded(), "import"
+model = ["--lambda", "1", "--b1", "exp:1", "--b2", "exp:2"]
+runs = [
+    (["optimize"] + model + ["--level", "1000", "--j1", "2"], 0),
+    (["optimize"] + model + ["--level", "1000", "--j1", "0.5", "--c-max", "3"], 0),
+    (["sweep"] + model + ["--c-grid", "0:4:0.25"], 0),
+    (["sweep"] + model + ["--c-grid", "0:inf:1"], 2),
+    (["analyze", "--lambda", "nan", "--b1", "exp:1", "--b2", "exp:2",
+      "--level", "5"], 2),
+    (["simulate"] + model + ["--level", "5", "--seed", "-1"], 2),
+    (["optimize"] + model + ["--level", "5", "--mode", "exact",
+      "--rho1-max", "inf"], 2),
+    (["--help"], 0),
+]
+for argv, want in runs:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == want, argv
+    assert not numpy_loaded(), argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["analyze"] + model + ["--level", "5"]) == 0
+assert numpy_loaded()
+print(os.environ["OPENBLAS_NUM_THREADS"])
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_arithmetic_overflow_exits_3(capsys):

@@ -179,3 +179,15 @@ def test_optimizers_evaluate_the_optimum_once(monkeypatch):
     assert sol.c_star > 0
     assert cs.count(sol.c_star) == 1
     assert sol.predicted_cost == real_j_upper(sol.c_star, 2.0, 0.5, costs)
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (0.5, 1.5, 1024), (0.0, 13.7, 256), (1, 2, 1024), (0.1, 0.3, 7),
+    (0.0, 5e-324, 256), (0.0, 1e-310, 256), (0.0, -3.0, 256),
+    (1e-3, 1e300, 1024), (0.5, 0.5, 5), (2.0, 3.0, 2)])
+def test_linspace_matches_numpy_bit_for_bit(lo, hi, n):
+    # the exact optimizer's grid must not move, or its output would
+    want = np.linspace(lo, hi, n).tolist()
+    got = control._linspace(lo, hi, n)
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
