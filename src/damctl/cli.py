@@ -22,7 +22,8 @@ import os
 import sys
 
 from . import asymptotics, control
-from .distributions import dist_from_dict, dist_to_dict, parse_dist_spec
+from .distributions import (as_integer, dist_from_dict, dist_to_dict,
+                            parse_dist_spec)
 from .errors import DamctlError
 from .model import CostModel, DamModel, SimulationConfig
 
@@ -113,7 +114,7 @@ def _require(cfg, *keys):
 def _model_from(cfg):
     _require(cfg, "lambda", "b1", "b2", "level")
     return DamModel(lam=float(cfg["lambda"]), b1=_dist(cfg["b1"], "b1"),
-                    b2=_dist(cfg["b2"], "b2"), level=int(cfg["level"]))
+                    b2=_dist(cfg["b2"], "b2"), level=as_integer(cfg["level"]))
 
 
 def _costs_from(cfg):
@@ -128,7 +129,9 @@ def _model_dict(model):
 def _parse_levels(val):
     if isinstance(val, str):
         val = [p for p in val.split(",") if p.strip()]
-    levels = [int(x) for x in val]
+    elif not isinstance(val, list):
+        val = [val]
+    levels = [as_integer(x) for x in val]
     if not levels:
         raise ValueError("empty level list")
     if min(levels) < 1:
@@ -197,7 +200,7 @@ def cmd_optimize(args):
     lam = float(cfg["lambda"])
     b1 = _dist(cfg["b1"], "b1")
     b2 = _dist(cfg["b2"], "b2")
-    level = int(cfg["level"])
+    level = as_integer(cfg["level"])
     rho2 = lam * b2.mean()
     mode = cfg.get("mode", "asymptotic")
     if mode == "asymptotic":
@@ -274,9 +277,9 @@ def cmd_simulate(args):
     cfg = _load_config(args)
     model = _model_from(cfg)
     sim_cfg = SimulationConfig(model=model,
-                               n_cycles=int(cfg.get("cycles", 100000)),
-                               seed=int(cfg.get("seed", 0)),
-                               batch_count=int(cfg.get("batches", 32)))
+                               n_cycles=as_integer(cfg.get("cycles", 100000)),
+                               seed=as_integer(cfg.get("seed", 0)),
+                               batch_count=as_integer(cfg.get("batches", 32)))
     from . import exact, simulator
 
     # the exact solution predicts the work before any cycle is drawn

@@ -13,7 +13,7 @@ numpy is imported only by the weight code, so building and describing a
 distribution does not load it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "dist_from_dict",
     "dist_to_dict",
     "parse_dist_spec",
+    "family_tag",
+    "as_integer",
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -125,42 +127,6 @@ class Exponential(ServiceDistribution):
 
 
 @dataclass(frozen=True)
-class Erlang(ServiceDistribution):
-    shape: int
-    rate: float
-
-    def __post_init__(self):
-        _check_finite("Erlang", self.shape, self.rate)
-        if int(self.shape) != self.shape or self.shape < 1:
-            raise ValueError("Erlang shape must be a positive integer")
-        if self.rate <= 0:
-            raise ValueError("Erlang rate must be positive")
-
-    def raw_moment(self, k):
-        _check_moment_order(k)
-        m = 1.0
-        for i in range(k):
-            m *= (self.shape + i) / self.rate
-        return m
-
-    def lst(self, s):
-        _check_s(s)
-        return (self.rate / (self.rate + s)) ** self.shape
-
-    def lst_derivative(self, s):
-        _check_s(s)
-        return -(self.shape / self.rate) * (self.rate / (self.rate + s)) ** (self.shape + 1)
-
-    def _log_weights(self, lam, n):
-        return _negbin_log_weights(float(self.shape), self.rate, lam, n)
-
-    def scale_to_mean(self, b):
-        if b <= 0:
-            raise ValueError("target mean must be positive")
-        return Erlang(shape=self.shape, rate=self.shape / b)
-
-
-@dataclass(frozen=True)
 class Gamma(ServiceDistribution):
     shape: float
     rate: float
@@ -191,7 +157,20 @@ class Gamma(ServiceDistribution):
     def scale_to_mean(self, b):
         if b <= 0:
             raise ValueError("target mean must be positive")
-        return Gamma(shape=self.shape, rate=self.shape / b)
+        return type(self)(shape=self.shape, rate=self.shape / b)
+
+
+@dataclass(frozen=True)
+class Erlang(Gamma):
+    """Gamma with a positive integer shape: a sum of `shape` exponentials."""
+    shape: int
+
+    def __post_init__(self):
+        _check_finite("Erlang", self.shape, self.rate)
+        if int(self.shape) != self.shape or self.shape < 1:
+            raise ValueError("Erlang shape must be a positive integer")
+        if self.rate <= 0:
+            raise ValueError("Erlang rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -284,20 +263,54 @@ class HyperExponential(ServiceDistribution):
                                 rates=tuple(r * factor for r in self.rates))
 
 
-# --- serialization helpers (config files use tagged records) ---
+# --- serialization: config files use tagged records, flags one-line specs ---
+
+# tag -> family; a family's first tag is the one written out.  Lookups go by
+# exact tag and class, never isinstance, since an Erlang is also a Gamma.
+_FAMILIES = {"exp": Exponential, "erlang": Erlang, "gamma": Gamma,
+             "det": Deterministic, "hyper": HyperExponential,
+             "exponential": Exponential, "deterministic": Deterministic}
+_TAG_OF = {cls: tag for tag, cls in reversed(_FAMILIES.items())}
+
+
+def family_tag(d):
+    """The tag of d's family, e.g. "erlang"."""
+    try:
+        return _TAG_OF[type(d)]
+    except KeyError:
+        raise ValueError("unknown distribution object %r" % (d,)) from None
+
+
+def as_integer(value):
+    """An integer option from a config value: an int, an integral float or a
+    decimal string.  Refuses bools and numbers with a fractional part rather
+    than truncate them."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError("expected an integer, got %r" % (value,))
+
+
+def _field_value(kind, value):
+    if kind is int:
+        return as_integer(value)
+    if kind is tuple:
+        return tuple(value)
+    return float(value)
+
+
+def _from_fields(cls, values):
+    return cls(**{f.name: _field_value(f.type, v)
+                  for f, v in zip(fields(cls), values)})
+
 
 def dist_to_dict(d):
-    if isinstance(d, Exponential):
-        return {"type": "exp", "rate": d.rate}
-    if isinstance(d, Erlang):
-        return {"type": "erlang", "shape": d.shape, "rate": d.rate}
-    if isinstance(d, Gamma):
-        return {"type": "gamma", "shape": d.shape, "rate": d.rate}
-    if isinstance(d, Deterministic):
-        return {"type": "det", "duration": d.duration}
-    if isinstance(d, HyperExponential):
-        return {"type": "hyper", "weights": list(d.weights), "rates": list(d.rates)}
-    raise ValueError("unknown distribution object %r" % (d,))
+    rec = {"type": family_tag(d)}
+    for f in fields(d):
+        value = getattr(d, f.name)
+        rec[f.name] = list(value) if f.type is tuple else value
+    return rec
 
 
 def dist_from_dict(rec):
@@ -305,41 +318,25 @@ def dist_from_dict(rec):
         kind = rec["type"]
     except (TypeError, KeyError):
         raise ValueError("distribution record needs a 'type' tag: %r" % (rec,))
-    if kind in ("exp", "exponential"):
-        return Exponential(rate=float(rec["rate"]))
-    if kind == "erlang":
-        return Erlang(shape=int(rec["shape"]), rate=float(rec["rate"]))
-    if kind == "gamma":
-        return Gamma(shape=float(rec["shape"]), rate=float(rec["rate"]))
-    if kind in ("det", "deterministic"):
-        return Deterministic(duration=float(rec["duration"]))
-    if kind == "hyper":
-        return HyperExponential(weights=tuple(rec["weights"]),
-                                rates=tuple(rec["rates"]))
-    raise ValueError("unknown distribution type %r" % (kind,))
+    try:
+        cls = _FAMILIES[kind]
+    except (TypeError, KeyError):
+        raise ValueError("unknown distribution type %r" % (kind,)) from None
+    return _from_fields(cls, [rec[f.name] for f in fields(cls)])
 
 
 def parse_dist_spec(text):
     """Parse the one-line flag grammar, e.g. 'exp:1.25' or 'erlang:2:2.0'.
 
     Supported: exp:<rate>, erlang:<shape>:<rate>, gamma:<shape>:<rate>,
-    det:<duration>, hyper:<w1>:<r1>:<w2>:<r2>[...].
+    det:<duration>, hyper:<w1>:<r1>:<w2>:<r2>[...]; the record aliases
+    exponential and deterministic work too.
     """
     parts = str(text).split(":")
-    kind, args = parts[0], parts[1:]
-    try:
-        if kind == "exp" and len(args) == 1:
-            return Exponential(rate=float(args[0]))
-        if kind == "erlang" and len(args) == 2:
-            return Erlang(shape=int(args[0]), rate=float(args[1]))
-        if kind == "gamma" and len(args) == 2:
-            return Gamma(shape=float(args[0]), rate=float(args[1]))
-        if kind == "det" and len(args) == 1:
-            return Deterministic(duration=float(args[0]))
-        if kind == "hyper" and len(args) >= 4 and len(args) % 2 == 0:
-            vals = [float(a) for a in args]
-            return HyperExponential(weights=tuple(vals[0::2]),
-                                    rates=tuple(vals[1::2]))
-    except ValueError:
-        raise
+    cls, args = _FAMILIES.get(parts[0]), parts[1:]
+    if cls is HyperExponential:
+        if len(args) >= 4 and len(args) % 2 == 0:
+            return _from_fields(cls, (args[0::2], args[1::2]))
+    elif cls is not None and len(args) == len(fields(cls)):
+        return _from_fields(cls, args)
     raise ValueError("cannot parse distribution spec %r" % (text,))

@@ -79,11 +79,10 @@ def _weights(model, n):
     return r
 
 
-def _counts_scaled(model, backend=None):
+def _counts_scaled(model):
     """(mantissas, binary exponents) of Q_0..Q_L."""
     L = int(model.level)
-    return kernels.busy_period_recurrence(_weights(model, max(L - 1, 0)), L,
-                                          backend=backend)
+    return kernels.busy_period_recurrence(_weights(model, max(L - 1, 0)), L)
 
 
 def _counts_mp(model, digits):
@@ -101,26 +100,18 @@ def _counts_mp(model, digits):
         return q
 
 
-def busy_period_counts(model, precision=None, backend=None):
+def busy_period_counts(model, precision=None):
     """Vector (Q_0, ..., Q_L); entries beyond double range come back as inf."""
     if precision is None:
         precision = _env_precision()
     if precision is not None:
         return np.array([float(x) for x in _counts_mp(model, precision)])
-    q, ex = _counts_scaled(model, backend=backend)
-    out = np.empty_like(q)
-    for i in range(len(q)):
-        if ex[i] == 0:
-            out[i] = q[i]
-        else:
-            try:
-                out[i] = math.ldexp(q[i], int(ex[i]))
-            except OverflowError:
-                out[i] = math.inf
-    return out
+    q, ex = _counts_scaled(model)
+    with np.errstate(over="ignore"):
+        return np.ldexp(q, ex)
 
 
-def gf_coefficients(model, n, backend=None):
+def gf_coefficients(model, n):
     """First n+1 series coefficients of r(z) / (r(z) - z).
 
     Independent second route to Q_0..Q_n: formal power-series division of
@@ -145,7 +136,7 @@ def _check_tops(mantissas):
             "the busy-period recurrence gave a non-finite Q_L mantissa")
 
 
-def _q_top(model, precision=None, backend=None):
+def _q_top(model, precision=None):
     """Q_L as a (mantissa, binary exponent) pair."""
     if precision is None:
         precision = _env_precision()
@@ -154,7 +145,7 @@ def _q_top(model, precision=None, backend=None):
         q = _counts_mp(model, precision)[-1]
         m, e = mpmath.frexp(q)
     else:
-        q, ex = _counts_scaled(model, backend=backend)
+        q, ex = _counts_scaled(model)
         m, e = q[-1], ex[-1]
     m, e = float(m), int(e)
     _check_tops(m)
@@ -176,9 +167,9 @@ def _level_cost(model, costs, p1, p2):
     return model.level * (costs.j1 * p1 + costs.j2 * p2)
 
 
-def busy_period_metrics(model, precision=None, backend=None):
+def busy_period_metrics(model, precision=None):
     """Busy-period expectations via Wald identities; e_nu1 = Q_L."""
-    m, e = _q_top(model, precision=precision, backend=backend)
+    m, e = _q_top(model, precision=precision)
     try:
         e_nu1 = math.ldexp(m, e)
     except OverflowError:
@@ -192,27 +183,27 @@ def busy_period_metrics(model, precision=None, backend=None):
         e_t=e_t1 + e_t2, e_idle=1.0 / model.lam)
 
 
-def stationary_probs(model, precision=None, backend=None):
+def stationary_probs(model, precision=None):
     """(p1, p2) from the renewal-reward closed forms."""
-    m, e = _q_top(model, precision=precision, backend=backend)
+    m, e = _q_top(model, precision=precision)
     # work with 1/Q_L so that supercritical growth cannot overflow
     return _probs(model, math.ldexp(1.0 / m, -e))
 
 
-def cost(model, costs, precision=None, backend=None):
+def cost(model, costs, precision=None):
     """Long-run average damage cost J(L) = L * (j1 * p1 + j2 * p2)."""
-    p1, p2 = stationary_probs(model, precision=precision, backend=backend)
+    p1, p2 = stationary_probs(model, precision=precision)
     return _level_cost(model, costs, p1, p2)
 
 
 def cost_batch(models, costs):
     """[cost(m, costs) for m in models] for models that share one level.
 
-    On the numpy backend one row-batched recurrence serves all models, and
-    each value equals `cost`'s.  Under DAMCTL_PRECISION or the numba backend
-    each model goes through `cost`, so every value comes from one route.
+    One row-batched recurrence serves all models, and each value equals
+    `cost`'s.  Under DAMCTL_PRECISION each model goes through `cost`, so
+    every value comes from one route.
     """
-    if _env_precision() is not None or kernels.active_backend() == "numba":
+    if _env_precision() is not None:
         return [cost(m, costs) for m in models]
     if not models:
         return []
@@ -226,14 +217,14 @@ def cost_batch(models, costs):
             for m, q, e in zip(models, mant.tolist(), ex.tolist())]
 
 
-def solve(model, costs=None, precision=None, backend=None):
+def solve(model, costs=None, precision=None):
     """Busy-period metrics, (p1, p2) and, given costs, J(L) from one Q_L.
 
     The one recurrence runs inside `busy_period_metrics`, so a wrapper of
     that entry point (perfbench/launcher.py) sees the solve; p1 and p2
     then follow from e_nu1 = Q_L, which is inf only where 1/Q_L is 0.
     """
-    busy = busy_period_metrics(model, precision=precision, backend=backend)
+    busy = busy_period_metrics(model, precision=precision)
     p1, p2 = _probs(model, 1.0 / busy.e_nu1)
     cost_l = None if costs is None else _level_cost(model, costs, p1, p2)
     return ExactSolution(busy=busy, p1=p1, p2=p2, cost=cost_l)

@@ -16,8 +16,6 @@ import math
 
 import numpy as np
 
-from .distributions import (Deterministic, Erlang, Exponential, Gamma,
-                            HyperExponential)
 from .model import SimulationConfig  # re-exported as simulator.SimulationConfig
 from . import kernels
 
@@ -44,23 +42,6 @@ class SimulationReport:
         return cls(**{k: rec[k] for k in
                       ("p1_hat", "p2_hat", "e_nu1_hat", "e_nu2_hat",
                        "e_t1_hat", "e_t2_hat", "half_widths", "cycles", "seed")})
-
-
-def _encode(dist):
-    """(kind, params) encoding consumed by the simulation kernel."""
-    if isinstance(dist, Exponential):
-        return kernels.KIND_EXP, np.array([dist.rate])
-    if isinstance(dist, Erlang):
-        return kernels.KIND_ERLANG, np.array([float(dist.shape), dist.rate])
-    if isinstance(dist, Gamma):
-        return kernels.KIND_GAMMA, np.array([dist.shape, dist.rate])
-    if isinstance(dist, Deterministic):
-        return kernels.KIND_DET, np.array([dist.duration])
-    if isinstance(dist, HyperExponential):
-        cumw = np.cumsum(dist.weights)
-        return kernels.KIND_HYPER, np.concatenate(
-            ([float(len(dist.rates))], cumw, np.asarray(dist.rates)))
-    raise ValueError("cannot encode distribution %r for simulation" % (dist,))
 
 
 def _t_central(t, df):
@@ -111,15 +92,10 @@ def _batch_mean_halfwidth(x, batch_count, tcrit):
     return tcrit * means.std(ddof=1) / np.sqrt(batch_count)
 
 
-def simulate(config, backend=None):
+def simulate(config):
     """Run the configured number of cycles and return ratio estimates with
     95% batch-means confidence half-widths."""
-    model = config.model
-    k1, p1 = _encode(model.b1)
-    k2, p2 = _encode(model.b2)
-    idle, below, above, nu1, nu2 = kernels.simulate_cycles(
-        config.n_cycles, config.seed, model.lam, model.level,
-        k1, p1, k2, p2, backend=backend)
+    idle, below, above, nu1, nu2 = simulate_raw(config)
 
     cycle = idle + below + above
     total_cycle = cycle.sum()
@@ -148,16 +124,14 @@ def simulate(config, backend=None):
     )
 
 
-def simulate_raw(config, backend=None):
+def simulate_raw(config):
     """Per-cycle arrays (idle, below, above, nu1, nu2); test/diagnostic hook."""
     model = config.model
-    k1, p1 = _encode(model.b1)
-    k2, p2 = _encode(model.b2)
     return kernels.simulate_cycles(config.n_cycles, config.seed, model.lam,
-                                   model.level, k1, p1, k2, p2, backend=backend)
+                                   model.level, model.b1, model.b2)
 
 
-def sweep_simulate(configs, backend=None):
+def sweep_simulate(configs):
     """Element-wise simulate().
 
     Each element is fully determined by its own config (cycle streams are
@@ -167,4 +141,4 @@ def sweep_simulate(configs, backend=None):
     configs = list(configs)
     if not configs:
         raise ValueError("sweep_simulate needs at least one config")
-    return [simulate(c, backend=backend) for c in configs]
+    return [simulate(c) for c in configs]

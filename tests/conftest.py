@@ -1,8 +1,3 @@
-import pytest
-
-import damctl
-from damctl import kernels
-
 # one line per acceptance criterion, shown in the terminal summary
 ACCEPTANCE_LINES = []
 
@@ -12,14 +7,3 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the numba kernels once so timed tests measure runtime only."""
-    model = damctl.DamModel(1.0, damctl.Exponential(1.25),
-                            damctl.Exponential(2.0), 5)
-    damctl.busy_period_counts(model)
-    if kernels.active_backend() == "numba":
-        cfg = damctl.SimulationConfig(model=model, n_cycles=64, seed=0)
-        damctl.simulate(cfg)

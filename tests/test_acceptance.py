@@ -2,7 +2,7 @@
 
 Each criterion re-derives its expected values from an independent route
 (closed forms, grid scans, formal series) rather than from the code under
-test.  Runtime budgets are enforced after the kernel warm-up in conftest.
+test.  Each criterion also has a wall-clock budget.
 """
 
 import json

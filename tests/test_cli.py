@@ -213,6 +213,46 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert "config error" in err and "finite" in err
 
 
+CONFIG = {"lambda": 1, "b1": {"type": "exp", "rate": 1.25},
+          "b2": {"type": "exp", "rate": 2}, "level": 5, "regime": "upper"}
+
+
+def _run_config(tmp_path, capsys, cmd, **fields):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(CONFIG, **fields)))
+    return run(capsys, [cmd, "--config", str(path)])
+
+
+@pytest.mark.parametrize("cmd, field, value", [
+    ("analyze", "b1", {"type": "erlang", "shape": 2.5, "rate": 2.5}),
+    ("analyze", "b1", {"type": "erlang", "shape": True, "rate": 2.5}),
+    ("analyze", "level", 10.7),
+    ("analyze", "level", True),
+    ("verify", "levels", [100, 200.5]),
+    ("verify", "levels", 100.5),
+    ("simulate", "cycles", 1000.5),
+    ("simulate", "seed", 7.5),
+    ("simulate", "batches", True),
+])
+def test_non_integer_input_exits_2(tmp_path, capsys, cmd, field, value):
+    code, out, err = _run_config(tmp_path, capsys, cmd, **{field: value})
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "integer" in err
+
+
+def test_integral_floats_are_integers(tmp_path, capsys):
+    code, out, _ = _run_config(
+        tmp_path, capsys, "analyze", level=5.0,
+        b1={"type": "erlang", "shape": 2.0, "rate": 2.5})
+    assert code == 0
+    assert '"b1": {"type": "erlang", "shape": 2, "rate": 2.5}' in out
+    assert '"level": 5}' in out
+    code, out, _ = _run_config(tmp_path, capsys, "verify", levels=100)
+    assert code == 0
+    assert out.splitlines()[1].startswith("100,")
+
+
 @pytest.mark.parametrize("grid", ["0:1e308:1e-308", "0:1e9:1e-9",
                                   "-1e308:1e308:1", "0:1000000:1"])
 def test_c_grid_point_count_is_bounded(capsys, grid):
@@ -255,7 +295,7 @@ class _Started(Exception):
     pass
 
 
-def _never_simulate(config, backend=None):
+def _never_simulate(config):
     raise _Started
 
 

@@ -155,10 +155,11 @@ def test_parse_dist_spec():
     assert parse_dist_spec("det:1.7") == Deterministic(duration=1.7)
     assert parse_dist_spec("hyper:0.4:0.5:0.6:3.0") == HyperExponential(
         weights=(0.4, 0.6), rates=(0.5, 3.0))
-    with pytest.raises(ValueError):
-        parse_dist_spec("weird:1")
-    with pytest.raises(ValueError):
-        parse_dist_spec("exp")
+    assert parse_dist_spec("exponential:1.25") == Exponential(rate=1.25)
+    assert parse_dist_spec("deterministic:1.7") == Deterministic(duration=1.7)
+    for bad in ("weird:1", "exp", "erlang:2.5:1", "hyper:0.4:0.5:0.6"):
+        with pytest.raises(ValueError):
+            parse_dist_spec(bad)
 
 
 def _mpmath_log_weights(kind, params, lam, n):

@@ -267,17 +267,6 @@ def test_cost_batch_follows_extended_precision(monkeypatch):
     assert exact.cost_batch(models, costs) == [exact.cost(m, costs) for m in models]
 
 
-def test_cost_batch_follows_numba_backend(monkeypatch):
-    # the numba kernel's source, run uncompiled, stands in for numba here
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numba")
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-    monkeypatch.setattr(kernels, "_recurrence_numba", kernels._recurrence_loop)
-    monkeypatch.setattr(kernels, "busy_period_recurrence_rows", None)
-    costs = exact.CostModel(j1=1.0, j2=2.0)
-    models = [mm1(rho1, 30) for rho1 in (0.7, 1.0, 1.3)]
-    assert exact.cost_batch(models, costs) == [exact.cost(m, costs) for m in models]
-
-
 def test_cost_batch_keeps_r0_floor():
     floor = exact.DamModel(lam=1.0, b1=Deterministic(duration=800.0), b2=B2,
                            level=5)
@@ -307,7 +296,7 @@ def test_non_finite_q_top_is_a_numeric_error(monkeypatch):
     def nan_rows(r, L):
         return np.full(len(r), np.nan), np.zeros(len(r), dtype=np.int64)
 
-    def nan_single(r, L, backend=None):
+    def nan_single(r, L):
         return np.full(L + 1, np.nan), np.zeros(L + 1, dtype=np.int64)
 
     monkeypatch.setattr(kernels, "busy_period_recurrence_rows", nan_rows)

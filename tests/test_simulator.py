@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from damctl import exact, kernels, simulator
-from damctl.distributions import Deterministic, Erlang, Exponential, HyperExponential
+from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
+                                  HyperExponential)
 
 B2 = Exponential(rate=2.0)
 MM1 = exact.DamModel(lam=1.0, b1=Exponential(rate=1.25), b2=B2, level=5)
@@ -99,6 +100,39 @@ def test_stream_key_splitting_rule():
     # distinct (seed, index) pairs map to distinct streams
     keys = {kernels.stream_key(seed, idx) for seed in range(4) for idx in range(4)}
     assert len(keys) == 16
+
+
+# Reports of 2,000 cycles at seed 7 (rho1 = 0.8, L = 5).  numpy picks its
+# log, cos and power loops by CPU, so these are compared to 1e-12, not to
+# the last bit.
+PINNED = [
+    (Exponential(rate=1.25), dict(
+        p1_hat=0.23887701259068045, p2_hat=0.058034607429739815,
+        e_nu1_hat=3.624, e_nu2_hat=0.4875,
+        e_t1_hat=2.857819048371433, e_t2_hat=0.2358912638867474,
+        half_widths=dict(p1=0.02269314769937748, p2=0.01256187431341622,
+                         e_nu1=0.3056195299649324, e_nu2=0.1129996479663968,
+                         e_t1=0.2879589563474402, e_t2=0.06023649910941691))),
+    (Gamma(shape=0.6, rate=0.75), dict(
+        p1_hat=0.25730734303651664, p2_hat=0.07982148300909926,
+        e_nu1_hat=3.1655, e_nu2_hat=0.5905,
+        e_t1_hat=2.5013595269987503, e_t2_hat=0.3012081907150773,
+        half_widths=dict(p1=0.020110100152022876, p2=0.016861988674373482,
+                         e_nu1=0.22184950323613903, e_nu2=0.13097286967309524,
+                         e_t1=0.23982321098663062, e_t2=0.07402027551927871))),
+]
+
+
+@pytest.mark.parametrize("b1, want", PINNED)
+def test_pinned_reports(b1, want):
+    model = exact.DamModel(lam=1.0, b1=b1, b2=B2, level=5)
+    rep = simulator.simulate(simulator.SimulationConfig(model=model,
+                                                        n_cycles=2000, seed=7))
+    got, want = rep.to_dict(), dict(want)
+    assert (got.pop("cycles"), got.pop("seed")) == (2000, 7)
+    assert got.pop("half_widths") == pytest.approx(want.pop("half_widths"),
+                                                   rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
