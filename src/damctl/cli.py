@@ -22,8 +22,8 @@ import os
 import sys
 
 from . import asymptotics, control
-from .distributions import (as_integer, dist_from_dict, dist_to_dict,
-                            parse_dist_spec)
+from .distributions import (as_integer, as_number, dist_from_dict,
+                            dist_to_dict, parse_dist_spec)
 from .errors import DamctlError
 from .model import CostModel, DamModel, SimulationConfig
 
@@ -113,12 +113,13 @@ def _require(cfg, *keys):
 
 def _model_from(cfg):
     _require(cfg, "lambda", "b1", "b2", "level")
-    return DamModel(lam=float(cfg["lambda"]), b1=_dist(cfg["b1"], "b1"),
+    return DamModel(lam=as_number(cfg["lambda"]), b1=_dist(cfg["b1"], "b1"),
                     b2=_dist(cfg["b2"], "b2"), level=as_integer(cfg["level"]))
 
 
 def _costs_from(cfg):
-    return CostModel(j1=float(cfg.get("j1", 1.0)), j2=float(cfg.get("j2", 1.0)))
+    return CostModel(j1=as_number(cfg.get("j1", 1.0)),
+                     j2=as_number(cfg.get("j2", 1.0)))
 
 
 def _model_dict(model):
@@ -155,8 +156,10 @@ def _parse_grid(val):
             grid = [start + i * step for i in range(round(span) + 1)]
         else:
             grid = [float(p) for p in val.split(",") if p.strip()]
+    elif isinstance(val, list):
+        grid = [as_number(x) for x in val]
     else:
-        grid = [float(x) for x in val]
+        raise ValueError("C grid must be a string or a list, got %r" % (val,))
     if not grid:
         raise ValueError("empty C grid")
     if not all(math.isfinite(c) for c in grid):
@@ -197,7 +200,7 @@ def cmd_optimize(args):
     cfg = _load_config(args)
     costs = _costs_from(cfg)
     _require(cfg, "lambda", "b1", "b2", "level")
-    lam = float(cfg["lambda"])
+    lam = as_number(cfg["lambda"])
     b1 = _dist(cfg["b1"], "b1")
     b2 = _dist(cfg["b2"], "b2")
     level = as_integer(cfg["level"])
@@ -207,9 +210,10 @@ def cmd_optimize(args):
         rho12t = asymptotics.rho12_tilde(lam, b1)
         sol = control.optimize_asymptotic(
             costs, rho2, rho12t, level, lam=lam,
-            c_max=float(cfg["c_max"]) if cfg.get("c_max") is not None else None)
+            c_max=as_number(cfg["c_max"]) if cfg.get("c_max") is not None else None)
     elif mode == "exact":
-        rng = (float(cfg.get("rho1_min", 0.5)), float(cfg.get("rho1_max", 1.5)))
+        rng = (as_number(cfg.get("rho1_min", 0.5)),
+               as_number(cfg.get("rho1_max", 1.5)))
         sol = control.optimize_exact(lam, b1, b2, level, costs, rho1_range=rng)
     else:
         raise ValueError("unknown mode %r (expected asymptotic|exact)" % (mode,))
@@ -224,11 +228,11 @@ def cmd_optimize(args):
 def cmd_verify(args):
     cfg = _load_config(args)
     _require(cfg, "lambda", "b1", "b2", "regime")
-    lam = float(cfg["lambda"])
+    lam = as_number(cfg["lambda"])
     shape = _dist(cfg["b1"], "b1")
     b2 = _dist(cfg["b2"], "b2")
     regime = cfg["regime"]
-    c = float(cfg.get("c", 1.0))
+    c = as_number(cfg.get("c", 1.0))
     levels = _parse_levels(cfg.get("levels", "500,1000,2000"))
     rho2 = lam * b2.mean()
     rho12t = asymptotics.rho12_tilde(lam, shape)
@@ -304,7 +308,7 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     cfg = _load_config(args)
     _require(cfg, "lambda", "b1", "b2", "c_grid")
-    lam = float(cfg["lambda"])
+    lam = as_number(cfg["lambda"])
     shape = _dist(cfg["b1"], "b1")
     b2 = _dist(cfg["b2"], "b2")
     costs = _costs_from(cfg)

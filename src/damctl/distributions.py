@@ -28,6 +28,7 @@ __all__ = [
     "parse_dist_spec",
     "family_tag",
     "as_integer",
+    "as_number",
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -292,12 +293,22 @@ def as_integer(value):
     raise ValueError("expected an integer, got %r" % (value,))
 
 
+def as_number(value):
+    """A real option from a config value: a number or a numeric string.
+    Refuses bools, lists, objects and null rather than end in a TypeError."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError("expected a number, got %r" % (value,))
+
+
 def _field_value(kind, value):
     if kind is int:
         return as_integer(value)
     if kind is tuple:
-        return tuple(value)
-    return float(value)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError("expected a list of numbers, got %r" % (value,))
+        return tuple(as_number(x) for x in value)
+    return as_number(value)
 
 
 def _from_fields(cls, values):

@@ -6,9 +6,11 @@ weight vectors that share one L (the exact optimizer's coarse grid) from
 one step loop, each row bit-identical to ``busy_period_recurrence``.
 
 The simulator runs many regeneration cycles at once as lanes of numpy
-arrays (see "Lane-vectorized simulator" below).  Each cycle draws from its
-own counter-based splitmix64 stream keyed by (seed, cycle index), so
-replications are reproducible regardless of execution order.
+arrays, and each step advances every lane by one whole service (see
+"Lane-vectorized simulator" below).  Each cycle draws from its own
+counter-based splitmix64 stream keyed by (seed, cycle index), so
+replications are reproducible regardless of execution order, and a lane
+reads a service's draws, and a few arrival gaps, ahead as one block.
 """
 
 import math
@@ -104,20 +106,31 @@ def busy_period_recurrence_rows(r, L):
         w[:, L - n - 1] = v
     return w[:, 0].copy(), ex
 
-
 # ---------------------------------------------------------------------------
 # Lane-vectorized simulator.
 #
 # Cycle i draws uniforms on (0, 1] from its own splitmix64 stream (Steele,
 # Lea & Flood, OOPSLA 2014) started at stream_key(seed, i): hash the seed,
-# xor in the golden-ratio multiple of i, hash again.  Each lane carries one
-# cycle.  On every step each lane in flight makes exactly one draw and
-# advances: the idle period, then a service (one or more draws, by family;
-# none for a deterministic one), then arrival gaps until the accumulated gap
-# reaches the service time.  A finished lane hands its slot to the next
-# cycle index; once every cycle has started, finished lanes are dropped.  A
-# cycle's draws, and the arithmetic on them, do not depend on the lane that
-# carries it, so the per-cycle arrays do not depend on the lane width.
+# xor in the golden-ratio multiple of i, hash again.  The stream is
+# counter-based: from state x its j-th next draw is mix(x + j * golden), so
+# a lane can read draws ahead and then consume only those it used (Salmon et
+# al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+#
+# Each lane carries one cycle, and each step advances every lane by one
+# service.  A new cycle takes its idle period as it starts, so it begins at
+# its first service.  A lane at a service start picks its law from the
+# number in system and reads that service's draws as one block.  Then every
+# lane reads _GAP_AHEAD arrival gaps and adds them, one after another, to
+# the time since its service began.  The arrivals are the times before the
+# first one at or after the service time (a tie counts as after it,
+# departure-first); the lane consumes their gaps and that one.  A lane
+# whose times all fall short consumes every gap it read and carries the
+# time into the next step.  A finished lane hands its slot to the next
+# cycle index; once every cycle has started it is parked instead, and
+# parked lanes are dropped once they are half the pool.  A cycle's draws,
+# and the arithmetic on them, depend neither on the lane that carries it
+# nor on how far ahead it reads, so the per-cycle arrays depend on neither
+# the lane width nor _GAP_AHEAD.
 #
 # log, cos and power are numpy's.  Their last bit can differ from the C
 # library's and, since numpy picks a SIMD loop by CPU, between machines, so
@@ -128,50 +141,57 @@ def busy_period_recurrence_rows(r, L):
 # this width keeps the lane arrays to a few megabytes
 _LANES = 1 << 14
 
-_PHASE_IDLE, _PHASE_SERVICE, _PHASE_GAP = 0, 1, 2
+# arrival gaps a lane reads per step
+_GAP_AHEAD = 3
 
 _GOLDEN_U64 = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-_NO_LANES = (np.empty(0, dtype=np.intp), np.empty(0))
+# _OFFSET[c] advances a stream state past c draws.  It is an array because
+# a product of np.uint64 scalars warns when it wraps; array arithmetic wraps
+# modulo 2^64 silently.  At most _BLOCK draws are read at once.
+_BLOCK = 32
+_OFFSET = np.arange(_BLOCK + 1, dtype=np.uint64) * _GOLDEN_U64
 
 
-def _smix_lanes(state):
-    """Advance splitmix64 states in place and return their outputs."""
-    state += _GOLDEN_U64
-    z = state ^ (state >> np.uint64(30))
+def _mix(x):
+    """splitmix64's output function of the states x."""
+    z = x ^ (x >> np.uint64(30))
     z *= _MIX1
     z ^= z >> np.uint64(27)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
-    return z
+    return z ^ (z >> np.uint64(31))
 
 
-def _u01_lanes(state):
-    z = _smix_lanes(state)
+def _uniforms(state, m):
+    """The next m uniforms on (0, 1] of each stream, one row per draw; the
+    states do not move."""
+    z = _mix(state + _OFFSET[1:m + 1, None])
     return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 1.1102230246251565e-16
+
+
+def _take(lanes, idx, m):
+    """Consume the next m uniforms of the given lanes, one row per draw."""
+    state = lanes.state[idx]
+    lanes.state[idx] = state + _OFFSET[m]
+    return _uniforms(state, m)
 
 
 def _stream_keys(seed, cycles):
     """stream_key(seed, i) for every i in `cycles`."""
-    z1 = _smix_lanes(np.full(1, seed, dtype=np.uint64))
-    return _smix_lanes(z1 ^ (cycles.astype(np.uint64) * _GOLDEN_U64))
+    z1 = _mix(np.full(1, seed, dtype=np.uint64) + _GOLDEN_U64)
+    return _mix((z1 ^ (cycles.astype(np.uint64) * _GOLDEN_U64)) + _GOLDEN_U64)
 
 
 class _Lanes:
     """State of the cycles in flight, one array entry per lane."""
 
     _FIELDS = (
-        ("cycle", np.int64), ("state", np.uint64), ("phase", np.int8),
-        ("n", np.int64), ("upper", np.bool_),
-        ("s", np.float64), ("t", np.float64),
+        ("cycle", np.int64), ("state", np.uint64), ("serving", np.bool_),
+        ("n", np.int64), ("s", np.float64), ("t", np.float64),
         ("idle", np.float64), ("below", np.float64), ("above", np.float64),
         ("k1", np.int64), ("k2", np.int64),
-        # per-family working state
-        ("sub", np.int8), ("count", np.int64), ("total", np.float64),
-        ("boost", np.float64), ("root", np.float64), ("x", np.float64),
-        ("v", np.float64),
     )
 
     def __init__(self, width):
@@ -181,12 +201,15 @@ class _Lanes:
     def __len__(self):
         return len(self.cycle)
 
-    def begin_cycles(self, slots, first, seed):
-        """Put cycles first, first+1, ... into the given lane slots."""
+    def begin_cycles(self, slots, first, seed, lam):
+        """Put cycles first, first+1, ... into the given lane slots, each
+        past its idle period and at its first service."""
         cycles = np.arange(first, first + len(slots), dtype=np.int64)
+        keys = _stream_keys(seed, cycles)
         self.cycle[slots] = cycles
-        self.state[slots] = _stream_keys(seed, cycles)
-        self.phase[slots] = _PHASE_IDLE
+        self.idle[slots] = -np.log(_uniforms(keys, 1)[0]) / lam
+        self.state[slots] = keys + _OFFSET[1]
+        self.serving[slots] = True
         self.n[slots] = 1
         self.below[slots] = 0.0
         self.above[slots] = 0.0
@@ -198,19 +221,15 @@ class _Lanes:
             setattr(self, name, getattr(self, name)[mask])
 
 
-# One class per service family.  begin(lanes, idx) starts a service on the
-# given lanes and step(lanes, idx, u, log_u) feeds each of them one uniform;
-# both return (lanes whose service time is now known, those times).
+# One class per service family: service(lanes, idx) draws one service time
+# for each of the given lanes and consumes the draws it used.
 
 class _ExpLanes:
     def __init__(self, d):
         self.rate = d.rate
 
-    def begin(self, lanes, idx):
-        return _NO_LANES
-
-    def step(self, lanes, idx, u, log_u):
-        return idx, -log_u[idx] / self.rate
+    def service(self, lanes, idx):
+        return -np.log(_take(lanes, idx, 1)[0]) / self.rate
 
 
 class _ErlangLanes:
@@ -218,24 +237,18 @@ class _ErlangLanes:
         self.k = int(d.shape)
         self.rate = d.rate
 
-    def begin(self, lanes, idx):
-        lanes.total[idx] = 0.0
-        lanes.count[idx] = 0
-        return _NO_LANES
-
-    def step(self, lanes, idx, u, log_u):
-        total = lanes.total[idx] + -log_u[idx]
-        count = lanes.count[idx] + 1
-        lanes.total[idx] = total
-        lanes.count[idx] = count
-        done = count == self.k
-        return idx[done], total[done] / self.rate
+    def service(self, lanes, idx):
+        # the sum runs left to right, as one draw at a time would add it
+        total = np.zeros(len(idx))
+        for first in range(0, self.k, _BLOCK):
+            for term in -np.log(_take(lanes, idx, min(_BLOCK, self.k - first))):
+                total += term
+        return total / self.rate
 
 
 class _GammaLanes:
-    """Marsaglia-Tsang; shape < 1 boosted via u^(1/shape)."""
-
-    BOOST, NORMAL_U1, NORMAL_U2, ACCEPT_U = 0, 1, 2, 3
+    """Marsaglia-Tsang; shape < 1 boosted via u^(1/shape).  An attempt reads
+    three draws and consumes two when 1 + c x <= 0, three otherwise."""
 
     def __init__(self, d):
         a = d.shape
@@ -247,47 +260,38 @@ class _GammaLanes:
         self.d = a - 1.0 / 3.0
         self.c = 1.0 / math.sqrt(9.0 * self.d)
 
-    def begin(self, lanes, idx):
-        lanes.boost[idx] = 1.0
-        lanes.sub[idx] = self.BOOST if self.boosted else self.NORMAL_U1
-        return _NO_LANES
-
-    def step(self, lanes, idx, u, log_u):
-        sub = lanes.sub[idx]
-        boost = idx[sub == self.BOOST]
-        if len(boost):
-            lanes.boost[boost] = np.power(u[boost], self.inv_shape)
-            lanes.sub[boost] = self.NORMAL_U1
-        u1 = idx[sub == self.NORMAL_U1]
-        lanes.root[u1] = np.sqrt(-2.0 * log_u[u1])
-        lanes.sub[u1] = self.NORMAL_U2
-        u2 = idx[sub == self.NORMAL_U2]
-        x = lanes.root[u2] * np.cos(2.0 * math.pi * u[u2])
-        t = 1.0 + self.c * x
-        ok = t > 0.0
-        lanes.sub[u2[~ok]] = self.NORMAL_U1
-        u2, x, t = u2[ok], x[ok], t[ok]
-        lanes.x[u2] = x
-        lanes.v[u2] = t * t * t
-        lanes.sub[u2] = self.ACCEPT_U
-        last = idx[sub == self.ACCEPT_U]
-        x, v = lanes.x[last], lanes.v[last]
-        accept = u[last] < 1.0 - 0.0331 * x * x * x * x
-        slow = np.flatnonzero(~accept)
-        xs, vs = x[slow], v[slow]
-        accept[slow] = log_u[last[slow]] < 0.5 * xs * xs + self.d * (
-            1.0 - vs + np.log(vs))
-        lanes.sub[last[~accept]] = self.NORMAL_U1
-        done = last[accept]
-        return done, lanes.boost[done] * self.d * lanes.v[done] / self.rate
+    def service(self, lanes, idx):
+        boost = np.ones(len(idx))
+        if self.boosted:
+            boost = np.power(_take(lanes, idx, 1)[0], self.inv_shape)
+        s = np.empty(len(idx))
+        pending = np.arange(len(idx))
+        while len(pending):
+            lane = idx[pending]
+            u = _uniforms(lanes.state[lane], 3)
+            log_u = np.log(u)
+            x = np.sqrt(-2.0 * log_u[0]) * np.cos(2.0 * math.pi * u[1])
+            t = 1.0 + self.c * x
+            ok = t > 0.0
+            lanes.state[lane] += _OFFSET[2 + ok]
+            v = t * t * t
+            accept = ok & (u[2] < 1.0 - 0.0331 * x * x * x * x)
+            slow = (ok & ~accept).nonzero()[0]
+            xs, vs = x[slow], v[slow]
+            accept[slow] = log_u[2, slow] < 0.5 * xs * xs + self.d * (
+                1.0 - vs + np.log(vs))
+            done = pending[accept]
+            s[done] = boost[done] * self.d * v[accept] / self.rate
+            pending = pending[~accept]
+        return s
 
 
 class _DetLanes:
     def __init__(self, d):
         self.duration = d.duration
 
-    def begin(self, lanes, idx):
-        return idx, np.full(len(idx), self.duration)
+    def service(self, lanes, idx):
+        return np.full(len(idx), self.duration)
 
 
 class _HyperLanes:
@@ -298,17 +302,10 @@ class _HyperLanes:
         self.cuts = np.cumsum(d.weights)[:-1]
         self.rates = np.array(d.rates)
 
-    def begin(self, lanes, idx):
-        lanes.sub[idx] = 0
-        return _NO_LANES
-
-    def step(self, lanes, idx, u, log_u):
-        picked = lanes.sub[idx] == 1
-        pick = idx[~picked]
-        lanes.count[pick] = np.searchsorted(self.cuts, u[pick], side="left")
-        lanes.sub[pick] = 1
-        draw = idx[picked]
-        return draw, -log_u[draw] / self.rates[lanes.count[draw]]
+    def service(self, lanes, idx):
+        u = _take(lanes, idx, 2)
+        phase = np.searchsorted(self.cuts, u[0], side="left")
+        return -np.log(u[1]) / self.rates[phase]
 
 
 _LANE_FAMILIES = {"exp": _ExpLanes, "erlang": _ErlangLanes,
@@ -327,56 +324,40 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
     out_nu2 = np.empty(n_cycles, dtype=np.int64)
     laws = tuple(_LANE_FAMILIES[family_tag(d)](d) for d in (b1, b2))
     lanes = _Lanes(min(n_cycles, _LANES))
-    lanes.begin_cycles(np.arange(len(lanes)), 0, seed)
-    started = len(lanes)
-
-    def service_known(idx, s, upper):
-        lanes.s[idx] = s
-        lanes.t[idx] = 0.0
-        lanes.phase[idx] = _PHASE_GAP
-        if upper:
-            lanes.above[idx] += s
-            lanes.k2[idx] += 1
-        else:
-            lanes.below[idx] += s
-            lanes.k1[idx] += 1
-
-    def begin_service(idx):
-        # the law is chosen at service initiation
-        upper = lanes.n[idx] > level
-        lanes.upper[idx] = upper
-        lanes.phase[idx] = _PHASE_SERVICE
-        for side, law in enumerate(laws):
-            service_known(*law.begin(lanes, idx[upper == side]), side)
-
+    lanes.begin_cycles(np.arange(len(lanes)), 0, seed, lam)
+    started, parked = len(lanes), 0
     while len(lanes):
-        u = _u01_lanes(lanes.state)
-        log_u = np.log(u)
-        gap = -log_u / lam
-        idling = np.flatnonzero(lanes.phase == _PHASE_IDLE)
-        serving = np.flatnonzero(lanes.phase == _PHASE_SERVICE)
-        waiting = np.flatnonzero(lanes.phase == _PHASE_GAP)
-
-        upper = lanes.upper[serving]
+        serving = lanes.serving.nonzero()[0]
+        upper = lanes.n[serving] > level
         for side, law in enumerate(laws):
             idx = serving[upper == side]
             if len(idx):
-                service_known(*law.step(lanes, idx, u, log_u), side)
+                s = law.service(lanes, idx)
+                lanes.s[idx] = s
+                if side:
+                    lanes.above[idx] += s
+                    lanes.k2[idx] += 1
+                else:
+                    lanes.below[idx] += s
+                    lanes.k1[idx] += 1
+        lanes.t[serving] = 0.0
 
-        # arrivals during the service; a tie with the completion instant
-        # counts as after it (departure-first)
-        t = lanes.t[waiting] + gap[waiting]
-        lanes.t[waiting] = t
-        arrived = t < lanes.s[waiting]
-        lanes.n[waiting[arrived]] += 1
-        departed = waiting[~arrived]
-        n = lanes.n[departed] - 1
-        lanes.n[departed] = n
+        # arrival times since the service began; they never decrease, so
+        # those before s are the arrivals during the service
+        times = -np.log(_uniforms(lanes.state, _GAP_AHEAD)) / lam
+        times[0] += lanes.t
+        for j in range(1, _GAP_AHEAD):
+            times[j] += times[j - 1]
+        arrived = (times < lanes.s).sum(axis=0)
+        departed = arrived < _GAP_AHEAD
+        # the gaps of the arrivals and, on a departure, of the next arrival
+        lanes.state += _OFFSET[arrived + departed]
+        lanes.t = times[-1]
+        n = lanes.n + arrived - departed
+        lanes.n = n
+        lanes.serving = departed & (n > 0)
 
-        lanes.idle[idling] = gap[idling]
-        begin_service(np.concatenate((idling, departed[n > 0])))
-
-        done = departed[n == 0]
+        done = (n == 0).nonzero()[0]
         if len(done):
             cyc = lanes.cycle[done]
             out_idle[cyc] = lanes.idle[done]
@@ -385,12 +366,17 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
             out_nu1[cyc] = lanes.k1[done]
             out_nu2[cyc] = lanes.k2[done]
             refill = min(len(done), n_cycles - started)
-            lanes.begin_cycles(done[:refill], started, seed)
-            started += refill
+            if refill:
+                lanes.begin_cycles(done[:refill], started, seed, lam)
+                started += refill
             if refill < len(done):
-                mask = np.ones(len(lanes), dtype=bool)
-                mask[done[refill:]] = False
-                lanes.keep(mask)
+                # parked: past its last departure, a lane's n only falls
+                # from 0, so it neither serves nor finishes again
+                lanes.cycle[done[refill:]] = -1
+                parked += len(done) - refill
+                if 2 * parked >= len(lanes):
+                    lanes.keep(lanes.cycle >= 0)
+                    parked = 0
     return out_idle, out_below, out_above, out_nu1, out_nu2
 
 

@@ -241,6 +241,24 @@ def test_non_integer_input_exits_2(tmp_path, capsys, cmd, field, value):
     assert "config error" in err and "integer" in err
 
 
+@pytest.mark.parametrize("cmd, fields", [
+    ("analyze", {"lambda": [1]}),
+    ("analyze", {"b1": {"type": "hyper", "weights": 5, "rates": [1, 2]}}),
+    ("analyze", {"b1": {"type": "hyper", "weights": [0.5, 0.5],
+                        "rates": [1, None]}}),
+    ("analyze", {"b1": {"type": "exp", "rate": True}}),
+    ("analyze", {"j1": {"value": 1}}),
+    ("verify", {"c": [1]}),
+    ("sweep", {"c_grid": 5}),
+    ("sweep", {"c_grid": [0, [1]]}),
+])
+def test_wrongly_typed_config_exits_2(tmp_path, capsys, cmd, fields):
+    code, out, err = _run_config(tmp_path, capsys, cmd, **fields)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
 def test_integral_floats_are_integers(tmp_path, capsys):
     code, out, _ = _run_config(
         tmp_path, capsys, "analyze", level=5.0,

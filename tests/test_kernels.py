@@ -186,6 +186,44 @@ def test_run_prefix_is_shorter_run(width, monkeypatch):
     _assert_same_bytes([a[:400] for a in full], part)
 
 
+# Laws that stretch the lookahead: many arrivals per service (a gap block
+# that falls short of the service time, again and again), more draws per
+# service than one block holds, Marsaglia-Tsang boosts and retries.
+LOOKAHEAD_CASES = {
+    "exp-rho1-3": (200, 5, 1.0, 3, Exponential(rate=1.0 / 3.0), B2),
+    "hyper-slow-phase": (1500, 6, 1.0, 3,
+                         HyperExponential((0.9, 0.1), (5.0, 0.1)), B2),
+    "erlang-40": (300, 7, 1.0, 3, Erlang(shape=40, rate=40 / 1.1), B2),
+    "gamma-0.2": (1000, 8, 1.0, 3, Gamma(shape=0.2, rate=0.2 / 1.1), B2),
+    "gamma-0.05": (1000, 9, 1.0, 3, Gamma(shape=0.05, rate=0.05 / 1.1), B2),
+    "hyper-3-phases": (1000, 10, 1.0, 3, HyperExponential(
+        (0.2, 0.5, 0.3), (0.5, 2.0, 8.0)), B2),
+    "gamma-b2": (1000, 11, 1.0, 3, Exponential(rate=1.0),
+                 Gamma(shape=2.5, rate=5.0)),
+    "level-0": (1000, 12, 1.0, 0, Exponential(rate=1.0), B2),
+}
+_SCALAR_RUNS = {}
+
+
+@pytest.mark.parametrize("width", [32, kernels._LANES])
+@pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
+def test_lookahead_matches_scalar_kernel(case, width, monkeypatch):
+    args = LOOKAHEAD_CASES[case]
+    if case not in _SCALAR_RUNS:
+        _SCALAR_RUNS[case] = _scalar_cycles(*args)
+    monkeypatch.setattr(kernels, "_LANES", width)
+    _assert_same_bytes(kernels.simulate_cycles(*args), _SCALAR_RUNS[case])
+
+
+@pytest.mark.parametrize("ahead", [1, 8])
+@pytest.mark.parametrize("family", sorted(SIM_FAMILIES))
+def test_gap_lookahead_does_not_change_cycles(family, ahead, monkeypatch):
+    args = (2000, 17, 1.0, 3) + _laws(family, 1.2)
+    default = kernels.simulate_cycles(*args)
+    monkeypatch.setattr(kernels, "_GAP_AHEAD", ahead)
+    _assert_same_bytes(kernels.simulate_cycles(*args), default)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 40, 2 ** 64 - 1])
 def test_stream_key_matches_splitting_rule(seed):
     for idx in (0, 1, 999):
