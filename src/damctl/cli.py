@@ -164,6 +164,8 @@ def _parse_grid(val):
         raise ValueError("empty C grid")
     if not all(math.isfinite(c) for c in grid):
         raise ValueError("C grid values must be finite")
+    if min(grid) < 0:
+        raise ValueError("C grid values must be >= 0, got %r" % (min(grid),))
     return grid
 
 
@@ -233,6 +235,8 @@ def cmd_verify(args):
     b2 = _dist(cfg["b2"], "b2")
     regime = cfg["regime"]
     c = as_number(cfg.get("c", 1.0))
+    if regime in ("upper", "lower") and not c > 0:
+        raise ValueError("regime %s needs C > 0, got %r" % (regime, c))
     levels = _parse_levels(cfg.get("levels", "500,1000,2000"))
     rho2 = lam * b2.mean()
     rho12t = asymptotics.rho12_tilde(lam, shape)

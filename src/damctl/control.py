@@ -6,9 +6,11 @@ The sign of j1 - j2 * rho2 / (1 - rho2) decides the regime:
   * j1 greater     -> upper-penalized: minimize J_upper over C >= 0,
   * j1 smaller     -> lower-penalized: minimize J_lower over C >= 0.
 
-`optimize_asymptotic` minimizes the limiting functional (coarse grid plus
-golden-section refinement); `optimize_exact` minimizes the exact finite-L
-cost over rho1 directly, as a cross-check of the asymptotic answer.
+Both optimizers run one golden-section search over the whole interval and
+also price its two ends: `optimize_asymptotic` minimizes the
+limiting functional over [0, c_max], which is convex in C > 0, and
+`optimize_exact` minimizes the exact finite-L cost over rho1 directly, as a
+cross-check of the asymptotic answer.
 """
 
 from dataclasses import dataclass, asdict
@@ -87,36 +89,17 @@ def golden_section(f, a, b, tol):
     return 0.5 * (lo + hi)
 
 
-def _linspace(lo, hi, n):
-    """np.linspace(lo, hi, n) for n >= 2 as a list, bit for bit: the same
-    step, the same special case for a step that underflows to 0, and the
-    same exact end point."""
-    lo, hi = float(lo), float(hi)
-    div = n - 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0:
-        grid = [i / div * delta + lo for i in range(n)]
-    else:
-        grid = [i * step + lo for i in range(n)]
-    grid[-1] = hi
-    return grid
+def _golden_and_ends(f, lo, hi, tol):
+    """(x, f(x)) at the minimum of f on [lo, hi].
 
-
-def _grid_then_golden(f, f_grid, lo, hi, grid_points, tol):
-    """(x, f(x)) at the minimum: f_grid maps the coarse grid to its values,
-    then golden-section search on f refines around the best grid point."""
-    grid = _linspace(lo, hi, grid_points)
-    vals = f_grid(grid)
-    i = min(range(len(vals)), key=vals.__getitem__)
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    x = golden_section(f, a, b, tol)
-    fx = f(x)
-    # keep whichever of the refined point and the coarse minimum wins
-    if fx <= vals[i]:
-        return float(x), float(fx)
-    return float(grid[i]), float(vals[i])
+    Golden section never prices lo or hi, so both are priced too, and an end
+    wins a tie.  An end is the minimum where f is monotone, and C = 0 can be
+    where f is not continuous: the literal J_lower diverges as C -> 0+, and
+    its value at C = 0 is the critical-regime cost.
+    """
+    x = golden_section(f, lo, hi, tol)
+    fx, x = min((f(lo), lo), (f(hi), hi), (f(x), x), key=lambda p: p[0])
+    return x, fx
 
 
 def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
@@ -126,8 +109,8 @@ def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
     regime = classify_regime(costs, rho2)
     if c_max is None:
         c_max = 10.0 * rho12t
-    if not math.isfinite(c_max):
-        raise ValueError("c_max must be finite, got %r" % (c_max,))
+    if not (math.isfinite(c_max) and c_max >= 0):
+        raise ValueError("c_max must be finite and >= 0, got %r" % (c_max,))
 
     if regime == REGIME_CRITICAL:
         c_star = 0.0
@@ -139,12 +122,7 @@ def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
         else:
             def f(c):
                 return asymptotics.j_lower(c, rho12t, rho2, costs)
-        c_star, predicted = _grid_then_golden(
-            f, lambda cs: [f(c) for c in cs], 0.0, c_max, 256, 1e-8)
-        # boundary optimum at C = 0 is legal (nondecreasing functional)
-        f0 = f(0.0)
-        if f0 <= predicted:
-            c_star, predicted = 0.0, f0
+        c_star, predicted = _golden_and_ends(f, 0.0, c_max, 1e-8)
 
     sign = {REGIME_CRITICAL: 0.0, REGIME_UPPER: 1.0, REGIME_LOWER: -1.0}[regime]
     delta = sign * c_star / level
@@ -155,13 +133,14 @@ def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
 
 
 def optimize_exact(lam, shape, b2, level, costs, rho1_range=(0.5, 1.5),
-                   grid_points=1024, tol=1e-7):
+                   tol=1e-7):
     """Minimize the exact finite-L cost over rho1 within the given range.
 
     `shape` fixes the family of the normal-regime law; each candidate rho1
-    is realized by rescaling it to mean rho1 / lam.  The coarse grid runs
-    as one batched recurrence (`exact.cost_batch`), the golden-section
-    refinement one `exact.cost` per point.
+    is realized by rescaling it to mean rho1 / lam.  Golden-section search
+    over the whole range, plus its two ends, prices each point with one
+    `exact.cost`; the exact cost has one minimum in rho1
+    (tests/test_control.py and tests/test_properties.py scan for others).
     """
     lo, hi = rho1_range
     if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
@@ -174,10 +153,8 @@ def optimize_exact(lam, shape, b2, level, costs, rho1_range=(0.5, 1.5),
         return DamModel(lam=lam, b1=shape.scale_to_mean(rho1 / lam),
                         b2=b2, level=level)
 
-    rho1_star, predicted = _grid_then_golden(
-        lambda rho1: exact.cost(model(rho1), costs),
-        lambda grid: exact.cost_batch([model(x) for x in grid], costs),
-        lo, hi, grid_points, tol)
+    rho1_star, predicted = _golden_and_ends(
+        lambda rho1: exact.cost(model(rho1), costs), lo, hi, tol)
     delta = rho1_star - 1.0
     return ControlSolution(regime=regime, c_star=level * abs(delta),
                            delta_star=delta,

@@ -32,7 +32,6 @@ __all__ = [
     "busy_period_metrics",
     "stationary_probs",
     "cost",
-    "cost_batch",
 ]
 
 PRECISION_ENV_VAR = "DAMCTL_PRECISION"
@@ -129,13 +128,6 @@ def gf_coefficients(model, n):
     return out
 
 
-def _check_tops(mantissas):
-    """Refuse a Q_L whose mantissa is inf or NaN rather than report it."""
-    if not np.isfinite(mantissas).all():
-        raise NumericDegeneracyError(
-            "the busy-period recurrence gave a non-finite Q_L mantissa")
-
-
 def _q_top(model, precision=None):
     """Q_L as a (mantissa, binary exponent) pair."""
     if precision is None:
@@ -148,7 +140,9 @@ def _q_top(model, precision=None):
         q, ex = _counts_scaled(model)
         m, e = q[-1], ex[-1]
     m, e = float(m), int(e)
-    _check_tops(m)
+    if not math.isfinite(m):
+        raise NumericDegeneracyError(
+            "the busy-period recurrence gave a non-finite Q_L mantissa")
     return m, e
 
 
@@ -194,27 +188,6 @@ def cost(model, costs, precision=None):
     """Long-run average damage cost J(L) = L * (j1 * p1 + j2 * p2)."""
     p1, p2 = stationary_probs(model, precision=precision)
     return _level_cost(model, costs, p1, p2)
-
-
-def cost_batch(models, costs):
-    """[cost(m, costs) for m in models] for models that share one level.
-
-    One row-batched recurrence serves all models, and each value equals
-    `cost`'s.  Under DAMCTL_PRECISION each model goes through `cost`, so
-    every value comes from one route.
-    """
-    if _env_precision() is not None:
-        return [cost(m, costs) for m in models]
-    if not models:
-        return []
-    L = int(models[0].level)
-    if any(int(m.level) != L for m in models):
-        raise ValueError("cost_batch needs models that share one level")
-    mant, ex = kernels.busy_period_recurrence_rows(
-        [_weights(m, L - 1) for m in models], L)
-    _check_tops(mant)
-    return [_level_cost(m, costs, *_probs(m, math.ldexp(1.0 / q, -e)))
-            for m, q, e in zip(models, mant.tolist(), ex.tolist())]
 
 
 def solve(model, costs=None, precision=None):

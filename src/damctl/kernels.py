@@ -1,9 +1,8 @@
 """Hot numeric kernels: busy-period recurrence and cycle simulation.
 
-The recurrence takes each step's inner product as one BLAS dot product.
-Its row-batched form, ``busy_period_recurrence_rows``, returns Q_L for many
-weight vectors that share one L (the exact optimizer's coarse grid) from
-one step loop, each row bit-identical to ``busy_period_recurrence``.
+The recurrence takes each step's inner product as one BLAS dot product;
+``busy_period_recurrence`` is its one implementation, and every exact
+quantity and optimizer evaluation runs through it.
 
 The simulator runs many regeneration cycles at once as lanes of numpy
 arrays, and each step advances every lane by one whole service (see
@@ -41,10 +40,6 @@ _RESCALE_LIMIT = 1e300
 _STEP_HEADROOM = 1e307
 
 
-def _rescale_limit(r0):
-    return np.minimum(_RESCALE_LIMIT, _STEP_HEADROOM * r0)
-
-
 def busy_period_recurrence(r, L):
     """Run the recurrence; returns (mantissas, binary exponents).
 
@@ -58,7 +53,7 @@ def busy_period_recurrence(r, L):
     q[0] = w[0] = 1.0
     shift = 0
     r0 = float(r[0])
-    limit = float(_rescale_limit(r0))
+    limit = min(_RESCALE_LIMIT, _STEP_HEADROOM * r0)
     for n in range(L):
         # terms r_j * Q_{n-j+1}, j = 1..n, as one BLAS dot product.  The
         # terms are nonnegative, so uncompensated summation loses little:
@@ -76,35 +71,6 @@ def busy_period_recurrence(r, L):
         ex[n + 1] = shift
     return q, ex
 
-
-# Row-batched recurrence.  Each row keeps its history backwards, w_m at
-# column L - m, so step n's terms are the contiguous slices r[:, 1:n+1] and
-# w[:, L-n:L], and np.vecdot takes every row's inner product with the BLAS
-# dot of the loop above.  Each row rescales on its own.
-
-
-def busy_period_recurrence_rows(r, L):
-    """Q_L for each row of weights r (r_0..r_{L-1} per row).
-
-    Returns (mantissas, binary exponents), one entry per row, each equal to
-    the last entry of `busy_period_recurrence` on that row.
-    """
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    L = int(L)
-    w = np.zeros((len(r), L + 1))
-    w[:, L] = 1.0
-    ex = np.zeros(len(r), dtype=np.int64)
-    r0 = r[:, 0]
-    limit = _rescale_limit(r0)
-    for n in range(L):
-        v = (w[:, L - n] - np.vecdot(r[:, 1:n + 1], w[:, L - n:L])) / r0
-        big = np.flatnonzero(v > limit)
-        if len(big):
-            w[big, L - n:] = np.ldexp(w[big, L - n:], -_RESCALE_BITS)
-            v[big] = np.ldexp(v[big], -_RESCALE_BITS)
-            ex[big] += _RESCALE_BITS
-        w[:, L - n - 1] = v
-    return w[:, 0].copy(), ex
 
 # ---------------------------------------------------------------------------
 # Lane-vectorized simulator.

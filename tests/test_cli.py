@@ -356,6 +356,37 @@ def test_optimize_zero_c_range_exits_0(capsys):
     assert json.loads(out)["c_star"] == 0.0
 
 
+def test_optimize_negative_c_range_exits_2(capsys):
+    # a reversed search interval would recommend C < 0 (rho1 > 1 in the
+    # lower-penalized regime)
+    code, out, err = run(capsys, ["optimize", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--j1", "0.2", "--j2", "1",
+                                  "--level", "100", "--c-max=-1"])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "c_max" in err
+
+
+@pytest.mark.parametrize("grid", ["-1,0,1", "-2:0:1"])
+def test_sweep_negative_c_exits_2(capsys, grid):
+    code, out, err = run(capsys, ["sweep", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--c-grid=" + grid])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and ">= 0" in err
+
+
+@pytest.mark.parametrize("c", ["0", "-1"])
+@pytest.mark.parametrize("regime", ["upper", "lower"])
+def test_verify_non_positive_c_exits_2(capsys, regime, c):
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", regime,
+                                  "--c=" + c, "--levels", "100"])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "C > 0" in err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_simulate_seed_out_of_range_exits_2(capsys, seed):
     code, out, err = run(capsys, ["simulate"] + MM1_FLAGS +

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -70,6 +71,14 @@ def test_optimizer_matches_grid_scan(seed):
         assert sol.c_star == pytest.approx(want, abs=1e-5)
 
 
+@pytest.mark.parametrize("c_max", [-1.0, -1e-12, math.inf, math.nan])
+def test_optimize_asymptotic_rejects_bad_c_range(c_max):
+    # golden_section would search a reversed interval, i.e. negative C
+    with pytest.raises(ValueError, match="c_max"):
+        control.optimize_asymptotic(exact.CostModel(0.2, 1.0), 0.5, 2.0, 100,
+                                    c_max=c_max)
+
+
 def test_optimize_asymptotic_fills_recommendation():
     sol = control.optimize_asymptotic(exact.CostModel(2.0, 1.0), 0.5, 2.0,
                                       1000, lam=2.0)
@@ -104,6 +113,17 @@ def test_optimize_exact_single_sided_costs_hit_range_ends():
     assert sol.rho1_star == pytest.approx(0.5, abs=1e-3)
 
 
+def test_monotone_costs_return_the_interval_end_itself():
+    # golden section alone stops within tol of an end; the end is priced too
+    sol = control.optimize_asymptotic(exact.CostModel(2.0, 1.0), 0.5, 2.0,
+                                      1000, c_max=0.5)  # C* is about 1.04
+    assert sol.c_star == 0.5
+    for costs, end in [(exact.CostModel(1.0, 0.0), 1.5),
+                       (exact.CostModel(0.0, 1.0), 0.5)]:
+        sol = control.optimize_exact(1.0, Exponential(rate=1.0), B2, 10, costs)
+        assert sol.rho1_star == end
+
+
 def test_optimize_exact_monotone_oracle():
     # grid scan confirms J is monotone in rho1 when only one side is charged
     for costs, sign in [(exact.CostModel(1.0, 0.0), -1), (exact.CostModel(0.0, 1.0), 1)]:
@@ -129,18 +149,29 @@ EXACT_SHAPES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_scan(family, level=200, points=2001):
+    """(rho1 grid, p1s, p2s) of the exact model over [0.5, 1.5]."""
+    rho1s = np.linspace(0.5, 1.5, points)
+    probs = [exact.stationary_probs(exact.DamModel(
+        1.0, EXACT_SHAPES[family].scale_to_mean(x), B2, level)) for x in rho1s]
+    p1s, p2s = (np.array(p) for p in zip(*probs))
+    return rho1s, p1s, p2s
+
+
 @pytest.mark.parametrize("j1", [2.0, 0.5])  # upper- and lower-penalized
 @pytest.mark.parametrize("family", sorted(EXACT_SHAPES))
-def test_optimize_exact_batched_grid_matches_per_point_grid(family, j1,
-                                                            monkeypatch):
-    args = (1.0, EXACT_SHAPES[family], B2, 200, exact.CostModel(j1, 1.0))
-    sol = control.optimize_exact(*args)
-    monkeypatch.setattr(exact, "cost_batch",
-                        lambda models, costs: [exact.cost(m, costs) for m in models])
-    want = control.optimize_exact(*args)
-    assert sol.regime == want.regime != control.REGIME_CRITICAL
-    assert sol.rho1_star == want.rho1_star
-    assert sol.predicted_cost == pytest.approx(want.predicted_cost, rel=1e-12)
+def test_optimize_exact_matches_dense_scan(family, j1):
+    # golden section alone needs one minimum in rho1; a 2,001-point scan of
+    # the range would see a second, lower one
+    costs = exact.CostModel(j1, 1.0)
+    sol = control.optimize_exact(1.0, EXACT_SHAPES[family], B2, 200, costs)
+    assert sol.regime != control.REGIME_CRITICAL
+    rho1s, p1s, p2s = _dense_scan(family)
+    vals = 200 * (costs.j1 * p1s + costs.j2 * p2s)
+    i = int(np.argmin(vals))
+    assert abs(sol.rho1_star - rho1s[i]) <= rho1s[1] - rho1s[0]
+    assert sol.predicted_cost <= vals[i] * (1.0 + 1e-8)
 
 
 def test_optimize_exact_reports_the_winning_cost():
@@ -179,15 +210,3 @@ def test_optimizers_evaluate_the_optimum_once(monkeypatch):
     assert sol.c_star > 0
     assert cs.count(sol.c_star) == 1
     assert sol.predicted_cost == real_j_upper(sol.c_star, 2.0, 0.5, costs)
-
-
-@pytest.mark.parametrize("lo, hi, n", [
-    (0.5, 1.5, 1024), (0.0, 13.7, 256), (1, 2, 1024), (0.1, 0.3, 7),
-    (0.0, 5e-324, 256), (0.0, 1e-310, 256), (0.0, -3.0, 256),
-    (1e-3, 1e300, 1024), (0.5, 0.5, 5), (2.0, 3.0, 2)])
-def test_linspace_matches_numpy_bit_for_bit(lo, hi, n):
-    # the exact optimizer's grid must not move, or its output would
-    want = np.linspace(lo, hi, n).tolist()
-    got = control._linspace(lo, hi, n)
-    assert all(type(x) is float for x in got)
-    assert [x.hex() for x in got] == [x.hex() for x in want]

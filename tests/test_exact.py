@@ -248,32 +248,6 @@ def test_extended_precision_refuses_underflowing_r0():
         exact.solve(model, precision=30)
 
 
-def test_cost_batch_matches_cost():
-    costs = exact.CostModel(j1=2.0, j2=0.5)
-    models = [exact.DamModel(lam=1.0, b1=shape_family(tag).scale_to_mean(rho1),
-                             b2=B2, level=80)
-              for tag in ALL_FAMILIES for rho1 in (0.6, 1.0, 1.4, 6.0)]
-    want = [exact.cost(m, costs) for m in models]
-    assert exact.cost_batch(models, costs) == pytest.approx(want, rel=1e-12)
-    assert exact.cost_batch([], costs) == []
-    with pytest.raises(ValueError, match="one level"):
-        exact.cost_batch([mm1(0.8, 5), mm1(0.8, 6)], costs)
-
-
-def test_cost_batch_follows_extended_precision(monkeypatch):
-    monkeypatch.setenv(exact.PRECISION_ENV_VAR, "30")
-    costs = exact.CostModel(j1=1.0, j2=2.0)
-    models = [mm1(rho1, 40) for rho1 in (0.7, 1.0, 1.3)]
-    assert exact.cost_batch(models, costs) == [exact.cost(m, costs) for m in models]
-
-
-def test_cost_batch_keeps_r0_floor():
-    floor = exact.DamModel(lam=1.0, b1=Deterministic(duration=800.0), b2=B2,
-                           level=5)
-    with pytest.raises(NumericDegeneracyError, match="r_0"):
-        exact.cost_batch([mm1(0.8, 5), floor], exact.CostModel(1.0, 1.0))
-
-
 @pytest.mark.parametrize("b1", [Exponential(rate=2e-300),
                                 Deterministic(duration=20.0),
                                 Deterministic(duration=600.0)])
@@ -285,26 +259,18 @@ def test_tiny_r0_matches_extended_precision(b1):
     want = exact.cost(model, costs, precision=40)
     assert exact.cost(model, costs) == pytest.approx(want, rel=1e-12)
     assert exact.solve(model, costs).cost == pytest.approx(want, rel=1e-12)
-    assert exact.cost_batch([mm1(0.8, 50), model], costs)[1] == \
-        pytest.approx(want, rel=1e-12)
     m, e = exact._q_top(model)
     m40, e40 = exact._q_top(model, precision=40)
     assert math.log2(m) + e == pytest.approx(math.log2(m40) + e40, rel=1e-12)
 
 
 def test_non_finite_q_top_is_a_numeric_error(monkeypatch):
-    def nan_rows(r, L):
-        return np.full(len(r), np.nan), np.zeros(len(r), dtype=np.int64)
-
     def nan_single(r, L):
         return np.full(L + 1, np.nan), np.zeros(L + 1, dtype=np.int64)
 
-    monkeypatch.setattr(kernels, "busy_period_recurrence_rows", nan_rows)
     monkeypatch.setattr(kernels, "busy_period_recurrence", nan_single)
     costs = exact.CostModel(1.0, 1.0)
     with pytest.raises(NumericDegeneracyError, match="non-finite"):
         exact.cost(mm1(0.8, 10), costs)
     with pytest.raises(NumericDegeneracyError, match="non-finite"):
         exact.solve(mm1(0.8, 10))
-    with pytest.raises(NumericDegeneracyError, match="non-finite"):
-        exact.cost_batch([mm1(0.8, 10)], costs)

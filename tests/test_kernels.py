@@ -230,30 +230,12 @@ def test_stream_key_matches_splitting_rule(seed):
         assert kernels.stream_key(seed, idx) == _stream_key(seed, idx)
 
 
-def test_batched_rows_match_single_recurrence():
-    # rho1 from 0.5 to 10 over three families, shuffled so that rows which
-    # rescale (up to four times) and rows which do not sit side by side,
-    # plus rows with r_0 = 2e-300 and 2.1e-9 that rescale below 1e300
-    L = 300
-    shapes = [Exponential(rate=1.0), Deterministic(duration=1.0),
-              Gamma(shape=0.6, rate=0.6)]
-    rho1 = np.random.default_rng(7).permutation(np.geomspace(0.5, 10.0, 101))
-    laws = [shapes[i % 3].scale_to_mean(x) for i, x in enumerate(rho1)]
-    laws[40:40] = [Exponential(rate=2e-300), Deterministic(duration=20.0)]
-    r = np.array([law.mixed_poisson_weights(1.0, L - 1) for law in laws])
-    mant, ex = kernels.busy_period_recurrence_rows(r, L)
-    want = [kernels.busy_period_recurrence(row, L) for row in r]
-    want_mant = np.array([q[-1] for q, _ in want])
-    want_ex = np.array([e[-1] for _, e in want])
-    assert np.array_equal(ex, want_ex)
-    assert np.allclose(mant, want_mant, rtol=1e-12, atol=0.0)
-    assert np.isfinite(mant).all()
-    assert 0 < (want_ex > 0).sum() < len(r)
-
-
-def test_batched_rows_edge_sizes():
-    r = Exponential(rate=0.8).mixed_poisson_weights(1.0, 4)
-    mant, ex = kernels.busy_period_recurrence_rows(r[None, :1], 1)
-    assert mant[0] == 1.0 / r[0] and ex[0] == 0
-    mant, ex = kernels.busy_period_recurrence_rows(np.empty((0, 5)), 5)
-    assert mant.shape == ex.shape == (0,)
+def test_arrival_at_the_completion_instant_comes_after_it():
+    # departure-first: cycle 0's first draw is its idle period and its second
+    # the first arrival gap; a deterministic service of exactly that gap ties
+    # the arrival with the completion, which then ends the cycle
+    key = np.array([kernels.stream_key(7, 0)], dtype=np.uint64)
+    g1 = float(-np.log(kernels._uniforms(key + kernels._OFFSET[1], 1)[0, 0]))
+    args = (1, 7, 1.0, 5, Deterministic(duration=g1), Exponential(rate=2.0))
+    assert kernels.simulate_cycles(*args)[3][0] == 1
+    assert _scalar_cycles(*args)[3][0] == 1
