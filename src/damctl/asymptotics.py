@@ -176,14 +176,8 @@ def _exp(x):
 
 
 def j_upper(c, rho12t, rho2, costs):
-    """Limiting cost in the upper regime; continuous extension at C = 0.
-
-    A Python float C goes through `math`; a numpy array (or any other
-    sequence) through numpy, which its caller has already loaded.
-    """
+    """Limiting cost in the upper regime; continuous extension at C = 0."""
     _check_cost_args(rho12t, rho2)
-    if not isinstance(c, (int, float)):
-        return _j_upper_array(c, rho12t, rho2, costs)
     c = float(c)
     if c == 0.0:
         return _critical_cost(rho12t, rho2, costs)
@@ -199,31 +193,13 @@ def j_upper(c, rho12t, rho2, costs):
                 + costs.j2 * rho2 * e / ((1.0 - rho2) * (e - 1.0)))
 
 
-def _j_upper_array(c, rho12t, rho2, costs):
-    import numpy as np
-
-    c_arr = np.asarray(c, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.exp(2.0 * c_arr / rho12t)
-        val = c_arr * (costs.j1 / (e - 1.0)
-                       + costs.j2 * rho2 * e / ((1.0 - rho2) * (e - 1.0)))
-    val = np.where(c_arr == 0.0, _critical_cost(rho12t, rho2, costs), val)
-    big = ~np.isfinite(e)
-    if np.any(big):
-        val = np.where(big, costs.j2 * rho2 / (1.0 - rho2) * c_arr, val)
-    return float(val) if np.ndim(c) == 0 else val
-
-
 def j_lower(c, rho12t, rho2, costs):
     """Limiting cost in the lower regime (literal formula).
 
     At C = 0 the literal expression diverges; the continuous extension
-    (the critical-regime cost) is returned instead.  A Python float C goes
-    through `math`, a numpy array through numpy.
+    (the critical-regime cost) is returned instead.
     """
     _check_cost_args(rho12t, rho2)
-    if not isinstance(c, (int, float)):
-        return _j_lower_array(c, rho12t, rho2, costs)
     c = float(c)
     if c == 0.0:
         return _critical_cost(rho12t, rho2, costs)
@@ -232,21 +208,6 @@ def j_lower(c, rho12t, rho2, costs):
     if not math.isfinite(val) and c > 0.0:
         return math.inf
     return val
-
-
-def _j_lower_array(c, rho12t, rho2, costs):
-    import numpy as np
-
-    c_arr = np.asarray(c, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.exp(rho12t / (2.0 * c_arr))
-        val = c_arr * (costs.j1 * e
-                       + costs.j2 * rho2 / (1.0 - rho2) * (e - 1.0))
-    val = np.where(c_arr == 0.0, _critical_cost(rho12t, rho2, costs), val)
-    big = ~np.isfinite(val) & (c_arr > 0.0)
-    if np.any(big):
-        val = np.where(big, np.inf, val)
-    return float(val) if np.ndim(c) == 0 else val
 
 
 def rho12_tilde(lam, shape_dist):

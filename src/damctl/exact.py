@@ -1,19 +1,16 @@
 """Exact finite-threshold analysis of the state-dependent M/GI/1 dam.
 
 The expected number of below-threshold services per busy period, Q_L, is
-computed from the convolution recurrence
-
-    Q_0 = 1,   Q_{n+1} = (Q_n - sum_{j=1..n} r_j Q_{n-j+1}) / r_0,
-
-with r_j the arrival-count weights of the normal-regime service law.  The
-remaining busy-period quantities follow from Wald identities, and the
-stationary probabilities p1 (idle / lower passage) and p2 (above-threshold
-occupation) from the renewal reward theorem.
+the coefficient of z^L in r(z) / (r(z) - z), with r_j the arrival-count
+weights of the normal-regime service law; the kernels' renewal loop, in
+which nothing cancels, computes it.  The remaining busy-period quantities
+follow from Wald identities, and the stationary probabilities p1 (idle /
+lower passage) and p2 (above-threshold occupation) from the renewal reward
+theorem.
 """
 
 from dataclasses import dataclass
 import math
-import os
 
 import numpy as np
 
@@ -34,9 +31,14 @@ __all__ = [
     "cost",
 ]
 
-PRECISION_ENV_VAR = "DAMCTL_PRECISION"
-
 _R0_FLOOR = 1e-300
+
+# the weights left out past r_N, relative to T_L
+_TAIL = 2.0 ** -60
+
+# weights summed before a slow tail is taken as one remainder term: gamma
+# laws of shape 1e-4 and 1e-8 need 614,401 and billions of them
+_MAX_WEIGHTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,16 +60,6 @@ class ExactSolution:
     cost: float = None
 
 
-def _env_precision():
-    raw = os.environ.get(PRECISION_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    digits = int(raw)
-    if digits <= 0:
-        raise ValueError("DAMCTL_PRECISION must be a positive digit count")
-    return digits
-
-
 def _weights(model, n):
     """r_0..r_n of the normal-regime law, refusing an underflowing r_0."""
     r = model.b1.mixed_poisson_weights(model.lam, n)
@@ -78,36 +70,45 @@ def _weights(model, n):
     return r
 
 
-def _counts_scaled(model):
-    """(mantissas, binary exponents) of Q_0..Q_L."""
+def _series(model):
+    """r_0..r_N, N doubled from 2L + 200 until the weights left out sum
+    to below _TAIL * T_L (only a T_L below 1/2 is read from the tail).
+
+    The left-out sum is estimated as r_N q / (1 - q), q = r_N / r_{N-1}:
+    every family's weights fall monotonically past their mode.
+    """
     L = int(model.level)
-    return kernels.busy_period_recurrence(_weights(model, max(L - 1, 0)), L)
+    n = 2 * L + 200
+    while True:
+        r = _weights(model, n)
+        last = r[-1]
+        if last == 0.0 or r[:L + 1].sum() <= 0.5:
+            return r
+        q = last / r[-2]
+        if q < 1.0 and last * q / (1.0 - q) <= _TAIL * r[L + 1:].sum():
+            return r
+        if n >= _MAX_WEIGHTS:
+            # a tail too long to sum: the weights past r_n enter as one
+            # term, 1 - sum(r), good to about 1e-16 / T_L relative
+            return np.append(r, max(1.0 - r.sum(), 0.0))
+        n *= 2
 
 
-def _counts_mp(model, digits):
-    """Extended-precision recurrence via mpmath (DAMCTL_PRECISION path)."""
-    import mpmath
-
+def _counts(model):
+    """(u, R / r_0, scales), u and R / r_0 both tilted by the recurrence's
+    x, so that Q_n = sum_m u[m] (R / r_0)[n-m] * exp(scales[n])."""
     L = int(model.level)
-    weights = _weights(model, max(L - 1, 0))
-    with mpmath.workdps(digits):
-        r = [mpmath.mpf(x) for x in weights]
-        q = [mpmath.mpf(1)]
-        for n in range(L):
-            s = mpmath.fsum(r[j] * q[n - j + 1] for j in range(1, n + 1))
-            q.append((q[n] - s) / r[0])
-        return q
+    r = _series(model)
+    u, scales = kernels.busy_period_recurrence(r, L)
+    tilted_r = np.cumsum(r[:L + 1]) / r[0] * np.exp(-scales)
+    return u, tilted_r, scales
 
 
-def busy_period_counts(model, precision=None):
+def busy_period_counts(model):
     """Vector (Q_0, ..., Q_L); entries beyond double range come back as inf."""
-    if precision is None:
-        precision = _env_precision()
-    if precision is not None:
-        return np.array([float(x) for x in _counts_mp(model, precision)])
-    q, ex = _counts_scaled(model)
+    u, tilted_r, scales = _counts(model)
     with np.errstate(over="ignore"):
-        return np.ldexp(q, ex)
+        return np.convolve(u, tilted_r)[:len(u)] * np.exp(scales)
 
 
 def gf_coefficients(model, n):
@@ -128,22 +129,15 @@ def gf_coefficients(model, n):
     return out
 
 
-def _q_top(model, precision=None):
-    """Q_L as a (mantissa, binary exponent) pair."""
-    if precision is None:
-        precision = _env_precision()
-    if precision is not None:
-        import mpmath
-        q = _counts_mp(model, precision)[-1]
-        m, e = mpmath.frexp(q)
-    else:
-        q, ex = _counts_scaled(model)
-        m, e = q[-1], ex[-1]
-    m, e = float(m), int(e)
-    if not math.isfinite(m):
+def _q_top(model):
+    """Q_L; inf beyond double range."""
+    u, tilted_r, scales = _counts(model)
+    q = float(np.dot(u, tilted_r[::-1]))
+    if not math.isfinite(q):
         raise NumericDegeneracyError(
-            "the busy-period recurrence gave a non-finite Q_L mantissa")
-    return m, e
+            "the busy-period recurrence gave a non-finite Q_L")
+    with np.errstate(over="ignore"):
+        return q * float(np.exp(scales[-1]))
 
 
 def _probs(model, inv_q):
@@ -161,13 +155,9 @@ def _level_cost(model, costs, p1, p2):
     return model.level * (costs.j1 * p1 + costs.j2 * p2)
 
 
-def busy_period_metrics(model, precision=None):
+def busy_period_metrics(model):
     """Busy-period expectations via Wald identities; e_nu1 = Q_L."""
-    m, e = _q_top(model, precision=precision)
-    try:
-        e_nu1 = math.ldexp(m, e)
-    except OverflowError:
-        e_nu1 = math.inf
+    e_nu1 = _q_top(model)
     rho1, rho2 = model.rho1, model.rho2
     e_nu2 = 1.0 / (1.0 - rho2) - (1.0 - rho1) / (1.0 - rho2) * e_nu1
     e_t1 = model.b1.mean() * e_nu1
@@ -177,27 +167,25 @@ def busy_period_metrics(model, precision=None):
         e_t=e_t1 + e_t2, e_idle=1.0 / model.lam)
 
 
-def stationary_probs(model, precision=None):
+def stationary_probs(model):
     """(p1, p2) from the renewal-reward closed forms."""
-    m, e = _q_top(model, precision=precision)
-    # work with 1/Q_L so that supercritical growth cannot overflow
-    return _probs(model, math.ldexp(1.0 / m, -e))
+    return _probs(model, 1.0 / _q_top(model))
 
 
-def cost(model, costs, precision=None):
+def cost(model, costs):
     """Long-run average damage cost J(L) = L * (j1 * p1 + j2 * p2)."""
-    p1, p2 = stationary_probs(model, precision=precision)
+    p1, p2 = stationary_probs(model)
     return _level_cost(model, costs, p1, p2)
 
 
-def solve(model, costs=None, precision=None):
+def solve(model, costs=None):
     """Busy-period metrics, (p1, p2) and, given costs, J(L) from one Q_L.
 
     The one recurrence runs inside `busy_period_metrics`, so a wrapper of
     that entry point (perfbench/launcher.py) sees the solve; p1 and p2
     then follow from e_nu1 = Q_L, which is inf only where 1/Q_L is 0.
     """
-    busy = busy_period_metrics(model, precision=precision)
+    busy = busy_period_metrics(model)
     p1, p2 = _probs(model, 1.0 / busy.e_nu1)
     cost_l = None if costs is None else _level_cost(model, costs, p1, p2)
     return ExactSolution(busy=busy, p1=p1, p2=p2, cost=cost_l)

@@ -1,8 +1,9 @@
 """Hot numeric kernels: busy-period recurrence and cycle simulation.
 
-The recurrence takes each step's inner product as one BLAS dot product;
-``busy_period_recurrence`` is its one implementation, and every exact
-quantity and optimizer evaluation runs through it.
+The recurrence is a renewal loop whose terms are all nonnegative, tilted
+to stay in double range, and takes each step's inner product as one BLAS
+dot product; ``busy_period_recurrence`` is its one implementation, and
+every exact quantity and optimizer evaluation runs through it.
 
 The simulator runs many regeneration cycles at once as lanes of numpy
 arrays, and each step advances every lane by one whole service (see
@@ -22,54 +23,64 @@ from .distributions import family_tag
 # ---------------------------------------------------------------------------
 # Busy-period recurrence
 #
-# Q_0 = 1,  Q_{n+1} = (Q_n - sum_{j=1..n} r_j Q_{n-j+1}) / r_0.
-#
-# In the supercritical regime Q_n grows geometrically, so values are kept as
-# (mantissa, binary exponent) pairs: whenever the working value passes 1e300
-# the whole window is rescaled by 2^-1024 and the per-entry exponent records
-# the cumulative shift at write time.
+# r(z) - z = (1 - z) r_0 (1 - A(z)) with A(z) = sum_k a_k z^k, a_k = T_k / r_0
+# and T_k = sum_{j>k} r_j, so the counts are Q = (R * u) / r_0: R_k =
+# sum_{j<=k} r_j, and u is the renewal sequence u_0 = 1,
+# u_m = sum_{k=1..m} a_k u_{m-k}.  Every term is nonnegative, so nothing
+# cancels.  Where sum_k a_k exceeds 1 (rho1 > 1) u grows geometrically; the
+# loop then runs on the tilted a_k e^{kx}, whose sum is 1 at the root x < 0,
+# so every tilted value stays at most 1 (Feller, An Introduction to
+# Probability Theory, Vol. II, XI.6).
 # ---------------------------------------------------------------------------
 
-_RESCALE_BITS = 1024
-_RESCALE_LIMIT = 1e300
 
-# A step divides by r_0, so the values it reads must stay below
-# DBL_MAX * r_0.  For r_0 below about 1e-7 the rescale threshold drops from
-# 1e300 to _STEP_HEADROOM * r_0, which keeps every step finite down to the
-# r_0 floor of exact; above it the threshold stays 1e300.
-_STEP_HEADROOM = 1e307
+def _tilt(log_a):
+    """The x < 0 with sum_k exp(log_a[k-1] + k x) = 1, given a sum above 1
+    at x = 0: Newton's method on the log of the sum, which is convex and
+    increasing in x (the iterates fall to the root without passing it), and
+    finite where a_k reaches 1e300 and e^{kx} underflows."""
+    k = np.arange(1, len(log_a) + 1)
+    x = 0.0
+    while True:
+        e = log_a + k * x
+        top = e.max()
+        w = np.exp(e - top)
+        total = w.sum()
+        step = (top + math.log(total)) * total / np.dot(k, w)
+        if not x - step < x:
+            return x
+        x -= step
 
 
 def busy_period_recurrence(r, L):
-    """Run the recurrence; returns (mantissas, binary exponents).
+    """Run the renewal loop; returns (tilted values, log scales).
 
-    Entry n equals mantissas[n] * 2**exponents[n].
+    r holds r_0..r_N with N > L, where the weights left out beyond r_N
+    are negligible next to T_L.  Entry m of the renewal sequence u equals
+    values[m] * exp(scales[m]), with scales[m] = -m x for the tilt x <= 0.
     """
     r = np.ascontiguousarray(r, dtype=np.float64)
     L = int(L)
-    q = np.empty(L + 1)
-    ex = np.zeros(L + 1, dtype=np.int64)
-    w = np.empty(L + 1)  # mantissas in the current scaling
-    q[0] = w[0] = 1.0
-    shift = 0
     r0 = float(r[0])
-    limit = min(_RESCALE_LIMIT, _STEP_HEADROOM * r0)
-    for n in range(L):
-        # terms r_j * Q_{n-j+1}, j = 1..n, as one BLAS dot product.  The
-        # terms are nonnegative, so uncompensated summation loses little:
-        # against the exponential closed form at L=4000 the error is
-        # 5.0e-11 at rho1 = 1, where an exactly rounded sum (math.fsum)
-        # gives 4.8e-11 at about 25 times the cost.
-        s = float(np.dot(r[1:n + 1], w[n:0:-1]))
-        v = (w[n] - s) / r0
-        if v > limit:
-            w[:n + 1] = np.ldexp(w[:n + 1], -_RESCALE_BITS)
-            v = math.ldexp(v, -_RESCALE_BITS)
-            shift += _RESCALE_BITS
-        w[n + 1] = v
-        q[n + 1] = v
-        ex[n + 1] = shift
-    return q, ex
+    # T_k = 1 - R_k is exact enough while it is at least 1/2; below that
+    # the tail sum, added from its small end, keeps its relative accuracy
+    head = 1.0 - np.cumsum(r[:L + 1])[1:]
+    tail = np.cumsum(r[:1:-1])[::-1][:L]
+    t = np.where(head >= 0.5, head, tail)
+    a = t / r0
+    x = 0.0
+    if a.sum() > 1.0:
+        with np.errstate(divide="ignore"):
+            x = _tilt(np.log(t) - math.log(r0))
+        # an e^{kx} that underflows drops a term below a_k * 2^-1075,
+        # at most 3e-24 next to a sum of 1
+        a *= np.exp(np.arange(1, L + 1) * x)
+    u = np.empty(L + 1)
+    u[0] = 1.0
+    for m in range(1, L + 1):
+        # terms a_k * u_{m-k}, k = 1..m, as one BLAS dot product
+        u[m] = np.dot(a[:m], u[m - 1::-1])
+    return u, np.arange(L + 1) * -x
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -156,7 +157,7 @@ def test_j_upper_values():
 def test_j_upper_monotone_under_balanced_costs():
     costs = exact.CostModel(j1=1.0, j2=1.0)  # balanced at rho2 = 0.5
     grid = np.linspace(0.0, 10.0, 400)
-    vals = asymptotics.j_upper(grid, 2.0, 0.5, costs)
+    vals = [asymptotics.j_upper(c, 2.0, 0.5, costs) for c in grid.tolist()]
     assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -180,7 +181,6 @@ def test_j_lower_is_infinite_where_the_literal_formula_gives_nan():
     # j1 = 0 and e^(rho12_tilde/2C) overflowing: 0 * inf is NaN, the limit inf
     free = exact.CostModel(j1=0.0, j2=1.0)
     assert asymptotics.j_lower(1e-3, 2.0, 0.5, free) == math.inf
-    assert asymptotics.j_lower(np.array([1e-3]), 2.0, 0.5, free)[0] == math.inf
 
 
 def _ulps(a, b):
@@ -193,16 +193,9 @@ def _ulps(a, b):
 @pytest.mark.parametrize("rho12t, rho2, j1, j2", [
     (1.0, 0.5, 2.0, 1.0), (2.0, 0.3, 0.5, 1.0), (1.37, 0.8, 3.0, 0.25)])
 def test_scalar_and_array_paths_agree(fn, rho12t, rho2, j1, j2):
-    # a float C goes through math, an array through numpy: the same
-    # expression, so they differ only by the last bit of exp
+    # the limiting costs take a float C; their ends: the continuous
+    # extension at 0, the smallest positive C, and the linear limit
     costs = exact.CostModel(j1, j2)
-    overflow = 709.7 * rho12t / 2.0  # 2C/rho12_tilde just below exp's limit
-    cs = [0.0, 5e-324, 1e-300, 1e-8, 1.0, overflow, 1.001 * overflow, 1e6]
-    arr = fn(np.array(cs), rho12t, rho2, costs)
-    for c, want in zip(cs, arr.tolist()):
-        got = fn(c, rho12t, rho2, costs)
-        assert isinstance(got, float)
-        assert (got == want) if not math.isfinite(want) else _ulps(got, want) <= 4, c
     assert fn(0.0, rho12t, rho2, costs) == pytest.approx(
         rho12t / 2.0 * (j1 + j2 * rho2 / (1.0 - rho2)), rel=1e-15)
     assert fn(5e-324, rho12t, rho2, costs) == math.inf
@@ -211,16 +204,24 @@ def test_scalar_and_array_paths_agree(fn, rho12t, rho2, j1, j2):
 
 
 def test_scalar_and_array_paths_agree_to_exps_conditioning():
-    # for small C, e - 1 in J_upper cancels and magnifies a one-bit
-    # difference between math.exp and np.exp by e / (e - 1); J_lower has no
-    # such cancellation
+    # against 40-digit values at the same C: for small C, e - 1 in J_upper
+    # cancels and magnifies exp's rounding by e / (e - 1); J_lower's
+    # exponent y = rho12_tilde / 2C magnifies the rounding of y itself
     costs = exact.CostModel(2.0, 1.0)
-    cs = np.geomspace(1e-6, 700.0, 2001)
-    uppers = asymptotics.j_upper(cs, 2.0, 0.5, costs)
-    lowers = asymptotics.j_lower(cs, 2.0, 0.5, costs)
-    for c, upper, lower in zip(cs.tolist(), uppers.tolist(), lowers.tolist()):
-        e = math.exp(c)  # 2C / rho12_tilde = C
-        assert _ulps(asymptotics.j_upper(c, 2.0, 0.5, costs), upper) <= \
-            4.0 * (1.0 + e / (e - 1.0)), c
-        got = asymptotics.j_lower(c, 2.0, 0.5, costs)
-        assert got == lower if lower == math.inf else _ulps(got, lower) <= 4, c
+    with mpmath.workdps(40):
+        for c in np.geomspace(1e-6, 700.0, 2001).tolist():
+            e = math.exp(c)  # 2C / rho12_tilde = C
+            big_c = mpmath.mpf(c)
+            big_e = mpmath.exp(big_c)
+            upper = float(big_c * (2 / (big_e - 1) + big_e / (big_e - 1)))
+            assert _ulps(asymptotics.j_upper(c, 2.0, 0.5, costs), upper) <= \
+                4.0 * (1.0 + e / (e - 1.0)), c
+            got = asymptotics.j_lower(c, 2.0, 0.5, costs)
+            if got == math.inf:
+                # near exp's limit j1 * e overflows before the factor C
+                # could bring it back, also where the true value is finite
+                assert 1.0 / c > 700.0, c
+                continue
+            big_e = mpmath.exp(1 / big_c)
+            lower = float(big_c * (2 * big_e + (big_e - 1)))
+            assert _ulps(got, lower) <= 4.0 * (1.0 + 1.0 / c), c

@@ -396,16 +396,8 @@ def test_simulate_seed_out_of_range_exits_2(capsys, seed):
     assert "config error" in err and "seed" in err
 
 
-def test_extended_precision_degeneracy_exits_3(capsys, monkeypatch):
-    monkeypatch.setenv(exact.PRECISION_ENV_VAR, "30")
-    code, _, err = run(capsys, ["analyze", "--lambda", "1", "--b1", "det:800",
-                                "--b2", "exp:2", "--level", "5"])
-    assert code == 3
-    assert "numeric error" in err
-
-
 def test_commands_do_not_import_scipy(tmp_path):
-    """Every command runs on numpy and mpmath alone; scipy is test-only."""
+    """Every command runs on numpy alone; scipy and mpmath are test-only."""
     script = """
 import contextlib, io, sys
 from damctl import cli
@@ -420,7 +412,8 @@ runs = [
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "mpmath")))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import grid_costs
 from damctl import asymptotics, control, exact
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
                                   HyperExponential)
@@ -60,14 +61,14 @@ def test_optimizer_matches_grid_scan(seed):
         costs = exact.CostModel(j1, j2)
         sol = control.optimize_asymptotic(costs, rho2, rho12t, 1000)
         want = _grid_scan_minimizer(
-            lambda c: asymptotics.j_upper(c, rho12t, rho2, costs), 10 * rho12t)
+            lambda c: grid_costs.j_upper(c, rho12t, rho2, costs), 10 * rho12t)
         assert sol.c_star == pytest.approx(want, abs=1e-5)
 
         j1_low = pivot * rng.uniform(0.2, 0.9)  # lower-penalized
         costs = exact.CostModel(j1_low, j2)
         sol = control.optimize_asymptotic(costs, rho2, rho12t, 1000)
         want = _grid_scan_minimizer(
-            lambda c: asymptotics.j_lower(c, rho12t, rho2, costs), 10 * rho12t)
+            lambda c: grid_costs.j_lower(c, rho12t, rho2, costs), 10 * rho12t)
         assert sol.c_star == pytest.approx(want, abs=1e-5)
 
 

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import damctl
+import mp_reference
 from damctl import exact, kernels
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
                                   HyperExponential)
@@ -172,21 +174,65 @@ def test_numeric_degeneracy():
         exact.gf_coefficients(model, 5)
 
 
+def _reference_probs(model):
+    """(p1, p2) from the 40-digit Q_L."""
+    log_q = mp_reference.log_counts(model)[-1]
+    return exact._probs(model, float(mpmath.exp(-log_q)))
+
+
 def test_extended_precision_matches_double():
     model = mm1(0.8, 100)
-    q64 = exact.busy_period_counts(model)
-    qmp = exact.busy_period_counts(model, precision=50)
-    assert np.allclose(q64, qmp, rtol=1e-12)
-    p64 = exact.stationary_probs(model)
-    pmp = exact.stationary_probs(model, precision=50)
-    assert p64 == pytest.approx(pmp, rel=1e-12)
+    assert mp_reference.worst_log_error(model) < 1e-12
+    assert exact.stationary_probs(model) == pytest.approx(
+        _reference_probs(model), rel=1e-12)
 
 
-def test_precision_env_variable(monkeypatch):
-    model = mm1(0.8, 50)
-    monkeypatch.setenv(exact.PRECISION_ENV_VAR, "40")
-    q = exact.busy_period_counts(model)
-    assert q[50] == pytest.approx(mm1_closed_form(0.8, 50), rel=1e-12)
+@pytest.mark.parametrize("level", [4000, 16000])
+@pytest.mark.parametrize("load", ["0.8", "1-2/L", "1", "1+1/L", "1.5"])
+def test_mm1_closed_form_near_critical(level, load):
+    # the optimum sits at rho1 = 1 +- C/L, where a subtractive recurrence
+    # loses the most digits; the closed form is taken at the law's own
+    # rho1 = 1/rate, at 40 digits
+    rho1 = {"0.8": 0.8, "1-2/L": 1.0 - 2.0 / level, "1": 1.0,
+            "1+1/L": 1.0 + 1.0 / level, "1.5": 1.5}[load]
+    model = mm1(rho1, level)
+    with mpmath.workdps(40):
+        rho = 1 / mpmath.mpf(model.b1.rate)
+        want = (rho ** (level + 1) - 1) / (rho - 1) if rho != 1 else level + 1
+        log_want = float(mpmath.log(want))
+    assert abs(mp_reference.double_log_q(model) - log_want) < 1e-11
+    e_nu1 = exact.busy_period_metrics(model).e_nu1
+    if log_want > 709.0:
+        assert e_nu1 == math.inf
+    else:
+        assert e_nu1 == pytest.approx(math.exp(log_want), rel=1e-11)
+
+
+@pytest.mark.parametrize("tag", ALL_FAMILIES)
+@pytest.mark.parametrize("rho1", [0.995, 1.0, 1.005])
+def test_counts_match_40_digit_reference_near_critical(tag, rho1):
+    model = exact.DamModel(lam=1.0, b1=shape_family(tag).scale_to_mean(rho1),
+                           b2=B2, level=200)
+    assert mp_reference.worst_log_error(model) < 1e-12
+
+
+@pytest.mark.parametrize("level", [10, 50])
+def test_long_tailed_law_reads_its_weights_far_past_level(level):
+    # a phase of mean 99 and weight 0.01: T_L falls as 0.99^L, so the
+    # weights must run far past 2L + 200 before their left-out sum is
+    # negligible next to it
+    b1 = HyperExponential(weights=(0.99, 0.01), rates=(100.0, 0.0101))
+    model = exact.DamModel(lam=1.0, b1=b1, b2=B2, level=level)
+    assert mp_reference.worst_log_error(model) < 1e-12
+
+
+def test_tail_too_long_to_sum_enters_as_one_remainder():
+    # shape 1e-8: the weights fall as (1 + 1e-8)^-j, so summing the tail
+    # would take billions of them
+    model = exact.DamModel(lam=1.0, b1=Gamma(shape=1e-8, rate=1e-8), b2=B2,
+                           level=10)
+    assert len(exact._series(model)) <= 2 * exact._MAX_WEIGHTS + 1
+    assert mp_reference.worst_log_error(model) < 1e-12
 
 
 @pytest.mark.parametrize("tag", ALL_FAMILIES)
@@ -239,29 +285,19 @@ def test_models_reject_non_finite(bad):
         exact.CostModel(j1=1.0, j2=bad)
 
 
-def test_extended_precision_refuses_underflowing_r0():
-    model = exact.DamModel(lam=1.0, b1=Deterministic(duration=800.0), b2=B2,
-                           level=5)
-    with pytest.raises(NumericDegeneracyError):
-        exact.busy_period_counts(model, precision=30)
-    with pytest.raises(NumericDegeneracyError):
-        exact.solve(model, precision=30)
-
-
 @pytest.mark.parametrize("b1", [Exponential(rate=2e-300),
                                 Deterministic(duration=20.0),
                                 Deterministic(duration=600.0)])
 def test_tiny_r0_matches_extended_precision(b1):
-    # r_0 = 2e-300, 2.1e-9 and 2.6e-261: each step divides by r_0, so a
-    # value just under a fixed 1e300 rescale threshold would overflow
+    # r_0 = 2e-300, 2.1e-9 and 2.6e-261: a_k = T_k / r_0 reaches 1/r_0, and
+    # the tilt x is near log r_0
     model = exact.DamModel(lam=1.0, b1=b1, b2=B2, level=50)
     costs = exact.CostModel(2.0, 1.0)
-    want = exact.cost(model, costs, precision=40)
+    want = exact._level_cost(model, costs, *_reference_probs(model))
     assert exact.cost(model, costs) == pytest.approx(want, rel=1e-12)
     assert exact.solve(model, costs).cost == pytest.approx(want, rel=1e-12)
-    m, e = exact._q_top(model)
-    m40, e40 = exact._q_top(model, precision=40)
-    assert math.log2(m) + e == pytest.approx(math.log2(m40) + e40, rel=1e-12)
+    log_want = float(mp_reference.log_counts(model)[-1])
+    assert mp_reference.double_log_q(model) == pytest.approx(log_want, rel=1e-12)
 
 
 def test_non_finite_q_top_is_a_numeric_error(monkeypatch):

@@ -1,9 +1,9 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
+import mp_reference
 from damctl import exact, kernels
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
                                   HyperExponential)
@@ -13,23 +13,18 @@ B2 = Exponential(rate=2.0)
 
 @pytest.mark.parametrize("rho1", [0.8, 1.0, 1.25])
 def test_recurrence_numpy_matches_loop(rho1):
-    # the reference is the 40-digit loop of the DAMCTL_PRECISION route
+    # the reference is the 40-digit recurrence on 40-digit weights
     model = exact.DamModel(lam=1.0, b1=Exponential(rate=1.0 / rho1), b2=B2,
                            level=300)
-    want = exact.busy_period_counts(model, precision=40)
-    got = exact.busy_period_counts(model)
-    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert mp_reference.worst_log_error(model) < 1e-12
 
 
 def test_recurrence_numpy_matches_loop_on_rescaled_values():
-    model = exact.DamModel(lam=1.0, b1=Exponential(rate=0.1), b2=B2, level=300)
-    q, ex = exact._counts_scaled(model)
-    assert ex[-1] > 0  # the rescaling path actually ran
-    with mpmath.workdps(40):
-        want = exact._counts_mp(model, 40)
-        worst = max(abs(mpmath.ldexp(m, int(e)) / w - 1)
-                    for m, e, w in zip(q.tolist(), ex, want))
-    assert worst < 1e-12
+    # rho1 = 10: Q_320 is near 1e320, beyond double range, and the tilted
+    # loop still gives every log Q_n
+    model = exact.DamModel(lam=1.0, b1=Exponential(rate=0.1), b2=B2, level=320)
+    assert exact.busy_period_counts(model)[-1] == math.inf
+    assert mp_reference.worst_log_error(model) < 1e-12
 
 
 # --- a scalar reference for the lane simulator ----------------------------

@@ -1,8 +1,11 @@
 """Property tests of the exact solution and the exact optimizer.
 
 Models are drawn over every service family, the arrival rate, both loads,
-the costs and levels up to 200.  Examples are derandomized, so each run
-checks the same ones.
+the costs and levels up to 200.  Examples are derandomized, but hypothesis
+also mixes in constants from the modules loaded at the time, so which
+examples run depends on which test files were collected.  A failure
+therefore prints a ``@reproduce_failure`` blob, which replays it in any
+session.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
                                   HyperExponential)
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                    max_examples=40)
+                    max_examples=40, print_blob=True)
 
 
 @st.composite
