@@ -204,9 +204,9 @@ def test_scalar_and_array_paths_agree(fn, rho12t, rho2, j1, j2):
 
 
 def test_scalar_and_array_paths_agree_to_exps_conditioning():
-    # against 40-digit values at the same C: for small C, e - 1 in J_upper
-    # cancels and magnifies exp's rounding by e / (e - 1); J_lower's
-    # exponent y = rho12_tilde / 2C magnifies the rounding of y itself
+    # against 40-digit values from the exponent as rounded in double: for
+    # small C, e - 1 in J_upper cancels and magnifies exp's rounding by
+    # e / (e - 1); J_lower has no such cancellation
     costs = exact.CostModel(2.0, 1.0)
     with mpmath.workdps(40):
         for c in np.geomspace(1e-6, 700.0, 2001).tolist():
@@ -222,6 +222,6 @@ def test_scalar_and_array_paths_agree_to_exps_conditioning():
                 # could bring it back, also where the true value is finite
                 assert 1.0 / c > 700.0, c
                 continue
-            big_e = mpmath.exp(1 / big_c)
+            big_e = mpmath.exp(2.0 / (2.0 * c))
             lower = float(big_c * (2 * big_e + (big_e - 1)))
-            assert _ulps(got, lower) <= 4.0 * (1.0 + 1.0 / c), c
+            assert _ulps(got, lower) <= 4, c

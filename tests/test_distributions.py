@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mp_reference
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
                                   HyperExponential, dist_from_dict,
                                   dist_to_dict, parse_dist_spec)
@@ -162,23 +163,6 @@ def test_parse_dist_spec():
             parse_dist_spec(bad)
 
 
-def _mpmath_log_weights(kind, params, lam, n):
-    """40-digit log r_0..log r_n from mpmath loggamma."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        lam = mpmath.mpf(lam)
-        if kind == "poisson":
-            mu = lam * mpmath.mpf(params[0])
-            return [float(-mu + j * mpmath.log(mu) - mpmath.loggamma(j + 1))
-                    for j in range(n + 1)]
-        shape, rate = (mpmath.mpf(x) for x in params)
-        log_p = mpmath.log(rate / (lam + rate))
-        log_q = mpmath.log(lam / (lam + rate))
-        return [float(mpmath.loggamma(shape + j) - mpmath.loggamma(j + 1)
-                      - mpmath.loggamma(shape) + shape * log_p + j * log_q)
-                for j in range(n + 1)]
-
-
 @pytest.mark.parametrize("d, kind, params", [
     (Gamma(shape=0.6, rate=0.6 / 1.0005), "negbin", (0.6, 0.6 / 1.0005)),
     (Gamma(shape=2.3, rate=2.3 * 1.0005), "negbin", (2.3, 2.3 * 1.0005)),
@@ -189,7 +173,8 @@ def _mpmath_log_weights(kind, params, lam, n):
 ])
 def test_weights_match_loggamma_reference(d, kind, params):
     n = 4000
-    want = np.exp(_mpmath_log_weights(kind, params, 1.0, n))
+    want = np.exp([float(x) for x in
+                   mp_reference.log_weights(kind, params, 1.0, n)])
     got = d.mixed_poisson_weights(1.0, n)
     normal = want > 1e-300  # compare where the reference is a normal double
     assert normal.sum() > 100
