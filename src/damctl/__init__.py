@@ -17,12 +17,12 @@ _EXPORTS = {
     "exact": ("BusyPeriodMetrics", "ExactSolution", "busy_period_counts",
               "busy_period_metrics", "cost", "gf_coefficients", "solve",
               "stationary_probs"),
-    "asymptotics": ("AsymptoticRegime", "critical_decay", "heavy_lower",
-                    "heavy_upper", "j_lower", "j_upper", "limit_subcritical",
-                    "rho12_tilde", "root_phi", "supercritical"),
+    "asymptotics": ("critical_decay", "heavy_lower", "heavy_upper", "j_lower",
+                    "j_upper", "limit_subcritical", "rho12_tilde", "root_phi",
+                    "supercritical"),
     "control": ("ControlSolution", "classify_regime", "optimize_asymptotic",
                 "optimize_exact"),
-    "simulator": ("SimulationReport", "simulate", "sweep_simulate"),
+    "simulator": ("SimulationReport", "simulate"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -12,13 +12,11 @@ exact recurrence is the ground truth and `damctl verify
 --regime lower` quantifies the discrepancy instead of hiding it.
 """
 
-from dataclasses import dataclass
 import math
 
 from .errors import RegimeError
 
 __all__ = [
-    "AsymptoticRegime",
     "limit_subcritical",
     "critical_decay",
     "root_phi",
@@ -29,19 +27,6 @@ __all__ = [
     "j_lower",
     "rho12_tilde",
 ]
-
-
-@dataclass(frozen=True)
-class AsymptoticRegime:
-    """Tagged regime descriptor; delta/c only apply to the heavy regimes."""
-    tag: str  # subcritical | critical | supercritical | heavy_upper | heavy_lower
-    delta: float = None
-    c: float = None
-
-    def __post_init__(self):
-        heavy = self.tag in ("heavy_upper", "heavy_lower")
-        if heavy != (self.delta is not None) or heavy != (self.c is not None):
-            raise ValueError("delta and c must be given exactly for the heavy regimes")
 
 
 def limit_subcritical(rho1):
@@ -203,10 +188,15 @@ def j_lower(c, rho12t, rho2, costs):
     c = float(c)
     if c == 0.0:
         return _critical_cost(rho12t, rho2, costs)
-    e = _exp(rho12t / (2.0 * c))
-    val = c * (costs.j1 * e + costs.j2 * rho2 / (1.0 - rho2) * (e - 1.0))
+    x = rho12t / (2.0 * c)
+    k = costs.j2 * rho2 / (1.0 - rho2)
+    e = _exp(x)
+    val = c * (costs.j1 * e + k * (e - 1.0))
     if not math.isfinite(val) and c > 0.0:
-        return math.inf
+        # e^x, or j1 * e^x, overflowed before the factor C could bring it
+        # back; there J_lower = C (j1 + k) e^x to double precision
+        scale = c * (costs.j1 + k)
+        return _exp(x + math.log(scale)) if scale > 0.0 else 0.0
     return val
 
 

@@ -2,9 +2,14 @@
 
 Subcommands: analyze (exact metrics), optimize (control problem), verify
 (asymptotics vs exact recurrence), simulate (regenerative DES), sweep
-(limiting-cost curves).  Options come from flags and/or a JSON config file
-(flags win).  JSON records go to standard output; verify/sweep emit CSV
-(stdout, or a file via --out).
+(limiting-cost curves).
+
+Each option is described once, in OPTIONS; the flag --c-max and the config
+key c_max name the same entry.  COMMANDS lists the options each command
+reads, taken from the flag, else the JSON config file (--config), else the
+default.  A flag the command does not read, an abbreviated flag and a config
+key that names no option are refused.  JSON records go to standard output
+(--format text for a flat view); verify/sweep emit CSV (stdout, or --out).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
 
@@ -47,18 +52,22 @@ def _round12(obj):
     return obj
 
 
-def _emit_record(rec, fmt, out=None):
-    out = out if out is not None else sys.stdout
-    rec = _round12(rec)
-    if fmt == "json":
-        print(json.dumps(rec), file=out)
-        return
+def _text_lines(rec, prefix=""):
+    """One `dotted.key = value` line per leaf of a nested record."""
     for key, val in rec.items():
         if isinstance(val, dict):
-            for k2, v2 in val.items():
-                print("%s.%s = %s" % (key, k2, _fmt(v2)), file=out)
+            yield from _text_lines(val, prefix + key + ".")
         else:
-            print("%s = %s" % (key, _fmt(val)), file=out)
+            yield "%s%s = %s" % (prefix, key, _fmt(val))
+
+
+def _emit_record(rec, fmt):
+    rec = _round12(rec)
+    if fmt == "json":
+        print(json.dumps(rec))
+    else:
+        for line in _text_lines(rec):
+            print(line)
 
 
 def _fmt(v):
@@ -80,51 +89,29 @@ def _emit_csv(header, rows, path):
             fh.close()
 
 
-def _dist(val, field):
-    if val is None:
-        raise ValueError("missing required distribution %r" % (field,))
-    if isinstance(val, str):
-        return parse_dist_spec(val)
-    return dist_from_dict(val)
-
-
-def _load_config(args):
-    """File values overlaid with any flags that were actually given."""
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-    for key in ("lam", "b1", "b2", "level", "j1", "j2", "mode", "c", "c_max",
-                "levels", "cycles", "seed", "batches", "regime", "c_grid",
-                "rho1_min", "rho1_max"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg["lambda" if key == "lam" else key] = val
-    return cfg
-
-
-def _require(cfg, *keys):
-    for key in keys:
-        if key not in cfg or cfg[key] is None:
-            raise ValueError("missing required option %r" % (key,))
-
-
-def _model_from(cfg):
-    _require(cfg, "lambda", "b1", "b2", "level")
-    return DamModel(lam=as_number(cfg["lambda"]), b1=_dist(cfg["b1"], "b1"),
-                    b2=_dist(cfg["b2"], "b2"), level=as_integer(cfg["level"]))
-
-
-def _costs_from(cfg):
-    return CostModel(j1=as_number(cfg.get("j1", 1.0)),
-                     j2=as_number(cfg.get("j2", 1.0)))
-
-
 def _model_dict(model):
     return {"lambda": model.lam, "b1": dist_to_dict(model.b1),
             "b2": dist_to_dict(model.b2), "level": model.level}
+
+
+# --- converters: a flag's string or a config file's JSON value in, the
+# option's value out ---
+
+def _dist(val):
+    return parse_dist_spec(val) if isinstance(val, str) else dist_from_dict(val)
+
+
+def _choice(name, choices):
+    def convert(val):
+        if val not in choices:
+            raise ValueError("unknown %s %r (expected %s)"
+                             % (name, val, "|".join(choices)))
+        return val
+    return convert
+
+
+def _number_or_none(val):
+    return None if val is None else as_number(val)
 
 
 def _parse_levels(val):
@@ -169,12 +156,65 @@ def _parse_grid(val):
     return grid
 
 
-# --- subcommands ---
+# --- the options: config key -> (converter, default or REQUIRED, help);
+# the flag is the key with "-" for "_" ---
 
-def cmd_analyze(args):
-    cfg = _load_config(args)
-    model = _model_from(cfg)
-    costs = _costs_from(cfg)
+REQUIRED = object()
+
+OPTIONS = {
+    "lambda": (as_number, REQUIRED, "arrival rate"),
+    "b1": (_dist, REQUIRED, "normal-regime service law, e.g. exp:1.25"),
+    "b2": (_dist, REQUIRED, "above-threshold service law, e.g. exp:2"),
+    "level": (as_integer, REQUIRED, "threshold L"),
+    "j1": (as_number, 1.0, "lower-passage cost per level unit"),
+    "j2": (as_number, 1.0, "upper-passage cost per level unit"),
+    "mode": (_choice("mode", ("asymptotic", "exact")), "asymptotic",
+             "asymptotic or exact"),
+    "c_max": (_number_or_none, None, "largest C searched in asymptotic mode"),
+    "rho1_min": (as_number, 0.5, "lowest rho1 searched in exact mode"),
+    "rho1_max": (as_number, 1.5, "highest rho1 searched in exact mode"),
+    "regime": (_choice("regime", ("critical", "upper", "lower")), REQUIRED,
+               "critical, upper or lower"),
+    "c": (as_number, 1.0, "heavy-traffic parameter C"),
+    "levels": (_parse_levels, "500,1000,2000", "comma-separated L grid"),
+    "cycles": (as_integer, 100000, "regeneration cycles"),
+    "seed": (as_integer, 0, "simulation seed (printed in output)"),
+    "batches": (as_integer, 32, "batch count for confidence intervals"),
+    "c_grid": (_parse_grid, REQUIRED, "start:stop:step or comma-separated C"),
+}
+
+
+def _read_options(args, names):
+    """The named options, each from its flag, else the config file, else its
+    default, and converted.  A required option given nowhere, or given as
+    null, is missing."""
+    cfg = {}
+    if args.config:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(cfg) - set(OPTIONS))
+        if unknown:
+            raise ValueError("unknown option %r in the config file"
+                             % (unknown[0],))
+    opts = {}
+    for name in names:
+        convert, default, _ = OPTIONS[name]
+        val = getattr(args, name)
+        if val is None:
+            val = cfg.get(name, default)
+        if default is REQUIRED and (val is None or val is REQUIRED):
+            raise ValueError("missing required option %r" % (name,))
+        opts[name] = convert(val)
+    return opts
+
+
+# --- subcommands: each takes its converted options ---
+
+def cmd_analyze(o):
+    model = DamModel(lam=o["lambda"], b1=o["b1"], b2=o["b2"], level=o["level"])
+    costs = CostModel(j1=o["j1"], j2=o["j2"])
     from . import exact
 
     sol = exact.solve(model, costs)
@@ -194,55 +234,40 @@ def cmd_analyze(args):
         "p2": sol.p2,
         "cost": sol.cost,
     }
-    _emit_record(rec, args.format)
+    _emit_record(rec, o["format"])
     return 0
 
 
-def cmd_optimize(args):
-    cfg = _load_config(args)
-    costs = _costs_from(cfg)
-    _require(cfg, "lambda", "b1", "b2", "level")
-    lam = as_number(cfg["lambda"])
-    b1 = _dist(cfg["b1"], "b1")
-    b2 = _dist(cfg["b2"], "b2")
-    level = as_integer(cfg["level"])
-    rho2 = lam * b2.mean()
-    mode = cfg.get("mode", "asymptotic")
+def cmd_optimize(o):
+    lam, b1, level, mode = o["lambda"], o["b1"], o["level"], o["mode"]
+    costs = CostModel(j1=o["j1"], j2=o["j2"])
+    rho2 = lam * o["b2"].mean()
     if mode == "asymptotic":
         rho12t = asymptotics.rho12_tilde(lam, b1)
-        sol = control.optimize_asymptotic(
-            costs, rho2, rho12t, level, lam=lam,
-            c_max=as_number(cfg["c_max"]) if cfg.get("c_max") is not None else None)
-    elif mode == "exact":
-        rng = (as_number(cfg.get("rho1_min", 0.5)),
-               as_number(cfg.get("rho1_max", 1.5)))
-        sol = control.optimize_exact(lam, b1, b2, level, costs, rho1_range=rng)
+        sol = control.optimize_asymptotic(costs, rho2, rho12t, level, lam=lam,
+                                          c_max=o["c_max"])
     else:
-        raise ValueError("unknown mode %r (expected asymptotic|exact)" % (mode,))
+        sol = control.optimize_exact(
+            lam, b1, o["b2"], level, costs,
+            rho1_range=(o["rho1_min"], o["rho1_max"]))
     rec = {"command": "optimize", "mode": mode,
            "costs": {"j1": costs.j1, "j2": costs.j2},
            "rho2": rho2, "level": level}
     rec.update(sol.to_dict())
-    _emit_record(rec, args.format)
+    _emit_record(rec, o["format"])
     return 0
 
 
-def cmd_verify(args):
-    cfg = _load_config(args)
-    _require(cfg, "lambda", "b1", "b2", "regime")
-    lam = as_number(cfg["lambda"])
-    shape = _dist(cfg["b1"], "b1")
-    b2 = _dist(cfg["b2"], "b2")
-    regime = cfg["regime"]
-    c = as_number(cfg.get("c", 1.0))
+def cmd_verify(o):
+    lam, shape, b2, regime, c = (o["lambda"], o["b1"], o["b2"], o["regime"],
+                                 o["c"])
     if regime in ("upper", "lower") and not c > 0:
         raise ValueError("regime %s needs C > 0, got %r" % (regime, c))
-    levels = _parse_levels(cfg.get("levels", "500,1000,2000"))
     rho2 = lam * b2.mean()
     rho12t = asymptotics.rho12_tilde(lam, shape)
 
     rows = []
-    for level in levels:
+    for level in o["levels"]:
         if regime == "critical":
             delta, c_row = 0.0, 0.0
             b1 = shape.scale_to_mean(1.0 / lam)
@@ -252,13 +277,10 @@ def cmd_verify(args):
             delta, c_row = c / level, c
             b1 = shape.scale_to_mean((1.0 + delta) / lam)
             p1_asym, p2_asym = asymptotics.heavy_upper(delta, c, rho12t, rho2)
-        elif regime == "lower":
+        else:
             delta, c_row = c / level, c
             b1 = shape.scale_to_mean((1.0 - delta) / lam)
             p1_asym, p2_asym, _ = asymptotics.heavy_lower(delta, c, rho12t, rho2)
-        else:
-            raise ValueError("unknown regime %r (expected critical|upper|lower)"
-                             % (regime,))
         model = DamModel(lam=lam, b1=b1, b2=b2, level=level)
         from . import exact
 
@@ -268,7 +290,7 @@ def cmd_verify(args):
                      p2_exact, p2_asym, abs(p2_asym - p2_exact) / p2_exact))
 
     _emit_csv(("L", "delta", "C", "p1_exact", "p1_asym", "rel_err_p1",
-               "p2_exact", "p2_asym", "rel_err_p2"), rows, args.out)
+               "p2_exact", "p2_asym", "rel_err_p2"), rows, o["out"])
 
     if regime == "lower":
         worst_p1 = max(r[5] for r in rows)
@@ -281,13 +303,10 @@ def cmd_verify(args):
     return 0
 
 
-def cmd_simulate(args):
-    cfg = _load_config(args)
-    model = _model_from(cfg)
-    sim_cfg = SimulationConfig(model=model,
-                               n_cycles=as_integer(cfg.get("cycles", 100000)),
-                               seed=as_integer(cfg.get("seed", 0)),
-                               batch_count=as_integer(cfg.get("batches", 32)))
+def cmd_simulate(o):
+    model = DamModel(lam=o["lambda"], b1=o["b1"], b2=o["b2"], level=o["level"])
+    sim_cfg = SimulationConfig(model=model, n_cycles=o["cycles"],
+                               seed=o["seed"], batch_count=o["batches"])
     from . import exact, simulator
 
     # the exact solution predicts the work before any cycle is drawn
@@ -305,79 +324,57 @@ def cmd_simulate(args):
     rec.update(report.to_dict())
     rec["exact"] = {"p1": sol.p1, "p2": sol.p2, "e_nu1": bp.e_nu1,
                     "e_nu2": bp.e_nu2, "e_t1": bp.e_t1, "e_t2": bp.e_t2}
-    _emit_record(rec, args.format)
+    _emit_record(rec, o["format"])
     return 0
 
 
-def cmd_sweep(args):
-    cfg = _load_config(args)
-    _require(cfg, "lambda", "b1", "b2", "c_grid")
-    lam = as_number(cfg["lambda"])
-    shape = _dist(cfg["b1"], "b1")
-    b2 = _dist(cfg["b2"], "b2")
-    costs = _costs_from(cfg)
-    rho2 = lam * b2.mean()
-    rho12t = asymptotics.rho12_tilde(lam, shape)
-    grid = _parse_grid(cfg["c_grid"])
+def cmd_sweep(o):
+    lam = o["lambda"]
+    costs = CostModel(j1=o["j1"], j2=o["j2"])
+    rho2 = lam * o["b2"].mean()
+    rho12t = asymptotics.rho12_tilde(lam, o["b1"])
     rows = [(c, asymptotics.j_upper(c, rho12t, rho2, costs),
-             asymptotics.j_lower(c, rho12t, rho2, costs)) for c in grid]
-    _emit_csv(("C", "J_upper", "J_lower"), rows, args.out)
+             asymptotics.j_lower(c, rho12t, rho2, costs)) for c in o["c_grid"]]
+    _emit_csv(("C", "J_upper", "J_lower"), rows, o["out"])
     return 0
 
 
-# --- argument parsing ---
+# --- the commands: name -> (function, help, options read, output flag:
+# "format" for a JSON record, "out" for CSV) ---
 
-def _add_model_flags(p):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--lambda", dest="lam", type=float, help="arrival rate")
-    p.add_argument("--b1", help="normal-regime service law, e.g. exp:1.25")
-    p.add_argument("--b2", help="above-threshold service law, e.g. exp:2")
-    p.add_argument("--level", type=int, help="threshold L")
-    p.add_argument("--j1", type=float, help="lower-passage cost per level unit")
-    p.add_argument("--j2", type=float, help="upper-passage cost per level unit")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", help="write CSV output to this path")
+COMMANDS = {
+    "analyze": (cmd_analyze, "exact busy-period and stationary metrics",
+                "lambda b1 b2 level j1 j2".split(), "format"),
+    "optimize": (cmd_optimize, "solve the control problem",
+                 "lambda b1 b2 level j1 j2 mode c_max rho1_min rho1_max".split(),
+                 "format"),
+    "verify": (cmd_verify, "compare asymptotic formulas to the exact recurrence",
+               "lambda b1 b2 regime c levels".split(), "out"),
+    "simulate": (cmd_simulate, "regenerative simulation with exact values alongside",
+                 "lambda b1 b2 level cycles seed batches".split(), "format"),
+    "sweep": (cmd_sweep, "J_upper/J_lower over a C grid",
+              "lambda b1 b2 j1 j2 c_grid".split(), "out"),
+}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="damctl",
+        prog="damctl", allow_abbrev=False,
         description="Exact/asymptotic analysis and optimal release-rate "
                     "control of a threshold-modulated M/GI/1 dam")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("analyze", help="exact busy-period and stationary metrics")
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("optimize", help="solve the control problem")
-    _add_model_flags(p)
-    p.add_argument("--mode", choices=("asymptotic", "exact"))
-    p.add_argument("--c-max", dest="c_max", type=float)
-    p.add_argument("--rho1-min", dest="rho1_min", type=float)
-    p.add_argument("--rho1-max", dest="rho1_max", type=float)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("verify", help="compare asymptotic formulas to the exact recurrence")
-    _add_model_flags(p)
-    p.add_argument("--regime", choices=("critical", "upper", "lower"))
-    p.add_argument("--c", type=float, help="heavy-traffic parameter C")
-    p.add_argument("--levels", help="comma-separated L grid, e.g. 500,1000,2000")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("simulate", help="regenerative simulation with exact values alongside")
-    _add_model_flags(p)
-    p.add_argument("--cycles", type=int, help="regeneration cycles")
-    p.add_argument("--seed", type=int, help="simulation seed (printed in output)")
-    p.add_argument("--batches", type=int, help="batch count for confidence intervals")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="J_upper/J_lower over a C grid")
-    _add_model_flags(p)
-    p.add_argument("--c-grid", dest="c_grid",
-                   help="start:stop:step or comma-separated C values")
-    p.set_defaults(func=cmd_sweep)
-
+    for cmd, (_, help_, names, output) in COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_, allow_abbrev=False)
+        p.add_argument("--config",
+                       help="JSON config file; flags override its values")
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), dest=name,
+                           help=OPTIONS[name][2])
+        if output == "format":
+            p.add_argument("--format", choices=("json", "text"),
+                           default="json")
+        else:
+            p.add_argument("--out", help="write CSV output to this path")
     return parser
 
 
@@ -386,13 +383,15 @@ def main(argv=None):
     # spinning costs CPU time and saves no wall time on these problem sizes;
     # set here, before a command loads numpy, so library users keep theirs
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    func, _, names, output = COMMANDS[args.cmd]
     try:
-        return args.func(args)
+        opts = _read_options(args, names)
+        opts[output] = getattr(args, output)
+        return func(opts)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

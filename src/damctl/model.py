@@ -40,14 +40,6 @@ class DamModel:
     def rho2(self):
         return self.lam * self.b2.mean()
 
-    @property
-    def rho12(self):
-        return self.lam ** 2 * self.b1.raw_moment(2)
-
-    @property
-    def rho13(self):
-        return self.lam ** 3 * self.b1.raw_moment(3)
-
 
 @dataclass(frozen=True)
 class CostModel:

@@ -19,7 +19,7 @@ import numpy as np
 from .model import SimulationConfig  # re-exported as simulator.SimulationConfig
 from . import kernels
 
-__all__ = ["SimulationConfig", "SimulationReport", "simulate", "sweep_simulate"]
+__all__ = ["SimulationConfig", "SimulationReport", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,3 @@ def simulate_raw(config):
     return kernels.simulate_cycles(config.n_cycles, config.seed, model.lam,
                                    model.level, model.b1, model.b2)
 
-
-def sweep_simulate(configs):
-    """Element-wise simulate().
-
-    Each element is fully determined by its own config (cycle streams are
-    keyed by (config.seed, cycle index)), so results are independent of
-    list order and of serial vs parallel execution.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("sweep_simulate needs at least one config")
-    return [simulate(c) for c in configs]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -61,6 +62,10 @@ def test_text_and_json_agree(capsys):
         text_vals[key] = val
     for key in ("p1", "p2", "cost", "q_l", "e_nu2"):
         assert float(text_vals[key]) == rec[key]
+    # nested records flatten to one dotted key per leaf
+    assert float(text_vals["model.b1.rate"]) == rec["model"]["b1"]["rate"]
+    assert text_vals["model.b1.type"] == "exp"
+    assert int(text_vals["model.level"]) == rec["model"]["level"]
 
 
 def test_json_round_trip(capsys):
@@ -158,7 +163,7 @@ def test_verify_lower_reports_discrepancy(capsys):
 
 
 def test_simulate_reproducible_and_close(capsys):
-    argv = ["simulate"] + MM1_FLAGS + ["--cycles", "50000", "--seed", "7"]
+    argv = ["simulate"] + MM1_FLAGS[:8] + ["--cycles", "50000", "--seed", "7"]
     code, out1, _ = run(capsys, argv)
     assert code == 0
     _, out2, _ = run(capsys, argv)
@@ -180,6 +185,17 @@ def test_sweep_monotone_and_limits(capsys):
     assert rows[0][1] == 2.0  # j1 * rho12_tilde at C = 0 under balanced costs
     uppers = [r[1] for r in rows]
     assert all(b >= a for a, b in zip(uppers, uppers[1:]))
+
+
+def test_sweep_prints_j_lower_where_only_its_exponential_overflows(capsys):
+    # e^(rho12_tilde/2C) = e^709.8 overflows, C (j1 + k) e^709.8 does not
+    code, out, err = run(capsys, ["sweep", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--j1", "2", "--j2", "1",
+                                  "--c-grid", "0.0014088"])
+    assert code == 0, err
+    c, _, j_lower = out.splitlines()[1].split(",")
+    assert c == "0.0014088"
+    assert float(j_lower) == pytest.approx(7.9177381800692e305, rel=1e-12)
 
 
 def test_sweep_empty_grid_exits_2(capsys):
@@ -389,7 +405,7 @@ def test_verify_non_positive_c_exits_2(capsys, regime, c):
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_simulate_seed_out_of_range_exits_2(capsys, seed):
-    code, out, err = run(capsys, ["simulate"] + MM1_FLAGS +
+    code, out, err = run(capsys, ["simulate"] + MM1_FLAGS[:8] +
                          ["--cycles", "100", "--seed", seed])
     assert code == 2
     assert out == ""
@@ -442,6 +458,7 @@ runs = [
     (["analyze", "--lambda", "nan", "--b1", "exp:1", "--b2", "exp:2",
       "--level", "5"], 2),
     (["simulate"] + model + ["--level", "5", "--seed", "-1"], 2),
+    (["simulate"] + model + ["--level", "5", "--j1", "2"], 2),
     (["optimize"] + model + ["--level", "5", "--mode", "exact",
       "--rho1-max", "inf"], 2),
     (["--help"], 0),
@@ -499,3 +516,70 @@ def test_optimize_exact_non_finite_range_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "config error" in err and "rho1_range" in err
+
+
+# the flags a command does not read; each was accepted and ignored when every
+# command took every model flag
+@pytest.mark.parametrize("cmd, flag", [
+    ("analyze", "--out"), ("optimize", "--out"),
+    ("verify", "--level"), ("verify", "--j1"), ("verify", "--j2"),
+    ("verify", "--format"),
+    ("simulate", "--j1"), ("simulate", "--j2"), ("simulate", "--out"),
+    ("sweep", "--level"), ("sweep", "--format"),
+])
+def test_flag_the_command_does_not_read_exits_2(capsys, tmp_path, cmd, flag):
+    out_path = tmp_path / "t.csv"
+    value = {"--out": str(out_path), "--format": "text"}.get(flag, "5")
+    model = ["--lambda", "1", "--b1", "exp:1.25", "--b2", "exp:2"]
+    rest = {"analyze": ["--level", "5"], "optimize": ["--level", "5"],
+            "verify": ["--regime", "upper", "--levels", "50"],
+            "simulate": ["--level", "5", "--cycles", "256"],
+            "sweep": ["--c-grid", "0:1:0.5"]}[cmd]
+    assert cli.main([cmd] + model + rest) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, [cmd] + model + rest + [flag, value])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: " + flag in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--c", "3"],
+                                  ["simulate", "--cyc", "100"]])
+def test_abbreviated_flag_exits_2(capsys, monkeypatch, argv):
+    opened = []
+    monkeypatch.setattr(cli, "open", lambda *a, **k: opened.append(a),
+                        raising=False)
+    code, out, err = run(capsys, argv + MM1_FLAGS[:8])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: " + argv[1] in err
+    assert opened == []
+
+
+@pytest.mark.parametrize("cmd, flags", [
+    ("analyze", "config lambda b1 b2 level j1 j2 format"),
+    ("optimize", "config lambda b1 b2 level j1 j2 mode c-max rho1-min "
+                 "rho1-max format"),
+    ("verify", "config lambda b1 b2 regime c levels out"),
+    ("simulate", "config lambda b1 b2 level cycles seed batches format"),
+    ("sweep", "config lambda b1 b2 j1 j2 c-grid out"),
+])
+def test_help_lists_exactly_the_options_read(capsys, cmd, flags):
+    code, out, _ = run(capsys, [cmd, "--help"])
+    assert code == 0
+    options = out[out.index("options:"):]
+    listed = set(re.findall(r"^  (?:-h, )?--([a-z0-9-]+)", options, re.M))
+    assert listed == set(flags.split()) | {"help"}
+
+
+def test_config_key_that_names_no_option_exits_2(tmp_path, capsys):
+    code, out, err = _run_config(tmp_path, capsys, "simulate", cylces=100)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "unknown option 'cylces'" in err
+    # a key another command reads is accepted: one file serves both
+    code, _, err = _run_config(tmp_path, capsys, "simulate", cycles=256)
+    assert code == 0, err
+    code, _, err = _run_config(tmp_path, capsys, "verify", levels=50)
+    assert code == 0, err

@@ -79,23 +79,6 @@ def test_confidence_interval_coverage():
     assert hits >= 90
 
 
-def test_sweep_is_elementwise_and_order_free():
-    cfgs = [simulator.SimulationConfig(model=MM1, n_cycles=2000, seed=s)
-            for s in (1, 2, 3)]
-    reports = simulator.sweep_simulate(cfgs)
-    assert reports[0] == simulator.simulate(cfgs[0])
-    permuted = simulator.sweep_simulate(cfgs[::-1])
-    assert permuted == reports[::-1]
-    p1, p2 = exact.stationary_probs(MM1)
-    for rep in simulator.sweep_simulate(
-            [simulator.SimulationConfig(model=MM1, n_cycles=100_000, seed=s)
-             for s in (21, 42)]):
-        assert abs(rep.p1_hat - p1) <= 3 * rep.half_widths["p1"]
-        assert abs(rep.p2_hat - p2) <= 3 * rep.half_widths["p2"]
-    with pytest.raises(ValueError):
-        simulator.sweep_simulate([])
-
-
 def test_stream_key_splitting_rule():
     # distinct (seed, index) pairs map to distinct streams
     keys = {kernels.stream_key(seed, idx) for seed in range(4) for idx in range(4)}
