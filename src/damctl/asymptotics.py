@@ -5,6 +5,10 @@ supercritical), the heavy-traffic regimes rho1 = 1 +/- delta with
 L * delta -> C, and the limiting costs J_upper / J_lower used by the
 control problem.
 
+The root phi is Newton's method from z = 0, rising monotonically to it.
+J_upper and the upper heavy-traffic p1 go through a/(e^a - 1) by expm1:
+no cancellation as C -> 0, and the critical-regime values at C = 0.
+
 A caveat on the lower heavy-traffic formulas: they are evaluated literally
 with exponent rho12_tilde / (2C).  That expression diverges as C -> 0
 although the C = 0 case should recover the critical-regime limits; the
@@ -46,54 +50,21 @@ def critical_decay(rho12, rho2):
     return lp1, rho2 / (1.0 - rho2) * lp1
 
 
-def root_phi(lam, b1, tol=1e-12):
+def root_phi(lam, b1):
     """Least root in (0,1) of z = B1_hat(lam - lam*z); requires rho1 > 1.
-
-    Bracketing scan (geometric in 1-z) followed by bisection-safeguarded
-    Newton; the residual is checked against `tol`.
-    """
+    Newton from z = 0 on g(z) = B1_hat(lam - lam z) - z, convex with g(0) > 0
+    and g'(1) = rho1 - 1 > 0: the iterates rise to the root without passing
+    it, and stop where a step no longer lands in (z, 1)."""
     rho1 = lam * b1.mean()
     if rho1 <= 1.0:
         raise RegimeError("root exists in (0,1) only for rho1 > 1, got rho1=%g" % rho1)
-
-    def g(z):
-        return b1.lst(lam - lam * z) - z
-
-    def gprime(z):
-        return -lam * b1.lst_derivative(lam - lam * z) - 1.0
-
-    # scan z_k = 1 - (1e-9)^(k/63), k = 0..63: z from 0 to 1 - 1e-9
-    lo, glo = 0.0, g(0.0)
-    hi = None
-    for k in range(1, 64):
-        z = 1.0 - 10.0 ** (-9.0 * k / 63.0)
-        gz = g(z)
-        if gz < 0.0:
-            hi, ghi = z, gz
-            break
-        lo, glo = z, gz
-    if hi is None:
-        raise RegimeError("no sign change located for the root of z = B1_hat(lam - lam z)")
-
-    z = 0.5 * (lo + hi)
-    for _ in range(200):
-        gz = g(z)
-        if gz > 0.0:
-            lo = z
-        else:
-            hi = z
-        dg = gprime(z)
-        step = gz / dg if dg != 0.0 else math.inf
-        z_new = z - step
-        if not (lo < z_new < hi):
-            z_new = 0.5 * (lo + hi)
-        if abs(z_new - z) < 1e-16 and abs(gz) < tol:
-            z = z_new
-            break
-        z = z_new
-    if abs(g(z)) >= tol:
-        raise RegimeError("root refinement stalled; residual %g" % abs(g(z)))
-    return z
+    z = 0.0
+    while True:
+        s = lam - lam * z
+        step = (b1.lst(s) - z) / (1.0 + lam * b1.lst_derivative(s))
+        if not z < z + step < 1.0:
+            return z
+        z += step
 
 
 def supercritical(model):
@@ -120,12 +91,13 @@ def _check_heavy_args(delta, c, rho12t, rho2):
 
 
 def heavy_upper(delta, c, rho12t, rho2):
-    """(p1, p2) for rho1 = 1 + delta with L*delta -> C > 0."""
+    """(p1, p2) for rho1 = 1 + delta with L*delta -> C > 0: with
+    a = 2C/rho12_tilde, p1 = delta / (e^a - 1) and p2 = rho2/(1 - rho2) *
+    (delta + p1).  Past e^a's overflow expm1 raises OverflowError."""
     _check_heavy_args(delta, c, rho12t, rho2)
-    e = math.exp(2.0 * c / rho12t)
-    p1 = delta / (e - 1.0)
-    p2 = delta * rho2 * e / ((1.0 - rho2) * (e - 1.0))
-    return p1, p2
+    a = 2.0 * c / rho12t
+    p1 = delta / a * _g(a)
+    return p1, rho2 / (1.0 - rho2) * (delta + p1)
 
 
 def heavy_lower(delta, c, rho12t, rho2):
@@ -160,22 +132,23 @@ def _exp(x):
         return math.inf
 
 
+def _g(a):
+    """a / (e^a - 1) through expm1, so without cancellation as a -> 0; 1 at 0."""
+    return a / math.expm1(a) if a else 1.0
+
+
 def j_upper(c, rho12t, rho2, costs):
-    """Limiting cost in the upper regime; continuous extension at C = 0."""
+    """Limiting cost in the upper regime, C (j1 + k e^a) / (e^a - 1) with
+    a = 2C/rho12_tilde and k = j2 rho2/(1 - rho2), taken as
+    k C + rho12_tilde/2 (j1 + k) a/(e^a - 1): the critical-regime cost at
+    C = 0, and k C where e^a overflows."""
     _check_cost_args(rho12t, rho2)
-    c = float(c)
-    if c == 0.0:
-        return _critical_cost(rho12t, rho2, costs)
-    e = _exp(2.0 * c / rho12t)
-    if not math.isfinite(e):
-        # exp overflows for very large C: the cost tends to
-        # j2 * rho2 / (1 - rho2) * C there
-        return costs.j2 * rho2 / (1.0 - rho2) * c
-    if e == 1.0:
-        # C so small that e - 1 rounds to 0: the quotients are infinite
-        return math.copysign(math.inf, c)
-    return c * (costs.j1 / (e - 1.0)
-                + costs.j2 * rho2 * e / ((1.0 - rho2) * (e - 1.0)))
+    k = costs.j2 * rho2 / (1.0 - rho2)
+    try:
+        g = _g(2.0 * c / rho12t)
+    except OverflowError:
+        g = 0.0
+    return k * c + rho12t / 2.0 * (costs.j1 + k) * g
 
 
 def j_lower(c, rho12t, rho2, costs):

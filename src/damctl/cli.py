@@ -365,6 +365,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True)
     for cmd, (_, help_, names, output) in COMMANDS.items():
         p = sub.add_parser(cmd, help=help_, allow_abbrev=False)
+        p.set_defaults(parser=p)
         p.add_argument("--config",
                        help="JSON config file; flags override its values")
         for name in names:
@@ -384,7 +385,10 @@ def main(argv=None):
     # set here, before a command loads numpy, so library users keep theirs
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        args = build_parser().parse_args(argv)
+        # a flag the command does not take is refused with its own usage line
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            args.parser.error("unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     func, _, names, output = COMMANDS[args.cmd]

@@ -48,12 +48,6 @@ class ControlSolution:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, rec):
-        return cls(**{k: rec[k] for k in
-                      ("regime", "c_star", "delta_star", "rho1_star",
-                       "b1_star", "predicted_cost", "mode")})
-
 
 def classify_regime(costs, rho2):
     """Trichotomy on j1 vs j2 * rho2 / (1 - rho2)."""

@@ -37,12 +37,6 @@ class SimulationReport:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, rec):
-        return cls(**{k: rec[k] for k in
-                      ("p1_hat", "p2_hat", "e_nu1_hat", "e_nu2_hat",
-                       "e_t1_hat", "e_t2_hat", "half_widths", "cycles", "seed")})
-
 
 def _t_central(t, df):
     """P(|T| <= t) for Student's t with integer df: the finite series of
@@ -95,7 +89,9 @@ def _batch_mean_halfwidth(x, batch_count, tcrit):
 def simulate(config):
     """Run the configured number of cycles and return ratio estimates with
     95% batch-means confidence half-widths."""
-    idle, below, above, nu1, nu2 = simulate_raw(config)
+    model = config.model
+    idle, below, above, nu1, nu2 = kernels.simulate_cycles(
+        config.n_cycles, config.seed, model.lam, model.level, model.b1, model.b2)
 
     cycle = idle + below + above
     total_cycle = cycle.sum()
@@ -122,11 +118,3 @@ def simulate(config):
         cycles=int(config.n_cycles),
         seed=int(config.seed),
     )
-
-
-def simulate_raw(config):
-    """Per-cycle arrays (idle, below, above, nu1, nu2); test/diagnostic hook."""
-    model = config.model
-    return kernels.simulate_cycles(config.n_cycles, config.seed, model.lam,
-                                   model.level, model.b1, model.b2)
-

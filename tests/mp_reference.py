@@ -1,4 +1,4 @@
-"""40-digit references for the exact route.
+"""40-digit references for the exact route and the root phi.
 
 The arrival-count weights r_j come from mpmath at 40 digits: the Poisson
 and negative-binomial forms through loggamma, and a hyperexponential law as
@@ -50,6 +50,35 @@ def log_weights(kind, params, lam, n):
                    lam / (lam + rate)) for w, rate in zip(*params)]
         return [mpmath.log(mpmath.fsum(w * p * q ** j for w, p, q in phases))
                 for j in range(n + 1)]
+
+
+def lst(kind, params, s):
+    """40-digit Laplace-Stieltjes transform at s of the law `law_weights`
+    describes."""
+    if kind == "poisson":
+        return mpmath.exp(-mpmath.mpf(params[0]) * s)
+    if kind == "negbin":
+        shape, rate = (mpmath.mpf(x) for x in params)
+        return (rate / (rate + s)) ** shape
+    return mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(rate) / (rate + s)
+                       for w, rate in zip(*params))
+
+
+def root_phi(lam, b1):
+    """40-digit least root in (0, 1) of B1_hat(lam - lam z) = z, rho1 > 1:
+    bisection on the sign of B1_hat(lam - lam z) - z, which is positive
+    below the root and negative between it and 1."""
+    kind, params = law_weights(b1)
+    with mpmath.workdps(DIGITS):
+        lam = mpmath.mpf(lam)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(4 * DIGITS):
+            mid = (lo + hi) / 2
+            if lst(kind, params, lam - lam * mid) > mid:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 def log_counts(model):

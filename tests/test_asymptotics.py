@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import mp_reference
 from damctl import asymptotics, exact
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
                                   HyperExponential)
@@ -71,6 +72,25 @@ def test_root_phi_small_delta_expansion(shape, delta):
     assert abs(phi - (1.0 - 2.0 * delta / rho12t)) < 10.0 * delta ** 2
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("rho1", [1.001, 1.01, 1.25, 2.0, 10.0])
+def test_root_phi_matches_40_digit_root(shape, rho1):
+    # relative to 1 - phi, which sets the decay rate phi^L of p1
+    b1 = shape.scale_to_mean(rho1)
+    want = mp_reference.root_phi(1.0, b1)
+    got = asymptotics.root_phi(1.0, b1)
+    with mpmath.workdps(mp_reference.DIGITS):
+        assert abs(got - want) <= 1e-9 * (1 - want)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_root_phi_just_above_rho1_one(shape):
+    # B1_hat(lam - lam z) - z is ill-conditioned there, but Newton from
+    # z = 0 still returns a point of (0, 1) below 1
+    phi = asymptotics.root_phi(1.0, shape.scale_to_mean(1.0 + 1e-8))
+    assert 0.0 < phi < 1.0
+
+
 def test_supercritical_example():
     model = exact.DamModel(lam=1.0, b1=Exponential(rate=0.8), b2=B2, level=5)
     pref, p2_lim, phi = asymptotics.supercritical(model)
@@ -108,6 +128,18 @@ def test_heavy_upper_small_c_recovers_critical_rate():
     delta = c / level
     p1, _ = asymptotics.heavy_upper(delta, c, 2.0, 0.5)
     assert level * p1 == pytest.approx(1.0, rel=1e-2)
+
+
+def test_heavy_upper_within_4_ulps_of_40_digits():
+    # rho12_tilde = 2, so a = 2C / rho12_tilde = C exactly; rho2 = 0.5, so
+    # p2 = delta + p1
+    with mpmath.workdps(40):
+        for c in np.geomspace(1e-12, 700.0, 3001).tolist():
+            delta = c / 1000.0
+            p1, p2 = asymptotics.heavy_upper(delta, c, 2.0, 0.5)
+            want = mpmath.mpf(delta) / mpmath.expm1(mpmath.mpf(c))
+            assert _ulps(p1, float(want)) <= 4, c
+            assert _ulps(p2, float(delta + want)) <= 4, c
 
 
 def test_heavy_lower_examples():
@@ -186,30 +218,35 @@ def _ulps(a, b):
     (1.0, 0.5, 2.0, 1.0), (2.0, 0.3, 0.5, 1.0), (1.37, 0.8, 3.0, 0.25)])
 def test_scalar_and_array_paths_agree(fn, rho12t, rho2, j1, j2):
     # the limiting costs take a float C; their ends: the continuous
-    # extension at 0, the smallest positive C, and the linear limit
+    # extension at 0, the smallest positive C, and the linear limit.  At
+    # the smallest C, J_upper is the critical cost and the literal J_lower
+    # is truly infinite
     costs = exact.CostModel(j1, j2)
-    assert fn(0.0, rho12t, rho2, costs) == pytest.approx(
-        rho12t / 2.0 * (j1 + j2 * rho2 / (1.0 - rho2)), rel=1e-15)
-    assert fn(5e-324, rho12t, rho2, costs) == math.inf
+    critical = rho12t / 2.0 * (j1 + j2 * rho2 / (1.0 - rho2))
+    assert fn(0.0, rho12t, rho2, costs) == pytest.approx(critical, rel=1e-15)
     if fn is asymptotics.j_upper:
+        assert fn(5e-324, rho12t, rho2, costs) == pytest.approx(critical, rel=1e-15)
         assert fn(1e6, rho12t, rho2, costs) == j2 * rho2 / (1.0 - rho2) * 1e6
+    else:
+        assert fn(5e-324, rho12t, rho2, costs) == math.inf
 
 
 def test_scalar_and_array_paths_agree_to_exps_conditioning():
-    # against 40-digit values from the exponent as rounded in double: for
-    # small C, e - 1 in J_upper cancels and magnifies exp's rounding by
-    # e / (e - 1); J_lower has no such cancellation.  The four extra points
-    # lie where e^(1/C) overflows and J_lower still fits in a double
+    # against 40-digit values, with 2C / rho12_tilde = C exact in double
+    # and k = j2 at rho2 = 0.5: J_upper goes through C / expm1(C), which
+    # does not cancel as C -> 0, for upper- and lower-penalized costs.
+    # The four extra points lie where e^(1/C) overflows and J_lower still
+    # fits in a double
     costs = exact.CostModel(2.0, 1.0)
     extra = [0.0013981, 0.0013982, 0.0014, 0.0014088]
     with mpmath.workdps(40):
-        for c in np.geomspace(1e-6, 700.0, 2001).tolist() + extra:
-            e = math.exp(c)  # 2C / rho12_tilde = C
+        for c in np.geomspace(1e-12, 700.0, 3001).tolist() + extra:
             big_c = mpmath.mpf(c)
             big_e = mpmath.exp(big_c)
-            upper = float(big_c * (2 / (big_e - 1) + big_e / (big_e - 1)))
-            assert _ulps(asymptotics.j_upper(c, 2.0, 0.5, costs), upper) <= \
-                4.0 * (1.0 + e / (e - 1.0)), c
+            for j1, j2 in ((2.0, 1.0), (0.5, 1.0), (3.0, 0.25)):
+                upper = float(big_c * (j1 + j2 * big_e) / (big_e - 1))
+                got = asymptotics.j_upper(c, 2.0, 0.5, exact.CostModel(j1, j2))
+                assert _ulps(got, upper) <= 4, (c, j1, j2)
             got = asymptotics.j_lower(c, 2.0, 0.5, costs)
             big_e = mpmath.exp(2.0 / (2.0 * c))
             lower = big_c * (2 * big_e + (big_e - 1))

@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
 
+import mpmath
 import pytest
 
 from damctl import cli, exact, kernels, simulator
@@ -196,6 +198,33 @@ def test_sweep_prints_j_lower_where_only_its_exponential_overflows(capsys):
     c, _, j_lower = out.splitlines()[1].split(",")
     assert c == "0.0014088"
     assert float(j_lower) == pytest.approx(7.9177381800692e305, rel=1e-12)
+
+
+def test_sweep_j_upper_at_small_c(capsys):
+    # k C + (rho12_tilde/2)(j1 + k) C/expm1(C) with rho12_tilde = 2, k = 1:
+    # 3 at C = 1e-20, where e^C - 1 rounds to 0
+    code, out, err = run(capsys, ["sweep", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--j1", "2", "--j2", "1",
+                                  "--c-grid", "1e-20,1e-9"])
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    with mpmath.workdps(40):
+        for c, j_upper, _ in rows:
+            big_c = mpmath.mpf(c)
+            want = big_c + 3 * big_c / mpmath.expm1(big_c)
+            assert abs(float(j_upper) - want) <= 1e-12 * want, c
+    assert rows[0][1] == "3"
+
+
+def test_verify_upper_at_small_c(capsys):
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", "upper",
+                                  "--c", "1e-20", "--levels", "100"])
+    assert code == 0, err
+    row = [float(x) for x in out.splitlines()[1].split(",")]
+    assert all(math.isfinite(x) for x in row)
+    # p1_asym = delta / a * a/expm1(a), with a = C and a/expm1(a) = 1
+    assert row[4] == pytest.approx(0.01, rel=1e-12)
 
 
 def test_sweep_empty_grid_exits_2(capsys):
@@ -540,6 +569,7 @@ def test_flag_the_command_does_not_read_exits_2(capsys, tmp_path, cmd, flag):
     code, out, err = run(capsys, [cmd] + model + rest + [flag, value])
     assert code == 2
     assert out == ""
+    assert err.startswith("usage: damctl %s " % cmd)
     assert "unrecognized arguments: " + flag in err
     assert not out_path.exists()
 
@@ -553,6 +583,7 @@ def test_abbreviated_flag_exits_2(capsys, monkeypatch, argv):
     code, out, err = run(capsys, argv + MM1_FLAGS[:8])
     assert code == 2
     assert out == ""
+    assert err.startswith("usage: damctl %s " % argv[0])
     assert "unrecognized arguments: " + argv[1] in err
     assert opened == []
 

@@ -128,11 +128,6 @@ def test_optimize_exact_monotone_oracle():
         assert np.all(diffs >= -1e-12)
 
 
-def test_solution_round_trip():
-    sol = control.optimize_asymptotic(exact.CostModel(2.0, 1.0), 0.5, 2.0, 1000)
-    assert control.ControlSolution.from_dict(sol.to_dict()) == sol
-
-
 EXACT_SHAPES = {
     "exp": Exponential(rate=1.0),
     "erlang": Erlang(shape=3, rate=3.0),

@@ -59,8 +59,8 @@ def test_wald_consistency(b1):
 
 
 def test_per_cycle_accounting():
-    cfg = simulator.SimulationConfig(model=MM1, n_cycles=2000, seed=3)
-    idle, below, above, nu1, nu2 = simulator.simulate_raw(cfg)
+    idle, below, above, nu1, nu2 = kernels.simulate_cycles(
+        2000, 3, MM1.lam, MM1.level, MM1.b1, MM1.b2)
     assert np.all(idle > 0)
     assert np.all(nu1 >= 1)
     assert np.all(nu2 >= 0)
