@@ -93,7 +93,7 @@ def _check_heavy_args(delta, c, rho12t, rho2):
 def heavy_upper(delta, c, rho12t, rho2):
     """(p1, p2) for rho1 = 1 + delta with L*delta -> C > 0: with
     a = 2C/rho12_tilde, p1 = delta / (e^a - 1) and p2 = rho2/(1 - rho2) *
-    (delta + p1).  Past e^a's overflow expm1 raises OverflowError."""
+    (delta + p1)."""
     _check_heavy_args(delta, c, rho12t, rho2)
     a = 2.0 * c / rho12t
     p1 = delta / a * _g(a)
@@ -101,17 +101,13 @@ def heavy_upper(delta, c, rho12t, rho2):
 
 
 def heavy_lower(delta, c, rho12t, rho2):
-    """(p1, p2, e_nu1) for rho1 = 1 - delta with L*delta -> C > 0.
-
-    Literal formulas with exponent rho12_tilde / (2C); e_nu1 is the
-    underlying busy-period count approximation so callers can compare
-    against the exact recurrence.
-    """
+    """(p1, p2) for rho1 = 1 - delta with L*delta -> C > 0: the literal
+    formulas with exponent rho12_tilde / (2C)."""
     _check_heavy_args(delta, c, rho12t, rho2)
     e = math.exp(rho12t / (2.0 * c))
     p1 = delta * e
     p2 = delta * rho2 / (1.0 - rho2) * (e - 1.0)
-    return p1, p2, 1.0 / (delta * e)
+    return p1, p2
 
 
 def _critical_cost(rho12t, rho2, costs):
@@ -133,22 +129,25 @@ def _exp(x):
 
 
 def _g(a):
-    """a / (e^a - 1) through expm1, so without cancellation as a -> 0; 1 at 0."""
-    return a / math.expm1(a) if a else 1.0
+    """a / (e^a - 1) through expm1, so without cancellation as a -> 0; 1 at 0.
+    Where e^a overflows, e^a - 1 is e^a to double precision, and a e^-a,
+    taken as one exp, falls through the subnormals to 0 by a = 752."""
+    if not a:
+        return 1.0
+    try:
+        return a / math.expm1(a)
+    except OverflowError:
+        return math.exp(math.log(a) - a)
 
 
 def j_upper(c, rho12t, rho2, costs):
     """Limiting cost in the upper regime, C (j1 + k e^a) / (e^a - 1) with
     a = 2C/rho12_tilde and k = j2 rho2/(1 - rho2), taken as
     k C + rho12_tilde/2 (j1 + k) a/(e^a - 1): the critical-regime cost at
-    C = 0, and k C where e^a overflows."""
+    C = 0."""
     _check_cost_args(rho12t, rho2)
     k = costs.j2 * rho2 / (1.0 - rho2)
-    try:
-        g = _g(2.0 * c / rho12t)
-    except OverflowError:
-        g = 0.0
-    return k * c + rho12t / 2.0 * (costs.j1 + k) * g
+    return k * c + rho12t / 2.0 * (costs.j1 + k) * _g(2.0 * c / rho12t)
 
 
 def j_lower(c, rho12t, rho2, costs):

@@ -280,7 +280,7 @@ def cmd_verify(o):
         else:
             delta, c_row = c / level, c
             b1 = shape.scale_to_mean((1.0 - delta) / lam)
-            p1_asym, p2_asym, _ = asymptotics.heavy_lower(delta, c, rho12t, rho2)
+            p1_asym, p2_asym = asymptotics.heavy_lower(delta, c, rho12t, rho2)
         model = DamModel(lam=lam, b1=b1, b2=b2, level=level)
         from . import exact
 

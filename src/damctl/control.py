@@ -126,14 +126,14 @@ def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
                            predicted_cost=predicted, mode="asymptotic")
 
 
-def optimize_exact(lam, shape, b2, level, costs, rho1_range=(0.5, 1.5),
-                   tol=1e-7):
+def optimize_exact(lam, shape, b2, level, costs, rho1_range=(0.5, 1.5)):
     """Minimize the exact finite-L cost over rho1 within the given range.
 
     `shape` fixes the family of the normal-regime law; each candidate rho1
     is realized by rescaling it to mean rho1 / lam.  Golden-section search
-    over the whole range, plus its two ends, prices each point with one
-    `exact.cost`; the exact cost has one minimum in rho1
+    over the whole range, down to a bracket of 1e-7 in rho1, plus its two
+    ends, prices each point with one `exact.cost`; the exact cost has one
+    minimum in rho1
     (tests/test_control.py and tests/test_properties.py scan for others).
     """
     lo, hi = rho1_range
@@ -148,7 +148,7 @@ def optimize_exact(lam, shape, b2, level, costs, rho1_range=(0.5, 1.5),
                         b2=b2, level=level)
 
     rho1_star, predicted = _golden_and_ends(
-        lambda rho1: exact.cost(model(rho1), costs), lo, hi, tol)
+        lambda rho1: exact.cost(model(rho1), costs), lo, hi, 1e-7)
     delta = rho1_star - 1.0
     return ControlSolution(regime=regime, c_star=level * abs(delta),
                            delta_star=delta,

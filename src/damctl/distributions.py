@@ -1,7 +1,9 @@
 """Service-time distribution families.
 
-Every family carries exact closed forms for its raw moments, its
-Laplace-Stieltjes transform (LST) and the arrival-count weights
+Each family is described once, by its class: exact closed forms for its
+raw moments, its Laplace-Stieltjes transform (LST), its rescaling to a
+given mean, the simulator's sampler of its services and the arrival-count
+weights
 
     r_j = integral of exp(-lam*x) * (lam*x)^j / j! dB(x),
 
@@ -9,8 +11,8 @@ i.e. the probability that exactly j Poisson(lam) arrivals occur during one
 service.  The weights are evaluated in the log domain so that very deep
 tails (or a tiny r_0) do not underflow prematurely.
 
-numpy is imported only by the weight code, so building and describing a
-distribution does not load it.
+numpy is imported only by the weight code and the samplers, so building
+and describing a distribution does not load it.
 """
 
 from dataclasses import dataclass, fields
@@ -32,16 +34,6 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
-
-
-def _check_moment_order(k):
-    if k not in (1, 2, 3):
-        raise ValueError("raw_moment order must be 1, 2 or 3, got %r" % (k,))
-
-
-def _check_s(s):
-    if s < 0:
-        raise ValueError("LST argument must be nonnegative, got %r" % (s,))
 
 
 def _check_finite(name, *values):
@@ -66,22 +58,34 @@ def _negbin_log_weights(shape, rate, lam, n):
 
 
 class ServiceDistribution:
-    """Common surface of all supported service-time families."""
+    """Common surface of all supported service-time families.
+
+    A family defines _raw_moment(k), _lst(s), _lst_derivative(s),
+    _log_weights(lam, n) and _with_mean(b), whose arguments the public
+    methods here check once, and lane_services(lanes, idx), the simulator's
+    sampler: one service time for each lane in the index array idx.  It
+    reads uniforms on (0, 1] only through lanes.take(idx, m), peek(idx, m)
+    and skip(idx, counts) (kernels._Lanes), at most lanes.BLOCK at once,
+    and consumes exactly the draws it used.
+    """
 
     def mean(self):
         return self.raw_moment(1)
 
     def raw_moment(self, k):
-        raise NotImplementedError
+        if k not in (1, 2, 3):
+            raise ValueError("raw_moment order must be 1, 2 or 3, got %r" % (k,))
+        return self._raw_moment(k)
 
     def lst(self, s):
-        raise NotImplementedError
+        if s < 0:
+            raise ValueError("LST argument must be nonnegative, got %r" % (s,))
+        return self._lst(s)
 
     def lst_derivative(self, s):
-        raise NotImplementedError
-
-    def _log_weights(self, lam, n):
-        raise NotImplementedError
+        if s < 0:
+            raise ValueError("LST argument must be nonnegative, got %r" % (s,))
+        return self._lst_derivative(s)
 
     def mixed_poisson_weights(self, lam, n):
         """Weights (r_0, ..., r_n) for Poisson arrival rate lam."""
@@ -94,7 +98,9 @@ class ServiceDistribution:
         return np.exp(self._log_weights(float(lam), int(n)))
 
     def scale_to_mean(self, b):
-        raise NotImplementedError
+        if b <= 0:
+            raise ValueError("target mean must be positive")
+        return self._with_mean(b)
 
 
 @dataclass(frozen=True)
@@ -106,25 +112,25 @@ class Exponential(ServiceDistribution):
         if self.rate <= 0:
             raise ValueError("Exponential rate must be positive")
 
-    def raw_moment(self, k):
-        _check_moment_order(k)
+    def _raw_moment(self, k):
         return math.factorial(k) / self.rate ** k
 
-    def lst(self, s):
-        _check_s(s)
+    def _lst(self, s):
         return self.rate / (self.rate + s)
 
-    def lst_derivative(self, s):
-        _check_s(s)
+    def _lst_derivative(self, s):
         return -self.rate / (self.rate + s) ** 2
 
     def _log_weights(self, lam, n):
         return _negbin_log_weights(1.0, self.rate, lam, n)
 
-    def scale_to_mean(self, b):
-        if b <= 0:
-            raise ValueError("target mean must be positive")
+    def _with_mean(self, b):
         return Exponential(rate=1.0 / b)
+
+    def lane_services(self, lanes, idx):
+        import numpy as np
+
+        return -np.log(lanes.take(idx, 1)[0]) / self.rate
 
 
 @dataclass(frozen=True)
@@ -137,28 +143,57 @@ class Gamma(ServiceDistribution):
         if self.shape <= 0 or self.rate <= 0:
             raise ValueError("Gamma shape and rate must be positive")
 
-    def raw_moment(self, k):
-        _check_moment_order(k)
+    def _raw_moment(self, k):
         m = 1.0
         for i in range(k):
             m *= (self.shape + i) / self.rate
         return m
 
-    def lst(self, s):
-        _check_s(s)
+    def _lst(self, s):
         return (self.rate / (self.rate + s)) ** self.shape
 
-    def lst_derivative(self, s):
-        _check_s(s)
+    def _lst_derivative(self, s):
         return -(self.shape / self.rate) * (self.rate / (self.rate + s)) ** (self.shape + 1.0)
 
     def _log_weights(self, lam, n):
         return _negbin_log_weights(self.shape, self.rate, lam, n)
 
-    def scale_to_mean(self, b):
-        if b <= 0:
-            raise ValueError("target mean must be positive")
+    def _with_mean(self, b):
         return type(self)(shape=self.shape, rate=self.shape / b)
+
+    def lane_services(self, lanes, idx):
+        """Marsaglia-Tsang; shape < 1 boosted via u^(1/shape).  An attempt
+        reads three draws and consumes two when 1 + c x <= 0, three
+        otherwise."""
+        import numpy as np
+
+        a = self.shape
+        boost = np.ones(len(idx))
+        if a < 1.0:
+            boost = np.power(lanes.take(idx, 1)[0], 1.0 / a)
+            a += 1.0
+        d = a - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        s = np.empty(len(idx))
+        pending = np.arange(len(idx))
+        while len(pending):
+            lane = idx[pending]
+            u = lanes.peek(lane, 3)
+            log_u = np.log(u)
+            x = np.sqrt(-2.0 * log_u[0]) * np.cos(2.0 * math.pi * u[1])
+            t = 1.0 + c * x
+            ok = t > 0.0
+            lanes.skip(lane, 2 + ok)
+            v = t * t * t
+            accept = ok & (u[2] < 1.0 - 0.0331 * x * x * x * x)
+            slow = (ok & ~accept).nonzero()[0]
+            xs, vs = x[slow], v[slow]
+            accept[slow] = log_u[2, slow] < 0.5 * xs * xs + d * (
+                1.0 - vs + np.log(vs))
+            done = pending[accept]
+            s[done] = boost[done] * d * v[accept] / self.rate
+            pending = pending[~accept]
+        return s
 
 
 @dataclass(frozen=True)
@@ -173,6 +208,17 @@ class Erlang(Gamma):
         if self.rate <= 0:
             raise ValueError("Erlang rate must be positive")
 
+    def lane_services(self, lanes, idx):
+        import numpy as np
+
+        # the sum runs left to right, as one draw at a time would add it
+        k = int(self.shape)
+        total = np.zeros(len(idx))
+        for first in range(0, k, lanes.BLOCK):
+            for term in -np.log(lanes.take(idx, min(lanes.BLOCK, k - first))):
+                total += term
+        return total / self.rate
+
 
 @dataclass(frozen=True)
 class Deterministic(ServiceDistribution):
@@ -183,16 +229,13 @@ class Deterministic(ServiceDistribution):
         if self.duration <= 0:
             raise ValueError("Deterministic duration must be positive")
 
-    def raw_moment(self, k):
-        _check_moment_order(k)
+    def _raw_moment(self, k):
         return self.duration ** k
 
-    def lst(self, s):
-        _check_s(s)
+    def _lst(self, s):
         return math.exp(-s * self.duration)
 
-    def lst_derivative(self, s):
-        _check_s(s)
+    def _lst_derivative(self, s):
         return -self.duration * math.exp(-s * self.duration)
 
     def _log_weights(self, lam, n):
@@ -207,10 +250,13 @@ class Deterministic(ServiceDistribution):
         steps[1:] = np.log(mu / np.arange(1, n + 1, dtype=np.float64))
         return np.cumsum(steps)
 
-    def scale_to_mean(self, b):
-        if b <= 0:
-            raise ValueError("target mean must be positive")
+    def _with_mean(self, b):
         return Deterministic(duration=b)
+
+    def lane_services(self, lanes, idx):
+        import numpy as np
+
+        return np.full(len(idx), self.duration)
 
 
 @dataclass(frozen=True)
@@ -233,17 +279,14 @@ class HyperExponential(ServiceDistribution):
         if any(x <= 0 for x in r):
             raise ValueError("HyperExponential rates must be positive")
 
-    def raw_moment(self, k):
-        _check_moment_order(k)
+    def _raw_moment(self, k):
         return sum(w * math.factorial(k) / r ** k
                    for w, r in zip(self.weights, self.rates))
 
-    def lst(self, s):
-        _check_s(s)
+    def _lst(self, s):
         return sum(w * r / (r + s) for w, r in zip(self.weights, self.rates))
 
-    def lst_derivative(self, s):
-        _check_s(s)
+    def _lst_derivative(self, s):
         return -sum(w * r / (r + s) ** 2 for w, r in zip(self.weights, self.rates))
 
     def _log_weights(self, lam, n):
@@ -256,12 +299,19 @@ class HyperExponential(ServiceDistribution):
         with np.errstate(divide="ignore"):
             return np.log(total)
 
-    def scale_to_mean(self, b):
-        if b <= 0:
-            raise ValueError("target mean must be positive")
+    def _with_mean(self, b):
         factor = self.mean() / b
         return HyperExponential(weights=self.weights,
                                 rates=tuple(r * factor for r in self.rates))
+
+    def lane_services(self, lanes, idx):
+        """Pick a phase with the first uniform, draw its exponential with the
+        second."""
+        import numpy as np
+
+        u = lanes.take(idx, 2)
+        phase = np.searchsorted(np.cumsum(self.weights)[:-1], u[0], side="left")
+        return -np.log(u[1]) / np.array(self.rates)[phase]
 
 
 # --- serialization: config files use tagged records, flags one-line specs ---

@@ -9,15 +9,15 @@ The simulator runs many regeneration cycles at once as lanes of numpy
 arrays, and each step advances every lane by one whole service (see
 "Lane-vectorized simulator" below).  Each cycle draws from its own
 counter-based splitmix64 stream keyed by (seed, cycle index), so
-replications are reproducible regardless of execution order, and a lane
-reads a service's draws, and a few arrival gaps, ahead as one block.
+replications are reproducible regardless of execution order.  Each service
+law draws its own services (``ServiceDistribution.lane_services``); this
+module keeps the streams and the step loop, and a lane reads a service's
+draws, and a few arrival gaps, ahead as one block.
 """
 
 import math
 
 import numpy as np
-
-from .distributions import family_tag
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +96,18 @@ def busy_period_recurrence(r, L):
 # Each lane carries one cycle, and each step advances every lane by one
 # service.  A new cycle takes its idle period as it starts, so it begins at
 # its first service.  A lane at a service start picks its law from the
-# number in system and reads that service's draws as one block.  Then every
-# lane reads _GAP_AHEAD arrival gaps and adds them, one after another, to
-# the time since its service began.  The arrivals are the times before the
-# first one at or after the service time (a tie counts as after it,
-# departure-first); the lane consumes their gaps and that one.  A lane
-# whose times all fall short consumes every gap it read and carries the
-# time into the next step.  A finished lane hands its slot to the next
-# cycle index; once every cycle has started it is parked instead, and
-# parked lanes are dropped once they are half the pool.  A cycle's draws,
-# and the arithmetic on them, depend neither on the lane that carries it
-# nor on how far ahead it reads, so the per-cycle arrays depend on neither
-# the lane width nor _GAP_AHEAD.
+# number in system, and the law's lane_services reads that service's draws
+# as one block.  Then every lane reads _GAP_AHEAD arrival gaps and adds
+# them, one after another, to the time since its service began.  The
+# arrivals are the times before the first one at or after the service time
+# (a tie counts as after it, departure-first); the lane consumes their gaps
+# and that one.  A lane whose times all fall short consumes every gap it
+# read and carries the time into the next step.  A finished lane hands its
+# slot to the next cycle index; once every cycle has started it is parked
+# instead, and parked lanes are dropped once they are half the pool.  A
+# cycle's draws, and the arithmetic on them, depend neither on the lane
+# that carries it nor on how far ahead it reads, so the per-cycle arrays
+# depend on neither the lane width nor _GAP_AHEAD.
 #
 # log, cos and power are numpy's.  Their last bit can differ from the C
 # library's and, since numpy picks a SIMD loop by CPU, between machines, so
@@ -148,13 +148,6 @@ def _uniforms(state, m):
     return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 1.1102230246251565e-16
 
 
-def _take(lanes, idx, m):
-    """Consume the next m uniforms of the given lanes, one row per draw."""
-    state = lanes.state[idx]
-    lanes.state[idx] = state + _OFFSET[m]
-    return _uniforms(state, m)
-
-
 def _stream_keys(seed, cycles):
     """stream_key(seed, i) for every i in `cycles`."""
     z1 = _mix(np.full(1, seed, dtype=np.uint64) + _GOLDEN_U64)
@@ -162,8 +155,10 @@ def _stream_keys(seed, cycles):
 
 
 class _Lanes:
-    """State of the cycles in flight, one array entry per lane."""
+    """State of the cycles in flight, one array entry per lane; the service
+    laws read its streams through take, peek and skip."""
 
+    BLOCK = _BLOCK
     _FIELDS = (
         ("cycle", np.int64), ("state", np.uint64), ("serving", np.bool_),
         ("n", np.int64), ("s", np.float64), ("t", np.float64),
@@ -193,100 +188,23 @@ class _Lanes:
         self.k1[slots] = 0
         self.k2[slots] = 0
 
+    def take(self, idx, m):
+        """Consume the next m uniforms of the given lanes, one row per draw."""
+        state = self.state[idx]
+        self.state[idx] = state + _OFFSET[m]
+        return _uniforms(state, m)
+
+    def peek(self, idx, m):
+        """The next m uniforms of the given lanes, left unconsumed."""
+        return _uniforms(self.state[idx], m)
+
+    def skip(self, idx, counts):
+        """Consume counts[i] draws of lane idx[i]."""
+        self.state[idx] += _OFFSET[counts]
+
     def keep(self, mask):
         for name, _ in self._FIELDS:
             setattr(self, name, getattr(self, name)[mask])
-
-
-# One class per service family: service(lanes, idx) draws one service time
-# for each of the given lanes and consumes the draws it used.
-
-class _ExpLanes:
-    def __init__(self, d):
-        self.rate = d.rate
-
-    def service(self, lanes, idx):
-        return -np.log(_take(lanes, idx, 1)[0]) / self.rate
-
-
-class _ErlangLanes:
-    def __init__(self, d):
-        self.k = int(d.shape)
-        self.rate = d.rate
-
-    def service(self, lanes, idx):
-        # the sum runs left to right, as one draw at a time would add it
-        total = np.zeros(len(idx))
-        for first in range(0, self.k, _BLOCK):
-            for term in -np.log(_take(lanes, idx, min(_BLOCK, self.k - first))):
-                total += term
-        return total / self.rate
-
-
-class _GammaLanes:
-    """Marsaglia-Tsang; shape < 1 boosted via u^(1/shape).  An attempt reads
-    three draws and consumes two when 1 + c x <= 0, three otherwise."""
-
-    def __init__(self, d):
-        a = d.shape
-        self.rate = d.rate
-        self.boosted = a < 1.0
-        if self.boosted:
-            self.inv_shape = 1.0 / a
-            a += 1.0
-        self.d = a - 1.0 / 3.0
-        self.c = 1.0 / math.sqrt(9.0 * self.d)
-
-    def service(self, lanes, idx):
-        boost = np.ones(len(idx))
-        if self.boosted:
-            boost = np.power(_take(lanes, idx, 1)[0], self.inv_shape)
-        s = np.empty(len(idx))
-        pending = np.arange(len(idx))
-        while len(pending):
-            lane = idx[pending]
-            u = _uniforms(lanes.state[lane], 3)
-            log_u = np.log(u)
-            x = np.sqrt(-2.0 * log_u[0]) * np.cos(2.0 * math.pi * u[1])
-            t = 1.0 + self.c * x
-            ok = t > 0.0
-            lanes.state[lane] += _OFFSET[2 + ok]
-            v = t * t * t
-            accept = ok & (u[2] < 1.0 - 0.0331 * x * x * x * x)
-            slow = (ok & ~accept).nonzero()[0]
-            xs, vs = x[slow], v[slow]
-            accept[slow] = log_u[2, slow] < 0.5 * xs * xs + self.d * (
-                1.0 - vs + np.log(vs))
-            done = pending[accept]
-            s[done] = boost[done] * self.d * v[accept] / self.rate
-            pending = pending[~accept]
-        return s
-
-
-class _DetLanes:
-    def __init__(self, d):
-        self.duration = d.duration
-
-    def service(self, lanes, idx):
-        return np.full(len(idx), self.duration)
-
-
-class _HyperLanes:
-    """Pick a phase with the first uniform, draw its exponential with the
-    second."""
-
-    def __init__(self, d):
-        self.cuts = np.cumsum(d.weights)[:-1]
-        self.rates = np.array(d.rates)
-
-    def service(self, lanes, idx):
-        u = _take(lanes, idx, 2)
-        phase = np.searchsorted(self.cuts, u[0], side="left")
-        return -np.log(u[1]) / self.rates[phase]
-
-
-_LANE_FAMILIES = {"exp": _ExpLanes, "erlang": _ErlangLanes,
-                  "gamma": _GammaLanes, "det": _DetLanes, "hyper": _HyperLanes}
 
 
 def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
@@ -299,17 +217,16 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
     out_above = np.empty(n_cycles)
     out_nu1 = np.empty(n_cycles, dtype=np.int64)
     out_nu2 = np.empty(n_cycles, dtype=np.int64)
-    laws = tuple(_LANE_FAMILIES[family_tag(d)](d) for d in (b1, b2))
     lanes = _Lanes(min(n_cycles, _LANES))
     lanes.begin_cycles(np.arange(len(lanes)), 0, seed, lam)
     started, parked = len(lanes), 0
     while len(lanes):
         serving = lanes.serving.nonzero()[0]
         upper = lanes.n[serving] > level
-        for side, law in enumerate(laws):
+        for side, law in enumerate((b1, b2)):
             idx = serving[upper == side]
             if len(idx):
-                s = law.service(lanes, idx)
+                s = law.lane_services(lanes, idx)
                 lanes.s[idx] = s
                 if side:
                     lanes.above[idx] += s

@@ -74,16 +74,13 @@ def _t_quantile(p, df):
     return t
 
 
-def _batch_ratio_halfwidth(num, den, batch_count, tcrit):
+def _batch_halfwidth(num, den, batch_count, tcrit):
+    """Half-width of the batch ratios sum(num)/sum(den); a batch mean is the
+    ratio with den all ones, as numpy's mean is sum / n."""
     sums_n = np.array([b.sum() for b in np.array_split(num, batch_count)])
     sums_d = np.array([b.sum() for b in np.array_split(den, batch_count)])
     ratios = sums_n / sums_d
     return tcrit * ratios.std(ddof=1) / np.sqrt(batch_count)
-
-
-def _batch_mean_halfwidth(x, batch_count, tcrit):
-    means = np.array([b.mean() for b in np.array_split(x, batch_count)])
-    return tcrit * means.std(ddof=1) / np.sqrt(batch_count)
 
 
 def simulate(config):
@@ -98,15 +95,11 @@ def simulate(config):
     tcrit = _t_quantile(0.975, config.batch_count - 1)
     nu1f = nu1.astype(np.float64)
     nu2f = nu2.astype(np.float64)
-
-    hw = {
-        "p1": float(_batch_ratio_halfwidth(idle, cycle, config.batch_count, tcrit)),
-        "p2": float(_batch_ratio_halfwidth(above, cycle, config.batch_count, tcrit)),
-        "e_nu1": float(_batch_mean_halfwidth(nu1f, config.batch_count, tcrit)),
-        "e_nu2": float(_batch_mean_halfwidth(nu2f, config.batch_count, tcrit)),
-        "e_t1": float(_batch_mean_halfwidth(below, config.batch_count, tcrit)),
-        "e_t2": float(_batch_mean_halfwidth(above, config.batch_count, tcrit)),
-    }
+    ones = np.ones(len(cycle))
+    pairs = {"p1": (idle, cycle), "p2": (above, cycle), "e_nu1": (nu1f, ones),
+             "e_nu2": (nu2f, ones), "e_t1": (below, ones), "e_t2": (above, ones)}
+    hw = {key: float(_batch_halfwidth(num, den, config.batch_count, tcrit))
+          for key, (num, den) in pairs.items()}
     return SimulationReport(
         p1_hat=float(idle.sum() / total_cycle),
         p2_hat=float(above.sum() / total_cycle),

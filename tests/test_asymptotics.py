@@ -142,11 +142,27 @@ def test_heavy_upper_within_4_ulps_of_40_digits():
             assert _ulps(p2, float(delta + want)) <= 4, c
 
 
+def test_heavy_upper_past_exps_overflow():
+    # e^a overflows at a = 2C/rho12_tilde = 3000, where p1 = delta/(e^a - 1)
+    # rounds to 0 and p2 = rho2/(1 - rho2) * delta
+    p1, p2 = asymptotics.heavy_upper(30.0, 3000.0, 2.0, 0.5)
+    assert p1 == 0.0
+    assert p2 == 30.0
+
+
+@pytest.mark.parametrize("c", [709.8, 720.0, 745.0, 751.0, 760.0])
+def test_j_upper_past_exps_overflow(c):
+    # rho2 = 0 leaves J_upper = rho12_tilde/2 * j1 * a/(e^a - 1), a = C here;
+    # from 720 on the value is subnormal, so two of its ulps are allowed
+    got = asymptotics.j_upper(c, 2.0, 0.0, exact.CostModel(j1=1.0, j2=1.0))
+    want = float(mpmath.mpf(c) / mpmath.expm1(mpmath.mpf(c)))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-323)
+
+
 def test_heavy_lower_examples():
-    p1, p2, e_nu1 = asymptotics.heavy_lower(0.001, 1.0, 2.0, 0.5)
+    p1, p2 = asymptotics.heavy_lower(0.001, 1.0, 2.0, 0.5)
     assert p1 == pytest.approx(0.001 * math.e, rel=1e-12)
     assert p2 == pytest.approx(0.001 * (math.e - 1.0), rel=1e-12)
-    assert e_nu1 == pytest.approx(1.0 / (0.001 * math.e), rel=1e-12)
     with pytest.raises(RegimeError):
         asymptotics.heavy_lower(0.001, 0.0, 2.0, 0.5)
 

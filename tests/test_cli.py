@@ -511,8 +511,21 @@ print(os.environ["OPENBLAS_NUM_THREADS"])
     assert proc.stdout.strip() == "1"
 
 
+def test_verify_upper_past_exps_overflow(capsys):
+    # e^(2C/rho12_tilde) leaves double range at C = 3000: p1_asym rounds to 0
+    # and p2_asym = rho2/(1 - rho2) * delta with delta = C / L = 30
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", "upper",
+                                  "--c", "3000", "--levels", "100"])
+    assert code == 0, err
+    row = [float(x) for x in out.splitlines()[1].split(",")]
+    assert row[4] == 0.0
+    assert row[7] == 30.0
+
+
 def test_arithmetic_overflow_exits_3(capsys):
-    # heavy_upper's e^(2C/rho12_tilde) leaves double range at C = 3000
+    # at C = 3000 and L = 4000 the exact p1 underflows to 0, and the
+    # relative error of p1_asym divides by it
     code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
                                   "--b2", "exp:2", "--regime", "upper",
                                   "--c", "3000", "--levels", "4000"])

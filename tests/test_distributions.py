@@ -30,11 +30,11 @@ def test_raw_moments():
     assert h.raw_moment(2) == pytest.approx(1.25, rel=1e-15)
 
 
-def test_raw_moment_order_validation():
-    with pytest.raises(ValueError):
-        Exponential(rate=1.0).raw_moment(4)
-    with pytest.raises(ValueError):
-        Exponential(rate=1.0).raw_moment(0)
+@pytest.mark.parametrize("d", FAMILIES)
+def test_raw_moment_order_validation(d):
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="order"):
+            d.raw_moment(k)
 
 
 @pytest.mark.parametrize("d", FAMILIES)
@@ -47,11 +47,13 @@ def test_lst_values():
     assert Deterministic(duration=1.0).lst(1.0) == pytest.approx(math.exp(-1.0))
 
 
-def test_lst_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        Exponential(rate=1.0).lst(-0.1)
-    with pytest.raises(ValueError):
-        Deterministic(duration=1.0).lst_derivative(-1e-9)
+@pytest.mark.parametrize("d", FAMILIES)
+def test_lst_rejects_negative_argument(d):
+    for s in (-0.1, -1e-9):
+        with pytest.raises(ValueError, match="nonnegative"):
+            d.lst(s)
+        with pytest.raises(ValueError, match="nonnegative"):
+            d.lst_derivative(s)
 
 
 @pytest.mark.parametrize("d", FAMILIES)
@@ -126,9 +128,11 @@ def test_scale_to_mean_examples():
     assert Erlang(shape=2, rate=1.0).scale_to_mean(1.0) == Erlang(shape=2, rate=2.0)
 
 
-def test_scale_to_mean_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Exponential(rate=1.0).scale_to_mean(0.0)
+@pytest.mark.parametrize("d", FAMILIES)
+def test_scale_to_mean_rejects_nonpositive(d):
+    for b in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            d.scale_to_mean(b)
 
 
 def test_constructor_validation():
