@@ -15,8 +15,7 @@ _EXPORTS = {
     "errors": ("DamctlError", "NumericDegeneracyError", "RegimeError"),
     "model": ("CostModel", "DamModel", "SimulationConfig"),
     "exact": ("BusyPeriodMetrics", "ExactSolution", "busy_period_counts",
-              "busy_period_metrics", "cost", "gf_coefficients", "solve",
-              "stationary_probs"),
+              "busy_period_metrics", "cost", "solve", "stationary_probs"),
     "asymptotics": ("critical_decay", "heavy_lower", "heavy_upper", "j_lower",
                     "j_upper", "limit_subcritical", "rho12_tilde", "root_phi",
                     "supercritical"),

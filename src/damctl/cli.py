@@ -258,6 +258,17 @@ def cmd_optimize(o):
     return 0
 
 
+def _rel_err(approx, exact):
+    """|approx - exact| / exact, or "" (an empty CSV field) where the exact
+    value is 0 and the relative error is undefined."""
+    return abs(approx - exact) / exact if exact else ""
+
+
+def _worst(errs):
+    """The largest relative error that is defined; nan if none is."""
+    return max((e for e in errs if e != ""), default=math.nan)
+
+
 def cmd_verify(o):
     lam, shape, b2, regime, c = (o["lambda"], o["b1"], o["b2"], o["regime"],
                                  o["c"])
@@ -286,15 +297,15 @@ def cmd_verify(o):
 
         p1_exact, p2_exact = exact.stationary_probs(model)
         rows.append((level, delta, c_row,
-                     p1_exact, p1_asym, abs(p1_asym - p1_exact) / p1_exact,
-                     p2_exact, p2_asym, abs(p2_asym - p2_exact) / p2_exact))
+                     p1_exact, p1_asym, _rel_err(p1_asym, p1_exact),
+                     p2_exact, p2_asym, _rel_err(p2_asym, p2_exact)))
 
     _emit_csv(("L", "delta", "C", "p1_exact", "p1_asym", "rel_err_p1",
                "p2_exact", "p2_asym", "rel_err_p2"), rows, o["out"])
 
     if regime == "lower":
-        worst_p1 = max(r[5] for r in rows)
-        worst_p2 = max(r[8] for r in rows)
+        worst_p1 = _worst(r[5] for r in rows)
+        worst_p2 = _worst(r[8] for r in rows)
         print("note: lower-regime columns use the literal heavy-traffic "
               "formulas with exponent rho12_tilde/(2C); they are not expected "
               "to converge to the exact values (max rel err: p1 %.3g, p2 %.3g)."

@@ -24,7 +24,6 @@ __all__ = [
     "BusyPeriodMetrics",
     "ExactSolution",
     "busy_period_counts",
-    "gf_coefficients",
     "solve",
     "busy_period_metrics",
     "stationary_probs",
@@ -109,24 +108,6 @@ def busy_period_counts(model):
     u, tilted_r, scales = _counts(model)
     with np.errstate(over="ignore"):
         return np.convolve(u, tilted_r)[:len(u)] * np.exp(scales)
-
-
-def gf_coefficients(model, n):
-    """First n+1 series coefficients of r(z) / (r(z) - z).
-
-    Independent second route to Q_0..Q_n: formal power-series division of
-    the weight generating function by (r(z) - z).
-    """
-    n = int(n)
-    num = _weights(model, n)
-    den = num.copy()
-    den[1] -= 1.0
-    out = np.empty(n + 1)
-    out[0] = num[0] / den[0]
-    for m in range(1, n + 1):
-        s = math.fsum(den[1:m + 1] * out[m - 1::-1])
-        out[m] = (num[m] - s) / den[0]
-    return out
 
 
 def _q_top(model):

@@ -1,9 +1,10 @@
 """Hot numeric kernels: busy-period recurrence and cycle simulation.
 
 The recurrence is a renewal loop whose terms are all nonnegative, tilted
-to stay in double range, and takes each step's inner product as one BLAS
-dot product; ``busy_period_recurrence`` is its one implementation, and
-every exact quantity and optimizer evaluation runs through it.
+to stay in double range, and run in blocks of _RENEWAL_BLOCK entries, each
+block two C-level convolutions; ``busy_period_recurrence`` is its one
+implementation, and every exact quantity and optimizer evaluation runs
+through it.
 
 The simulator runs many regeneration cycles at once as lanes of numpy
 arrays, and each step advances every lane by one whole service (see
@@ -31,7 +32,22 @@ import numpy as np
 # loop then runs on the tilted a_k e^{kx}, whose sum is 1 at the root x < 0,
 # so every tilted value stays at most 1 (Feller, An Introduction to
 # Probability Theory, Vol. II, XI.6).
+#
+# The loop runs in blocks.  Within a block [s, s + nb), u_{s+i} = h_i +
+# sum_{k=1..i} a_k u_{s+i-k}, where the history h_i = sum_{j<s} a_{s+i-j}
+# u_j holds every term that reaches back before s.  The solution of this
+# renewal equation with forcing h is h * u: U(z) (1 - A(z)) = 1, so the
+# inverse of the block's lower-triangular Toeplitz matrix I - T_a is the
+# lower-triangular Toeplitz matrix of u_0..u_{nb-1} (Brent & Kung, "Fast
+# algorithms for manipulating formal power series", JACM 1978).  Both steps
+# are sums of products of nonnegative numbers, so the blocks cancel no more
+# than the plain loop does.
 # ---------------------------------------------------------------------------
+
+# entries per block: on a 2-vCPU x86_64 VM, 32 ran within 16% of the
+# fastest of 16..128 at each of L = 200, 1000, 4000 and 16000 (smaller
+# blocks win at small L, larger ones at large L)
+_RENEWAL_BLOCK = 32
 
 
 def _tilt(log_a):
@@ -77,9 +93,14 @@ def busy_period_recurrence(r, L):
         a *= np.exp(np.arange(1, L + 1) * x)
     u = np.empty(L + 1)
     u[0] = 1.0
-    for m in range(1, L + 1):
-        # terms a_k * u_{m-k}, k = 1..m, as one BLAS dot product
+    first = min(_RENEWAL_BLOCK, L + 1)
+    for m in range(1, first):
         u[m] = np.dot(a[:m], u[m - 1::-1])
+    for s in range(first, L + 1, _RENEWAL_BLOCK):
+        nb = min(_RENEWAL_BLOCK, L + 1 - s)
+        # h_i = sum_{j<s} a_{s+i-j} u_j: nb dot products of length s
+        h = np.convolve(a[:s + nb - 1], u[:s], "valid")
+        u[s:s + nb] = np.convolve(h, u[:nb])[:nb]
     return u, np.arange(L + 1) * -x
 
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 import conftest
+import gf_reference
 import grid_costs
 from damctl import asymptotics, cli, control, exact, simulator
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
@@ -68,7 +69,7 @@ def test_criterion_02_dual_path_equivalence():
             model = exact.DamModel(lam=1.0, b1=shape.scale_to_mean(rho1),
                                    b2=B2, level=100)
             q = exact.busy_period_counts(model)
-            g = exact.gf_coefficients(model, 100)
+            g = gf_reference.gf_coefficients(model, 100)
             worst = max(worst, float(np.max(np.abs(q - g) / q)))
     _report(2, "recurrence vs generating-function series (5 families)",
             worst <= 1e-9, time.perf_counter() - t0, 1.0,

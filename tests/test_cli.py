@@ -523,15 +523,45 @@ def test_verify_upper_past_exps_overflow(capsys):
     assert row[7] == 30.0
 
 
-def test_arithmetic_overflow_exits_3(capsys):
-    # at C = 3000 and L = 4000 the exact p1 underflows to 0, and the
-    # relative error of p1_asym divides by it
+def test_verify_leaves_rel_err_empty_where_exact_underflows(capsys):
+    # at C = 3000 and L = 4000 the exact p1 underflows to 0: its relative
+    # error is undefined, and the L = 100 row before it is kept
     code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
                                   "--b2", "exp:2", "--regime", "upper",
-                                  "--c", "3000", "--levels", "4000"])
+                                  "--c", "3000", "--levels", "100,4000"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].split(",")[5] == "1"
+    row = lines[2].split(",")
+    assert row[0] == "4000" and row[3] == "0"
+    assert row[5] == ""
+    assert float(row[8]) == pytest.approx(1.5, rel=1e-12)
+
+
+def test_verify_lower_note_skips_undefined_rel_err(capsys):
+    # at rho1 = 0.8, L = 300 the exact p2 cancels to round-off and is
+    # clamped to 0
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", "lower",
+                                  "--c", "60", "--levels", "300"])
+    assert code == 0, err
+    row = out.splitlines()[1].split(",")
+    assert row[6] == "0" and row[8] == ""
+    assert "p1 0.0168, p2 nan" in err
+
+
+def test_arithmetic_overflow_exits_3(capsys, monkeypatch):
+    def overflow(model):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(exact, "stationary_probs", overflow)
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", "upper",
+                                  "--c", "1", "--levels", "100"])
     assert code == 3
     assert out == ""
-    assert "numeric error" in err
+    assert "numeric error: math range error" in err
 
 
 @pytest.mark.parametrize("argv, key", [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import damctl
+import gf_reference
 import mp_reference
 from damctl import exact, kernels
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
@@ -72,7 +73,7 @@ def test_critical_is_level_plus_one():
 
 def test_supercritical_first_coefficient():
     model = mm1(1.25, 5)
-    c = exact.gf_coefficients(model, 1)
+    c = gf_reference.gf_coefficients(model, 1)
     assert c[1] == pytest.approx(2.25, rel=1e-12)  # 1/r_0 with r_0 = 4/9
 
 
@@ -82,7 +83,7 @@ def test_dual_path_equivalence(tag, rho1):
     b1 = shape_family(tag).scale_to_mean(rho1)
     model = exact.DamModel(lam=1.0, b1=b1, b2=B2, level=100)
     q = exact.busy_period_counts(model)
-    c = exact.gf_coefficients(model, 100)
+    c = gf_reference.gf_coefficients(model, 100)
     assert np.allclose(c, q, rtol=1e-9)
 
 
@@ -171,7 +172,7 @@ def test_numeric_degeneracy():
     with pytest.raises(NumericDegeneracyError):
         exact.busy_period_counts(model)
     with pytest.raises(NumericDegeneracyError):
-        exact.gf_coefficients(model, 5)
+        gf_reference.gf_coefficients(model, 5)
 
 
 def _reference_probs(model):
@@ -187,7 +188,7 @@ def test_extended_precision_matches_double():
         _reference_probs(model), rel=1e-12)
 
 
-@pytest.mark.parametrize("level", [4000, 16000])
+@pytest.mark.parametrize("level", [4000, 16000, 32000])
 @pytest.mark.parametrize("load", ["0.8", "1-2/L", "1", "1+1/L", "1.5"])
 def test_mm1_closed_form_near_critical(level, load):
     # the optimum sits at rho1 = 1 +- C/L, where a subtractive recurrence
@@ -213,6 +214,21 @@ def test_mm1_closed_form_near_critical(level, load):
 def test_counts_match_40_digit_reference_near_critical(tag, rho1):
     model = exact.DamModel(lam=1.0, b1=shape_family(tag).scale_to_mean(rho1),
                            b2=B2, level=200)
+    assert mp_reference.worst_log_error(model) < 1e-12
+
+
+_B = kernels._RENEWAL_BLOCK
+
+
+@pytest.mark.parametrize("level", [_B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1])
+@pytest.mark.parametrize("tag", ALL_FAMILIES)
+@pytest.mark.parametrize("rho1", [0.995, 1.0, 1.005])
+def test_counts_match_40_digit_reference_across_block_seams(level, tag, rho1):
+    # the renewal loop runs its first block entry by entry and every later
+    # one as two convolutions: these levels end a run just before, on and
+    # just past the first two block boundaries
+    model = exact.DamModel(lam=1.0, b1=shape_family(tag).scale_to_mean(rho1),
+                           b2=B2, level=level)
     assert mp_reference.worst_log_error(model) < 1e-12
 
 
