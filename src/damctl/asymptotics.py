@@ -131,9 +131,12 @@ def _exp(x):
 def _g(a):
     """a / (e^a - 1) through expm1, so without cancellation as a -> 0; 1 at 0.
     Where e^a overflows, e^a - 1 is e^a to double precision, and a e^-a,
-    taken as one exp, falls through the subnormals to 0 by a = 752."""
+    taken as one exp, falls through the subnormals to 0 by a = 752; at
+    a = inf, where 2C overflows, it is its limit 0."""
     if not a:
         return 1.0
+    if a == math.inf:
+        return 0.0
     try:
         return a / math.expm1(a)
     except OverflowError:

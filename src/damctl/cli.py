@@ -140,7 +140,10 @@ def _parse_grid(val):
             if not span < MAX_C_GRID_POINTS:
                 raise ValueError("C grid %r has more than %d points"
                                  % (val, MAX_C_GRID_POINTS))
-            grid = [start + i * step for i in range(round(span) + 1)]
+            # the points up to stop, and the one that the rounding of span
+            # puts a hair short of it (0:0.3:0.1 has span 2.9999999999999996)
+            count = math.floor(span + 1e-9) + 1
+            grid = [start + i * step for i in range(count)]
         else:
             grid = [float(p) for p in val.split(",") if p.strip()]
     elif isinstance(val, list):
@@ -274,6 +277,8 @@ def cmd_verify(o):
                                  o["c"])
     if regime in ("upper", "lower") and not c > 0:
         raise ValueError("regime %s needs C > 0, got %r" % (regime, c))
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError("C must be finite and >= 0, got %r" % (c,))
     rho2 = lam * b2.mean()
     rho12t = asymptotics.rho12_tilde(lam, shape)
 

@@ -2,8 +2,11 @@
 
 The expected number of below-threshold services per busy period, Q_L, is
 the coefficient of z^L in r(z) / (r(z) - z), with r_j the arrival-count
-weights of the normal-regime service law; the kernels' renewal loop, in
-which nothing cancels, computes it.  The remaining busy-period quantities
+weights of the normal-regime service law.  Since r(z) - z = (1 - z) r_0
+(1 - A(z)), with increments a_k = T_k / r_0 and T_k = sum_{j>k} r_j, and
+the renewal sequence u of a has U(z) (1 - A(z)) = 1, Q_0 = 1 and Q_n =
+sum_{m<n} u_m / r_0: a partial sum of u, which the kernels' renewal loop,
+in which nothing cancels, computes.  The remaining busy-period quantities
 follow from Wald identities, and the stationary probabilities p1 (idle /
 lower passage) and p2 (above-threshold occupation) from the renewal reward
 theorem.
@@ -31,6 +34,10 @@ __all__ = [
 ]
 
 _R0_FLOOR = 1e-300
+
+# the largest threshold L solved: the recurrence is O(L^2) and takes 0.4 s
+# at L = 64,000, so minutes at 2^20
+MAX_LEVEL = 1 << 20
 
 # the weights left out past r_N, relative to T_L
 _TAIL = 2.0 ** -60
@@ -94,26 +101,34 @@ def _series(model):
 
 
 def _counts(model):
-    """(u, R / r_0, scales), u and R / r_0 both tilted by the recurrence's
-    x, so that Q_n = sum_m u[m] (R / r_0)[n-m] * exp(scales[n])."""
+    """(u, r_0, scales): the renewal sequence u tilted by the recurrence's
+    x, so that Q_n = sum_{m<n} u[m] exp(scales[m]) / r_0 for n >= 1."""
     L = int(model.level)
+    if L > MAX_LEVEL:
+        raise ValueError("level %d is above the largest the exact route "
+                         "solves, %d" % (L, MAX_LEVEL))
     r = _series(model)
-    u, scales = kernels.busy_period_recurrence(r, L)
-    tilted_r = np.cumsum(r[:L + 1]) / r[0] * np.exp(-scales)
-    return u, tilted_r, scales
+    # the increments a_k = T_k / r_0: T_k = 1 - sum_{j<=k} r_j is exact
+    # enough while it is at least 1/2; below that the tail sum, added from
+    # its small end, keeps its relative accuracy
+    head = 1.0 - np.cumsum(r[:L + 1])[1:]
+    tail = np.cumsum(r[:1:-1])[::-1][:L]
+    u, scales = kernels.busy_period_recurrence(
+        np.where(head >= 0.5, head, tail) / r[0], L)
+    return u, float(r[0]), scales
 
 
 def busy_period_counts(model):
     """Vector (Q_0, ..., Q_L); entries beyond double range come back as inf."""
-    u, tilted_r, scales = _counts(model)
+    u, r0, scales = _counts(model)
     with np.errstate(over="ignore"):
-        return np.convolve(u, tilted_r)[:len(u)] * np.exp(scales)
+        return np.append(1.0, np.cumsum(u[:-1] * np.exp(scales[:-1])) / r0)
 
 
 def _q_top(model):
     """Q_L; inf beyond double range."""
-    u, tilted_r, scales = _counts(model)
-    q = float(np.dot(u, tilted_r[::-1]))
+    u, r0, scales = _counts(model)
+    q = float(np.dot(u[:-1], np.exp(-scales[:0:-1]))) / r0
     if not math.isfinite(q):
         raise NumericDegeneracyError(
             "the busy-period recurrence gave a non-finite Q_L")

@@ -1,10 +1,11 @@
 """Hot numeric kernels: busy-period recurrence and cycle simulation.
 
-The recurrence is a renewal loop whose terms are all nonnegative, tilted
-to stay in double range, and run in blocks of _RENEWAL_BLOCK entries, each
-block two C-level convolutions; ``busy_period_recurrence`` is its one
-implementation, and every exact quantity and optimizer evaluation runs
-through it.
+The recurrence is a renewal loop on the increments that `exact` builds
+from the arrival weights.  Its terms are all nonnegative, it is tilted to
+stay in double range, and it runs in blocks that double from 1 entry to
+_RENEWAL_BLOCK, each block two C-level convolutions;
+``busy_period_recurrence`` is its one implementation, and every exact
+quantity and optimizer evaluation runs through it.
 
 The simulator runs many regeneration cycles at once as lanes of numpy
 arrays, and each step advances every lane by one whole service (see
@@ -24,14 +25,13 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # Busy-period recurrence
 #
-# r(z) - z = (1 - z) r_0 (1 - A(z)) with A(z) = sum_k a_k z^k, a_k = T_k / r_0
-# and T_k = sum_{j>k} r_j, so the counts are Q = (R * u) / r_0: R_k =
-# sum_{j<=k} r_j, and u is the renewal sequence u_0 = 1,
-# u_m = sum_{k=1..m} a_k u_{m-k}.  Every term is nonnegative, so nothing
-# cancels.  Where sum_k a_k exceeds 1 (rho1 > 1) u grows geometrically; the
-# loop then runs on the tilted a_k e^{kx}, whose sum is 1 at the root x < 0,
-# so every tilted value stays at most 1 (Feller, An Introduction to
-# Probability Theory, Vol. II, XI.6).
+# u is the renewal sequence of the increments a_1..a_L, u_0 = 1 and
+# u_m = sum_{k=1..m} a_k u_{m-k}, with generating function U(z) =
+# 1 / (1 - A(z)); `exact` sums it to the counts Q.  Every term is
+# nonnegative, so nothing cancels.  Where sum_k a_k exceeds 1 (rho1 > 1) u
+# grows geometrically; the loop then runs on the tilted a_k e^{kx}, whose
+# sum is 1 at the root x < 0, so every tilted value stays at most 1
+# (Feller, An Introduction to Probability Theory, Vol. II, XI.6).
 #
 # The loop runs in blocks.  Within a block [s, s + nb), u_{s+i} = h_i +
 # sum_{k=1..i} a_k u_{s+i-k}, where the history h_i = sum_{j<s} a_{s+i-j}
@@ -41,7 +41,9 @@ import numpy as np
 # lower-triangular Toeplitz matrix of u_0..u_{nb-1} (Brent & Kung, "Fast
 # algorithms for manipulating formal power series", JACM 1978).  Both steps
 # are sums of products of nonnegative numbers, so the blocks cancel no more
-# than the plain loop does.
+# than the plain loop does.  The inverse needs u_0..u_{nb-1}, all before s,
+# so the first blocks double, [1, 2), [2, 4), ..., [16, 32), and every later
+# one holds _RENEWAL_BLOCK entries.
 # ---------------------------------------------------------------------------
 
 # entries per block: on a 2-vCPU x86_64 VM, 32 ran within 16% of the
@@ -68,39 +70,31 @@ def _tilt(log_a):
         x -= step
 
 
-def busy_period_recurrence(r, L):
-    """Run the renewal loop; returns (tilted values, log scales).
+def busy_period_recurrence(a, L):
+    """Run the renewal loop on a_1..a_L; returns (tilted values, log scales).
 
-    r holds r_0..r_N with N > L, where the weights left out beyond r_N
-    are negligible next to T_L.  Entry m of the renewal sequence u equals
-    values[m] * exp(scales[m]), with scales[m] = -m x for the tilt x <= 0.
+    Entry m of the renewal sequence u_0 = 1, u_m = sum_{k=1..m} a_k u_{m-k}
+    equals values[m] * exp(scales[m]), with scales[m] = -m x for the tilt
+    x <= 0.
     """
-    r = np.ascontiguousarray(r, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     L = int(L)
-    r0 = float(r[0])
-    # T_k = 1 - R_k is exact enough while it is at least 1/2; below that
-    # the tail sum, added from its small end, keeps its relative accuracy
-    head = 1.0 - np.cumsum(r[:L + 1])[1:]
-    tail = np.cumsum(r[:1:-1])[::-1][:L]
-    t = np.where(head >= 0.5, head, tail)
-    a = t / r0
     x = 0.0
     if a.sum() > 1.0:
         with np.errstate(divide="ignore"):
-            x = _tilt(np.log(t) - math.log(r0))
+            x = _tilt(np.log(a))
         # an e^{kx} that underflows drops a term below a_k * 2^-1075,
         # at most 3e-24 next to a sum of 1
-        a *= np.exp(np.arange(1, L + 1) * x)
+        a = a * np.exp(np.arange(1, L + 1) * x)
     u = np.empty(L + 1)
     u[0] = 1.0
-    first = min(_RENEWAL_BLOCK, L + 1)
-    for m in range(1, first):
-        u[m] = np.dot(a[:m], u[m - 1::-1])
-    for s in range(first, L + 1, _RENEWAL_BLOCK):
-        nb = min(_RENEWAL_BLOCK, L + 1 - s)
+    s = 1
+    while s <= L:
+        nb = min(_RENEWAL_BLOCK, s, L + 1 - s)
         # h_i = sum_{j<s} a_{s+i-j} u_j: nb dot products of length s
         h = np.convolve(a[:s + nb - 1], u[:s], "valid")
         u[s:s + nb] = np.convolve(h, u[:nb])[:nb]
+        s += nb
     return u, np.arange(L + 1) * -x
 
 

@@ -97,15 +97,18 @@ def log_counts(model):
 def double_log_q(model):
     """log Q_L from the double route's factors, finite also where Q_L is
     beyond double range."""
-    u, tilted_r, scales = exact._counts(model)
-    return float(np.log(np.dot(u, tilted_r[::-1])) + scales[-1])
+    u, r0, scales = exact._counts(model)
+    return float(np.log(np.dot(u[:-1], np.exp(-scales[:0:-1])) / r0)
+                 + scales[-1])
 
 
 def double_log_counts(model):
     """log Q_0..log Q_L from the double route's factors, finite also where
-    Q_n is beyond double range."""
-    u, tilted_r, scales = exact._counts(model)
-    return np.log(np.convolve(u, tilted_r)[:len(u)]) + scales
+    Q_n is beyond double range: log Q_n is the log of
+    sum_{m<n} u[m] exp(scales[m] - scales[n-1]) / r_0, plus scales[n-1]."""
+    u, r0, scales = exact._counts(model)
+    sums = np.convolve(u[:-1], np.exp(-scales[:-1]))[:len(u) - 1]
+    return np.concatenate(([0.0], np.log(sums / r0) + scales[:-1]))
 
 
 def worst_log_error(model):

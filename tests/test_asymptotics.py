@@ -159,6 +159,13 @@ def test_j_upper_past_exps_overflow(c):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-323)
 
 
+def test_j_upper_and_heavy_upper_where_2c_overflows():
+    # 2C = 1.8e308 overflows to a = inf, where a/(e^a - 1) is its limit 0
+    got = asymptotics.j_upper(9e307, 2.0, 0.5, exact.CostModel(j1=2.0, j2=1.0))
+    assert got == 9e307
+    assert asymptotics.heavy_upper(1.0, 9e307, 2.0, 0.5) == (0.0, 1.0)
+
+
 def test_heavy_lower_examples():
     p1, p2 = asymptotics.heavy_lower(0.001, 1.0, 2.0, 0.5)
     assert p1 == pytest.approx(0.001 * math.e, rel=1e-12)

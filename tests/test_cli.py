@@ -216,6 +216,31 @@ def test_sweep_j_upper_at_small_c(capsys):
     assert rows[0][1] == "3"
 
 
+def test_sweep_j_upper_where_2c_overflows(capsys):
+    # 2C = 1.8e308 overflows, a/(e^a - 1) is its limit 0, and J_upper = k C
+    # with k = 1
+    code, out, err = run(capsys, ["sweep", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--c-grid", "8.9e307,9e307"])
+    assert code == 0, err
+    assert out.splitlines()[1:] == ["8.9e+307,8.9e+307,8.9e+307",
+                                    "9e+307,9e+307,9e+307"]
+
+
+def test_optimize_c_max_where_2c_overflows(capsys):
+    # golden section prices C up to 1.7e308, where 2C overflows; it finds
+    # the optimum found under --c-max 1e308, within its bracket of 1e-8
+    argv = ["optimize", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+            "--level", "100", "--j1", "2", "--j2", "1", "--c-max"]
+    results = []
+    for c_max in ("1.7e308", "1e308"):
+        code, out, err = run(capsys, argv + [c_max])
+        assert code == 0, err
+        results.append(json.loads(out))
+    for rec in results:
+        assert rec["c_star"] == pytest.approx(1.03565848752, abs=1e-7)
+        assert rec["predicted_cost"] == 2.74564357673
+
+
 def test_verify_upper_at_small_c(capsys):
     code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
                                   "--b2", "exp:2", "--regime", "upper",
@@ -256,6 +281,20 @@ def test_non_finite_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "config error" in err and "finite" in err
+
+
+@pytest.mark.parametrize("regime, c", [
+    ("critical", "-5"), ("critical", "nan"), ("critical", "inf"),
+    ("upper", "inf"), ("lower", "inf"),
+])
+def test_verify_bad_c_exits_2_in_every_regime(capsys, regime, c):
+    # test_verify_non_positive_c_exits_2 covers C <= 0 under upper and lower
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", regime,
+                                  "--c=" + c, "--levels", "100"])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and repr(float(c)) in err
 
 
 CONFIG = {"lambda": 1, "b1": {"type": "exp", "rate": 1.25},
@@ -334,6 +373,19 @@ def test_c_grid_of_many_points_runs(capsys):
     assert len(out.splitlines()) == 1 + 10001
 
 
+@pytest.mark.parametrize("grid, cs", [
+    ("0:1:0.6", ["0", "0.6"]),
+    ("0:0.3:0.1", ["0", "0.1", "0.2", "0.3"]),
+])
+def test_c_grid_ends_at_stop(capsys, grid, cs):
+    # 0:1:0.6 stops short of 1.2; the rounding of 0.3 / 0.1 to
+    # 2.9999999999999996 still keeps 0.3
+    code, out, err = run(capsys, ["sweep", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--c-grid", grid])
+    assert code == 0, err
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == cs
+
+
 def test_verify_level_zero_exits_2(capsys):
     code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
                                   "--b2", "exp:2", "--regime", "upper",
@@ -360,6 +412,31 @@ class _Started(Exception):
 
 def _never_simulate(config):
     raise _Started
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--level", "10000000000000"],
+    ["analyze", "--level", "1048577"],
+    ["simulate", "--level", "10000000000000"],
+    ["optimize", "--mode", "exact", "--level", "10000000000000"],
+    ["verify", "--regime", "upper", "--levels", "100,10000000000000"],
+])
+def test_level_above_exact_bound_exits_2(capsys, argv):
+    model = ["--lambda", "1", "--b1", "exp:1", "--b2", "exp:2"]
+    code, out, err = run(capsys, argv[:1] + model + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "1048576" in err
+
+
+def test_asymptotic_optimize_keeps_large_levels(capsys):
+    code, out, err = run(capsys, ["optimize", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--j1", "2", "--j2", "1",
+                                  "--level", "10000000000000"])
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["level"] == 10000000000000
+    assert rec["c_star"] == pytest.approx(1.03565848752, abs=1e-7)
 
 
 def test_simulate_refuses_unbounded_work(capsys, monkeypatch):

@@ -220,13 +220,14 @@ def test_counts_match_40_digit_reference_near_critical(tag, rho1):
 _B = kernels._RENEWAL_BLOCK
 
 
-@pytest.mark.parametrize("level", [_B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 8, 9, 16, 17, _B - 1, _B,
+                                   _B + 1, 2 * _B, 2 * _B + 1])
 @pytest.mark.parametrize("tag", ALL_FAMILIES)
 @pytest.mark.parametrize("rho1", [0.995, 1.0, 1.005])
 def test_counts_match_40_digit_reference_across_block_seams(level, tag, rho1):
-    # the renewal loop runs its first block entry by entry and every later
-    # one as two convolutions: these levels end a run just before, on and
-    # just past the first two block boundaries
+    # the renewal loop's blocks start at 1, 2, 4, 8, 16, 32, 64, ...: these
+    # levels end a run on and just past the doubling seams, and just before,
+    # on and just past the first two full-block boundaries
     model = exact.DamModel(lam=1.0, b1=shape_family(tag).scale_to_mean(rho1),
                            b2=B2, level=level)
     assert mp_reference.worst_log_error(model) < 1e-12
@@ -289,6 +290,21 @@ def test_solve_goes_through_busy_period_metrics(monkeypatch):
     monkeypatch.setattr(exact, "busy_period_metrics", counting)
     exact.solve(mm1(1.0, 50))
     assert calls == [50]
+
+
+@pytest.mark.parametrize("level", [exact.MAX_LEVEL + 1, 10 ** 13])
+def test_level_above_bound_is_refused_before_the_weights(level, monkeypatch):
+    def no_weights(model, n):
+        raise AssertionError("weights computed for level %d" % model.level)
+
+    monkeypatch.setattr(exact, "_weights", no_weights)
+    model = mm1(1.0, level)
+    for entry in (exact.solve, exact.busy_period_counts,
+                  exact.stationary_probs):
+        with pytest.raises(ValueError, match="largest"):
+            entry(model)
+    with pytest.raises(ValueError, match="largest"):
+        exact.cost(model, exact.CostModel(1.0, 1.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
