@@ -13,14 +13,16 @@ key that names no option are refused.  JSON records go to standard output
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
 
-numpy is loaded only by the commands that need it (analyze, verify,
-simulate, optimize --mode exact): they import `exact` and `simulator` when
-they run, after checking their options, so optimize --mode asymptotic,
-sweep, --help and a rejected option never load it.
+A request imports and builds only what it runs.  numpy is loaded only by
+the commands that need it (analyze, verify, simulate, optimize --mode
+exact): they import `exact` and `simulator` when they run, after checking
+their options, so optimize --mode asymptotic, sweep, --help and a rejected
+option never load it; csv is imported by the two commands that write it.
+The parser holds every command's name and help but only the named
+command's options.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -75,6 +77,8 @@ def _fmt(v):
 
 
 def _emit_csv(header, rows, path):
+    import csv
+
     if path:
         fh = open(path, "w", newline="")
     else:
@@ -373,20 +377,25 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(cmd):
+    """The parser of every command, with the options of `cmd` alone: argparse
+    hands the arguments after a command's name to that command's parser, so
+    the others need only their name and help."""
     parser = argparse.ArgumentParser(
         prog="damctl", allow_abbrev=False,
         description="Exact/asymptotic analysis and optimal release-rate "
                     "control of a threshold-modulated M/GI/1 dam")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for cmd, (_, help_, names, output) in COMMANDS.items():
-        p = sub.add_parser(cmd, help=help_, allow_abbrev=False)
+    for name, (_, help_, names, output) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.set_defaults(parser=p)
+        if name != cmd:
+            continue
         p.add_argument("--config",
                        help="JSON config file; flags override its values")
-        for name in names:
-            p.add_argument("--" + name.replace("_", "-"), dest=name,
-                           help=OPTIONS[name][2])
+        for opt in names:
+            p.add_argument("--" + opt.replace("_", "-"), dest=opt,
+                           help=OPTIONS[opt][2])
         if output == "format":
             p.add_argument("--format", choices=("json", "text"),
                            default="json")
@@ -400,9 +409,13 @@ def main(argv=None):
     # spinning costs CPU time and saves no wall time on these problem sizes;
     # set here, before a command loads numpy, so library users keep theirs
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if argv is None:
+        argv = sys.argv[1:]
+    # the command is the first argument that is not a flag, as argparse reads it
+    cmd = next((a for a in argv if not a.startswith("-")), None)
     try:
         # a flag the command does not take is refused with its own usage line
-        args, extra = build_parser().parse_known_args(argv)
+        args, extra = build_parser(cmd).parse_known_args(argv)
         if extra:
             args.parser.error("unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:

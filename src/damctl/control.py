@@ -6,17 +6,18 @@ The sign of j1 - j2 * rho2 / (1 - rho2) decides the regime:
   * j1 greater     -> upper-penalized: minimize J_upper over C >= 0,
   * j1 smaller     -> lower-penalized: minimize J_lower over C >= 0.
 
-Both optimizers run one golden-section search over the whole interval and
-also price its two ends: `optimize_asymptotic` minimizes the
-limiting functional over [0, c_max], which is convex in C > 0, and
-`optimize_exact` minimizes the exact finite-L cost over rho1 directly, as a
-cross-check of the asymptotic answer.
+Both optimizers run one golden-section search over an interval and also
+price its two ends: `optimize_asymptotic` minimizes the limiting
+functional, which is convex in C > 0, over [0, hi], where hi starts at
+min(c_max, 10 rho12_tilde) and doubles, up to c_max, while the cost still
+falls from hi/2 to hi; `optimize_exact` minimizes the exact finite-L cost
+over the whole rho1 range, as a cross-check of the asymptotic answer.
 """
 
-from dataclasses import dataclass, asdict
 import math
 
 from . import asymptotics
+from ._record import Record
 from .model import DamModel
 
 __all__ = [
@@ -35,8 +36,7 @@ _EQ_RTOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ControlSolution:
+class ControlSolution(Record):
     regime: str
     c_star: float
     delta_star: float
@@ -44,9 +44,6 @@ class ControlSolution:
     b1_star: float
     predicted_cost: float
     mode: str
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def classify_regime(costs, rho2):
@@ -63,6 +60,8 @@ def classify_regime(costs, rho2):
 def golden_section(f, a, b, tol):
     """Golden-section search for the minimum of a unimodal f on [a, b]."""
     lo, hi = (a, b) if a <= b else (b, a)
+    # a bracket a few ulps wide stops shrinking, so tol never goes below that
+    tol = max(tol, 16.0 * math.ulp(max(abs(lo), abs(hi))))
     h = hi - lo
     if h <= tol:
         return 0.5 * (lo + hi)
@@ -101,8 +100,9 @@ def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
     if level < 1:
         raise ValueError("level must be >= 1")
     regime = classify_regime(costs, rho2)
+    default_c_max = 10.0 * rho12t
     if c_max is None:
-        c_max = 10.0 * rho12t
+        c_max = default_c_max
     if not (math.isfinite(c_max) and c_max >= 0):
         raise ValueError("c_max must be finite and >= 0, got %r" % (c_max,))
 
@@ -116,7 +116,13 @@ def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
         else:
             def f(c):
                 return asymptotics.j_lower(c, rho12t, rho2, costs)
-        c_star, predicted = _golden_and_ends(f, 0.0, c_max, 1e-8)
+        # the limiting cost is convex in C > 0, so its minimum lies in
+        # [0, hi] once the cost no longer falls from hi/2 to hi; the search
+        # starts from the default c_max, whose answer a larger c_max keeps
+        hi = min(c_max, default_c_max)
+        while hi < c_max and f(hi) < f(hi / 2.0):
+            hi = min(2.0 * hi, c_max)
+        c_star, predicted = _golden_and_ends(f, 0.0, hi, 1e-8)
 
     sign = {REGIME_CRITICAL: 0.0, REGIME_UPPER: 1.0, REGIME_LOWER: -1.0}[regime]
     delta = sign * c_star / level

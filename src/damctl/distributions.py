@@ -1,9 +1,9 @@
 """Service-time distribution families.
 
-Each family is described once, by its class: exact closed forms for its
-raw moments, its Laplace-Stieltjes transform (LST), its rescaling to a
-given mean, the simulator's sampler of its services and the arrival-count
-weights
+Each family is described once, by its class, an immutable record whose
+fields are its parameters: exact closed forms for its raw moments, its
+Laplace-Stieltjes transform (LST), its rescaling to a given mean, the
+simulator's sampler of its services and the arrival-count weights
 
     r_j = integral of exp(-lam*x) * (lam*x)^j / j! dB(x),
 
@@ -12,11 +12,13 @@ service.  The weights are evaluated in the log domain so that very deep
 tails (or a tiny r_0) do not underflow prematurely.
 
 numpy is imported only by the weight code and the samplers, so building
-and describing a distribution does not load it.
+and describing a distribution does not load it.  The serializers read each
+family's field names and types from its record fields.
 """
 
-from dataclasses import dataclass, fields
 import math
+
+from ._record import Record
 
 __all__ = [
     "ServiceDistribution",
@@ -57,10 +59,11 @@ def _negbin_log_weights(shape, rate, lam, n):
     return shape * log_p + j * log_q + log_coef
 
 
-class ServiceDistribution:
+class ServiceDistribution(Record):
     """Common surface of all supported service-time families.
 
-    A family defines _raw_moment(k), _lst(s), _lst_derivative(s),
+    A family annotates its parameters as record fields, checks them in
+    _check, and defines _raw_moment(k), _lst(s), _lst_derivative(s),
     _log_weights(lam, n) and _with_mean(b), whose arguments the public
     methods here check once, and lane_services(lanes, idx), the simulator's
     sampler: one service time for each lane in the index array idx.  It
@@ -103,11 +106,10 @@ class ServiceDistribution:
         return self._with_mean(b)
 
 
-@dataclass(frozen=True)
 class Exponential(ServiceDistribution):
     rate: float
 
-    def __post_init__(self):
+    def _check(self):
         _check_finite("Exponential", self.rate)
         if self.rate <= 0:
             raise ValueError("Exponential rate must be positive")
@@ -133,12 +135,11 @@ class Exponential(ServiceDistribution):
         return -np.log(lanes.take(idx, 1)[0]) / self.rate
 
 
-@dataclass(frozen=True)
 class Gamma(ServiceDistribution):
     shape: float
     rate: float
 
-    def __post_init__(self):
+    def _check(self):
         _check_finite("Gamma", self.shape, self.rate)
         if self.shape <= 0 or self.rate <= 0:
             raise ValueError("Gamma shape and rate must be positive")
@@ -196,12 +197,11 @@ class Gamma(ServiceDistribution):
         return s
 
 
-@dataclass(frozen=True)
 class Erlang(Gamma):
     """Gamma with a positive integer shape: a sum of `shape` exponentials."""
     shape: int
 
-    def __post_init__(self):
+    def _check(self):
         _check_finite("Erlang", self.shape, self.rate)
         if int(self.shape) != self.shape or self.shape < 1:
             raise ValueError("Erlang shape must be a positive integer")
@@ -220,11 +220,10 @@ class Erlang(Gamma):
         return total / self.rate
 
 
-@dataclass(frozen=True)
 class Deterministic(ServiceDistribution):
     duration: float
 
-    def __post_init__(self):
+    def _check(self):
         _check_finite("Deterministic", self.duration)
         if self.duration <= 0:
             raise ValueError("Deterministic duration must be positive")
@@ -259,12 +258,11 @@ class Deterministic(ServiceDistribution):
         return np.full(len(idx), self.duration)
 
 
-@dataclass(frozen=True)
 class HyperExponential(ServiceDistribution):
     weights: tuple
     rates: tuple
 
-    def __post_init__(self):
+    def _check(self):
         w = tuple(float(x) for x in self.weights)
         r = tuple(float(x) for x in self.rates)
         object.__setattr__(self, "weights", w)
@@ -362,15 +360,15 @@ def _field_value(kind, value):
 
 
 def _from_fields(cls, values):
-    return cls(**{f.name: _field_value(f.type, v)
-                  for f, v in zip(fields(cls), values)})
+    return cls(**{name: _field_value(kind, v)
+                  for (name, kind), v in zip(cls._fields.items(), values)})
 
 
 def dist_to_dict(d):
     rec = {"type": family_tag(d)}
-    for f in fields(d):
-        value = getattr(d, f.name)
-        rec[f.name] = list(value) if f.type is tuple else value
+    for name, kind in d._fields.items():
+        value = getattr(d, name)
+        rec[name] = list(value) if kind is tuple else value
     return rec
 
 
@@ -383,7 +381,7 @@ def dist_from_dict(rec):
         cls = _FAMILIES[kind]
     except (TypeError, KeyError):
         raise ValueError("unknown distribution type %r" % (kind,)) from None
-    return _from_fields(cls, [rec[f.name] for f in fields(cls)])
+    return _from_fields(cls, [rec[name] for name in cls._fields])
 
 
 def parse_dist_spec(text):
@@ -398,6 +396,6 @@ def parse_dist_spec(text):
     if cls is HyperExponential:
         if len(args) >= 4 and len(args) % 2 == 0:
             return _from_fields(cls, (args[0::2], args[1::2]))
-    elif cls is not None and len(args) == len(fields(cls)):
+    elif cls is not None and len(args) == len(cls._fields):
         return _from_fields(cls, args)
     raise ValueError("cannot parse distribution spec %r" % (text,))

@@ -12,11 +12,11 @@ lower passage) and p2 (above-threshold occupation) from the renewal reward
 theorem.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
+from ._record import Record
 from .errors import NumericDegeneracyError
 from .model import CostModel, DamModel  # re-exported as exact.DamModel etc.
 from . import kernels
@@ -47,8 +47,7 @@ _TAIL = 2.0 ** -60
 _MAX_WEIGHTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class BusyPeriodMetrics:
+class BusyPeriodMetrics(Record):
     e_nu1: float
     e_nu2: float
     e_t1: float
@@ -57,8 +56,7 @@ class BusyPeriodMetrics:
     e_idle: float
 
 
-@dataclass(frozen=True)
-class ExactSolution:
+class ExactSolution(Record):
     """Everything one Q_L gives for a model; cost is None without costs."""
     busy: BusyPeriodMetrics
     p1: float

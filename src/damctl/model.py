@@ -1,14 +1,15 @@
 """The dam model, its damage costs and a simulation run's settings.
 
-Plain validated records with no numpy, so bad input fails before a command
-loads it and the commands that never run the recurrence (`optimize --mode
-asymptotic`, `sweep`) do not load it at all.  `damctl.exact` re-exports
-DamModel and CostModel, `damctl.simulator` SimulationConfig.
+Validated immutable records (`_record.Record`) with no numpy, so bad input
+fails before a command loads it and the commands that never run the
+recurrence (`optimize --mode asymptotic`, `sweep`) do not load it at all.
+`damctl.exact` re-exports DamModel and CostModel, `damctl.simulator`
+SimulationConfig.
 """
 
-from dataclasses import dataclass
 import math
 
+from ._record import Record
 from .distributions import ServiceDistribution
 
 __all__ = ["DamModel", "CostModel", "SimulationConfig"]
@@ -16,15 +17,14 @@ __all__ = ["DamModel", "CostModel", "SimulationConfig"]
 _SEED_LIMIT = 2 ** 64
 
 
-@dataclass(frozen=True)
-class DamModel:
+class DamModel(Record):
     """Arrival rate, below/above-threshold service laws and threshold."""
     lam: float
     b1: ServiceDistribution
     b2: ServiceDistribution
     level: int
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError("arrival rate must be positive and finite")
         if int(self.level) != self.level or self.level < 1:
@@ -41,27 +41,25 @@ class DamModel:
         return self.lam * self.b2.mean()
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record):
     """Per-level damage costs for lower (j1) and upper (j2) passages."""
     j1: float
     j2: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.j1) and math.isfinite(self.j2)):
             raise ValueError("damage costs must be finite")
         if self.j1 < 0 or self.j2 < 0:
             raise ValueError("damage costs must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Record):
     model: DamModel
     n_cycles: int
     seed: int = 0
     batch_count: int = 32
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError("seed must lie in [0, 2**64), got %r" % (self.seed,))
         if self.batch_count < 2:

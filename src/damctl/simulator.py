@@ -11,19 +11,18 @@ index), so a run is reproducible cycle by cycle regardless of execution
 order; see `kernels.stream_key` for the splitting rule.
 """
 
-from dataclasses import dataclass, asdict
 import math
 
 import numpy as np
 
+from ._record import Record
 from .model import SimulationConfig  # re-exported as simulator.SimulationConfig
 from . import kernels
 
 __all__ = ["SimulationConfig", "SimulationReport", "simulate"]
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Record):
     p1_hat: float
     p2_hat: float
     e_nu1_hat: float
@@ -33,9 +32,6 @@ class SimulationReport:
     half_widths: dict
     cycles: int
     seed: int
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _t_central(t, df):

@@ -9,7 +9,7 @@ import warnings
 import mpmath
 import pytest
 
-from damctl import cli, exact, kernels, simulator
+from damctl import asymptotics, cli, exact, kernels, simulator
 from damctl.distributions import dist_from_dict
 
 MM1_FLAGS = ["--lambda", "1", "--b1", "exp:1.25", "--b2", "exp:2",
@@ -239,6 +239,43 @@ def test_optimize_c_max_where_2c_overflows(capsys):
     for rec in results:
         assert rec["c_star"] == pytest.approx(1.03565848752, abs=1e-7)
         assert rec["predicted_cost"] == 2.74564357673
+
+
+@pytest.mark.parametrize("c_max", ["1e308", "1.7e308"])
+def test_optimize_search_does_not_grow_with_c_max(capsys, monkeypatch, c_max):
+    # the search starts from the default c_max, 10 rho12_tilde, and widens
+    # only while the cost still falls at its right end
+    argv = ["optimize", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+            "--level", "100", "--j1", "2", "--j2", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    default = json.loads(out)
+    calls = []
+    j_upper = asymptotics.j_upper
+    monkeypatch.setattr(asymptotics, "j_upper",
+                        lambda *a: calls.append(a) or j_upper(*a))
+    code, out, err = run(capsys, argv + ["--c-max", c_max])
+    assert code == 0, err
+    assert len(calls) <= 60
+    rec = json.loads(out)
+    assert rec["c_star"] == default["c_star"]
+    assert rec["predicted_cost"] == default["predicted_cost"]
+
+
+@pytest.mark.parametrize("c_max", ["83886080", "1e9", "1e308"])
+def test_optimize_ends_where_the_literal_cost_is_flat(tmp_path, c_max):
+    # with j1 = 0 the literal J_lower is flat to round-off at large C, where
+    # golden section's bracket narrows to a few ulps; run in a child process,
+    # so that a search that never ends fails at the timeout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "damctl.cli", "optimize", "--lambda", "1",
+         "--b1", "exp:1", "--b2", "exp:2", "--level", "100", "--j1", "0",
+         "--j2", "1", "--c-max", c_max],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["regime"] == "lower_penalized"
 
 
 def test_verify_upper_at_small_c(capsys):
@@ -588,6 +625,57 @@ print(os.environ["OPENBLAS_NUM_THREADS"])
     assert proc.stdout.strip() == "1"
 
 
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """Importing the CLI loads none of dataclasses, inspect, csv or numpy;
+    the commands that need no numpy load none of dataclasses, inspect or
+    numpy, and no command loads dataclasses."""
+    script = """
+import contextlib, io, sys
+def loaded(*names):
+    return [m for m in names if m in sys.modules]
+import damctl.cli
+from damctl import cli
+assert not loaded("dataclasses", "inspect", "csv", "numpy"), loaded(
+    "dataclasses", "inspect", "csv", "numpy")
+model = ["--lambda", "1", "--b1", "exp:1", "--b2", "exp:2"]
+light = [
+    (["optimize"] + model + ["--level", "1000", "--j1", "2"], 0),
+    (["optimize"] + model + ["--level", "1000", "--j1", "0.5"], 0),
+    (["sweep"] + model + ["--c-grid", "0:4:0.25"], 0),
+    (["--help"], 0),
+    (["sweep", "--help"], 0),
+    ([], 2),
+    (["frobnicate"], 2),
+    (["simulate"] + model + ["--level", "5", "--j1", "2"], 2),
+    (["analyze", "--lambda", "nan", "--b1", "exp:1", "--b2", "exp:2",
+      "--level", "5"], 2),
+    (["optimize"] + model + ["--level", "5", "--mode", "exact",
+      "--rho1-max", "inf"], 2),
+]
+heavy = [
+    (["analyze"] + model + ["--level", "50"], 0),
+    (["optimize"] + model + ["--level", "20", "--mode", "exact"], 0),
+    (["verify"] + model + ["--regime", "upper", "--levels", "50,100"], 0),
+    (["simulate"] + model + ["--level", "5", "--cycles", "256"], 0),
+]
+for argv, want in light + heavy:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == want, argv
+    if (argv, want) in light:
+        assert not loaded("dataclasses", "inspect", "numpy"), (argv, loaded(
+            "dataclasses", "inspect", "numpy"))
+assert loaded("numpy", "csv") == ["numpy", "csv"]
+print(loaded("dataclasses"))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_upper_past_exps_overflow(capsys):
     # e^(2C/rho12_tilde) leaves double range at C = 3000: p1_asym rounds to 0
     # and p2_asym = rho2/(1 - rho2) * delta with delta = C / L = 30
@@ -722,6 +810,46 @@ def test_help_lists_exactly_the_options_read(capsys, cmd, flags):
     options = out[out.index("options:"):]
     listed = set(re.findall(r"^  (?:-h, )?--([a-z0-9-]+)", options, re.M))
     assert listed == set(flags.split()) | {"help"}
+    _, _, names, output = cli.COMMANDS[cmd]
+    assert set(flags.split()) == {"config", output} | {
+        n.replace("_", "-") for n in names}
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0
+    assert out.startswith("usage: damctl [-h] "
+                          "{analyze,optimize,verify,simulate,sweep} ...")
+    for cmd, (_, help_, _, _) in cli.COMMANDS.items():
+        assert re.search(r"^    %s +%s$" % (cmd, re.escape(help_)), out, re.M)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "damctl: error: the following arguments are required: cmd\n"),
+    (["frobnicate"], "damctl: error: argument cmd: invalid choice: "
+                     "'frobnicate'"),
+    (["sweep", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+      "--c-grid", "0:1:0.5", "--level", "5"],
+     "damctl sweep: error: unrecognized arguments: --level 5\n"),
+])
+def test_module_entry_reads_sys_argv(tmp_path, monkeypatch, capsys, argv,
+                                     message):
+    """python -m damctl.cli parses sys.argv and prints what cli.main(argv)
+    prints: argparse's own message for a missing or unknown command, and
+    the command's usage line for a flag it does not read."""
+    monkeypatch.setenv("COLUMNS", "80")
+    want = run(capsys, argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "damctl.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    assert want[:2] == (2, "")
+    usage = "usage: damctl %s" % (
+        "sweep [-h] [--config CONFIG]" if argv[:1] == ["sweep"] else
+        "[-h] {analyze,optimize,verify,simulate,sweep} ...")
+    assert want[2].startswith(usage)
+    assert message in want[2]
 
 
 def test_config_key_that_names_no_option_exits_2(tmp_path, capsys):

@@ -153,6 +153,17 @@ def test_dict_round_trip(d):
     assert dist_from_dict(dist_to_dict(d)) == d
 
 
+@pytest.mark.parametrize("d", FAMILIES)
+def test_spec_round_trip(d):
+    rec = dist_to_dict(d)
+    values = [rec[name] for name in type(d)._fields]
+    if isinstance(d, HyperExponential):
+        values = [x for pair in zip(*values) for x in pair]
+    spec = ":".join([rec["type"]] + [repr(v) for v in values])
+    assert parse_dist_spec(spec) == d
+    assert type(parse_dist_spec(spec)) is type(d)
+
+
 def test_parse_dist_spec():
     assert parse_dist_spec("exp:1.25") == Exponential(rate=1.25)
     assert parse_dist_spec("erlang:2:2.0") == Erlang(shape=2, rate=2.0)
