@@ -102,11 +102,13 @@ def heavy_upper(delta, c, rho12t, rho2):
 
 def heavy_lower(delta, c, rho12t, rho2):
     """(p1, p2) for rho1 = 1 - delta with L*delta -> C > 0: the literal
-    formulas with exponent rho12_tilde / (2C)."""
+    formulas with exponent rho12_tilde / (2C), inf where its exponential
+    overflows (small C)."""
     _check_heavy_args(delta, c, rho12t, rho2)
-    e = math.exp(rho12t / (2.0 * c))
+    x = rho12t / 2.0 / c
+    e = _exp(x)
     p1 = delta * e
-    p2 = delta * rho2 / (1.0 - rho2) * (e - 1.0)
+    p2 = delta * rho2 / (1.0 - rho2) * (math.expm1(x) if e < math.inf else e)
     return p1, p2
 
 
@@ -163,10 +165,11 @@ def j_lower(c, rho12t, rho2, costs):
     c = float(c)
     if c == 0.0:
         return _critical_cost(rho12t, rho2, costs)
-    x = rho12t / (2.0 * c)
+    x = rho12t / 2.0 / c
     k = costs.j2 * rho2 / (1.0 - rho2)
     e = _exp(x)
-    val = c * (costs.j1 * e + k * (e - 1.0))
+    # e^x - 1 by expm1, which does not cancel at large C, where x -> 0
+    val = c * (costs.j1 * e + k * (math.expm1(x) if e < math.inf else e))
     if not math.isfinite(val) and c > 0.0:
         # e^x, or j1 * e^x, overflowed before the factor C could bring it
         # back; there J_lower = C (j1 + k) e^x to double precision

@@ -13,13 +13,19 @@ key that names no option are refused.  JSON records go to standard output
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
 
-A request imports and builds only what it runs.  numpy is loaded only by
-the commands that need it (analyze, verify, simulate, optimize --mode
-exact): they import `exact` and `simulator` when they run, after checking
-their options, so optimize --mode asymptotic, sweep, --help and a rejected
-option never load it; csv is imported by the two commands that write it.
-The parser holds every command's name and help but only the named
-command's options.
+A request imports and builds only what it runs.  The exact commands
+(analyze, verify, simulate, optimize --mode exact) import `exact` when they
+run, after checking their options, and simulate imports `simulator`, and
+with it numpy.  `exact` solves L <= exact.PYTHON_MAX_LEVEL (256) on Python
+floats while numpy is not loaded, and imports numpy for larger L: about
+where 39 solves, one `optimize --mode exact`, cost as much on the
+interpreter as `import numpy` (90-105 ms) and the numpy solves together.
+It reads sys.modules because once numpy is loaded its route is the faster
+per solve, and because a caller that loaded numpy (perfbench/launcher.py)
+then sees every solve in the kernels.  So optimize --mode asymptotic,
+sweep, --help, a rejected option and the exact commands at small L never
+load numpy; csv is imported by the two commands that write it.  The parser
+holds every command's name and help but only the named command's options.
 """
 
 import argparse
@@ -271,6 +277,14 @@ def _rel_err(approx, exact):
     return abs(approx - exact) / exact if exact else ""
 
 
+def _compared(exact, approx):
+    """(exact, approx, relative error), with a non-finite approx and its
+    error as empty CSV fields."""
+    if not math.isfinite(approx):
+        return exact, "", ""
+    return exact, approx, _rel_err(approx, exact)
+
+
 def _worst(errs):
     """The largest relative error that is defined; nan if none is."""
     return max((e for e in errs if e != ""), default=math.nan)
@@ -283,6 +297,11 @@ def cmd_verify(o):
         raise ValueError("regime %s needs C > 0, got %r" % (regime, c))
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("C must be finite and >= 0, got %r" % (c,))
+    if regime == "lower":
+        short = [level for level in o["levels"] if not c < level]
+        if short:
+            raise ValueError("regime lower needs C < L, so that rho1 = 1 - C/L "
+                             "> 0; got C = %g at L = %d" % (c, short[0]))
     rho2 = lam * b2.mean()
     rho12t = asymptotics.rho12_tilde(lam, shape)
 
@@ -305,9 +324,9 @@ def cmd_verify(o):
         from . import exact
 
         p1_exact, p2_exact = exact.stationary_probs(model)
-        rows.append((level, delta, c_row,
-                     p1_exact, p1_asym, _rel_err(p1_asym, p1_exact),
-                     p2_exact, p2_asym, _rel_err(p2_asym, p2_exact)))
+        rows.append((level, delta, c_row)
+                    + _compared(p1_exact, p1_asym)
+                    + _compared(p2_exact, p2_asym))
 
     _emit_csv(("L", "delta", "C", "p1_exact", "p1_asym", "rel_err_p1",
                "p2_exact", "p2_asym", "rel_err_p2"), rows, o["out"])

@@ -10,7 +10,8 @@ Both optimizers run one golden-section search over an interval and also
 price its two ends: `optimize_asymptotic` minimizes the limiting
 functional, which is convex in C > 0, over [0, hi], where hi starts at
 min(c_max, 10 rho12_tilde) and doubles, up to c_max, while the cost still
-falls from hi/2 to hi; `optimize_exact` minimizes the exact finite-L cost
+falls from hi/2 to hi (in the lower regime C stays below L, so that
+rho1 = 1 - C/L > 0); `optimize_exact` minimizes the exact finite-L cost
 over the whole rho1 range, as a cross-check of the asymptotic answer.
 """
 
@@ -116,6 +117,8 @@ def optimize_asymptotic(costs, rho2, rho12t, level, lam=1.0, c_max=None):
         else:
             def f(c):
                 return asymptotics.j_lower(c, rho12t, rho2, costs)
+            # rho1 = 1 - C/L must stay positive: C < L
+            c_max = min(c_max, math.nextafter(float(level), 0.0))
         # the limiting cost is convex in C > 0, so its minimum lies in
         # [0, hi] once the cost no longer falls from hi/2 to hi; the search
         # starts from the default c_max, whose answer a larger c_max keeps

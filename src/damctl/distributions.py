@@ -9,14 +9,19 @@ simulator's sampler of its services and the arrival-count weights
 
 i.e. the probability that exactly j Poisson(lam) arrivals occur during one
 service.  The weights are evaluated in the log domain so that very deep
-tails (or a tiny r_0) do not underflow prematurely.
+tails (or a tiny r_0) do not underflow prematurely.  Each family computes
+them twice, with numpy (`_log_weights`, for large n) and on Python floats
+(`_log_weight_list`, for the small exact problems that run without numpy);
+both follow one of three recipes: negative binomial (exponential, Erlang,
+gamma), Poisson (deterministic) or a mixture of phases (hyperexponential).
 
-numpy is imported only by the weight code and the samplers, so building
-and describing a distribution does not load it.  The serializers read each
-family's field names and types from its record fields.
+numpy is imported only by the numpy weight code and the samplers, so
+building and describing a distribution does not load it.  The serializers
+read each family's field names and types from its record fields.
 """
 
 import math
+from itertools import accumulate
 
 from ._record import Record
 
@@ -59,12 +64,48 @@ def _negbin_log_weights(shape, rate, lam, n):
     return shape * log_p + j * log_q + log_coef
 
 
+def _negbin_log_weight_list(shape, rate, lam, n):
+    """`_negbin_log_weights` on Python floats, term for term."""
+    log_p = math.log(rate) - math.log(lam + rate)
+    log_q = math.log(lam) - math.log(lam + rate)
+    log_coef = accumulate([math.log1p((shape - 1.0) / j)
+                           for j in range(1, n + 1)], initial=0.0)
+    head = shape * log_p
+    return [head + j * log_q + c for j, c in enumerate(log_coef)]
+
+
+def _poisson_log_weight_list(mu, n):
+    # Poisson(mu) pmf: log r_0 = -mu plus the running sum of
+    # log(r_j/r_{j-1}) = log(mu/j); the partial sums are the log weights
+    # themselves, so no large intermediate loses digits
+    return list(accumulate([math.log(mu / j) for j in range(1, n + 1)],
+                           initial=-mu))
+
+
+def _mixture_log_weight_list(weights, rates, lam, n):
+    """Log weights of a mixture of exponential phases, on Python floats."""
+    total = [0.0] * (n + 1)
+    for w, r in zip(weights, rates):
+        if w > 0:
+            total = [t + w * math.exp(x) for t, x in
+                     zip(total, _negbin_log_weight_list(1.0, r, lam, n))]
+    return [math.log(t) if t > 0.0 else -math.inf for t in total]
+
+
+def _check_weight_args(lam, n):
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("arrival rate must be positive and finite, got %r" % (lam,))
+    if n < 0:
+        raise ValueError("weight count must be nonnegative")
+
+
 class ServiceDistribution(Record):
     """Common surface of all supported service-time families.
 
     A family annotates its parameters as record fields, checks them in
     _check, and defines _raw_moment(k), _lst(s), _lst_derivative(s),
-    _log_weights(lam, n) and _with_mean(b), whose arguments the public
+    _log_weights(lam, n) (a numpy array), _log_weight_list(lam, n) (the
+    same on Python floats) and _with_mean(b), whose arguments the public
     methods here check once, and lane_services(lanes, idx), the simulator's
     sampler: one service time for each lane in the index array idx.  It
     reads uniforms on (0, 1] only through lanes.take(idx, m), peek(idx, m)
@@ -92,13 +133,15 @@ class ServiceDistribution(Record):
 
     def mixed_poisson_weights(self, lam, n):
         """Weights (r_0, ..., r_n) for Poisson arrival rate lam."""
-        if not (math.isfinite(lam) and lam > 0):
-            raise ValueError("arrival rate must be positive and finite, got %r" % (lam,))
-        if n < 0:
-            raise ValueError("weight count must be nonnegative")
+        _check_weight_args(lam, n)
         import numpy as np
 
         return np.exp(self._log_weights(float(lam), int(n)))
+
+    def mixed_poisson_weight_list(self, lam, n):
+        """The same weights as a list of Python floats, without numpy."""
+        _check_weight_args(lam, n)
+        return [math.exp(x) for x in self._log_weight_list(float(lam), int(n))]
 
     def scale_to_mean(self, b):
         if b <= 0:
@@ -125,6 +168,9 @@ class Exponential(ServiceDistribution):
 
     def _log_weights(self, lam, n):
         return _negbin_log_weights(1.0, self.rate, lam, n)
+
+    def _log_weight_list(self, lam, n):
+        return _negbin_log_weight_list(1.0, self.rate, lam, n)
 
     def _with_mean(self, b):
         return Exponential(rate=1.0 / b)
@@ -158,6 +204,9 @@ class Gamma(ServiceDistribution):
 
     def _log_weights(self, lam, n):
         return _negbin_log_weights(self.shape, self.rate, lam, n)
+
+    def _log_weight_list(self, lam, n):
+        return _negbin_log_weight_list(self.shape, self.rate, lam, n)
 
     def _with_mean(self, b):
         return type(self)(shape=self.shape, rate=self.shape / b)
@@ -238,9 +287,7 @@ class Deterministic(ServiceDistribution):
         return -self.duration * math.exp(-s * self.duration)
 
     def _log_weights(self, lam, n):
-        # Poisson(mu) pmf, mu = lam * duration: log r_0 = -mu plus the running
-        # sum of log(r_j/r_{j-1}) = log(mu/j); the partial sums are the log
-        # weights themselves, so no large intermediate loses digits.
+        # Poisson(mu), mu = lam * duration, as _poisson_log_weight_list
         import numpy as np
 
         mu = lam * self.duration
@@ -248,6 +295,9 @@ class Deterministic(ServiceDistribution):
         steps[0] = -mu
         steps[1:] = np.log(mu / np.arange(1, n + 1, dtype=np.float64))
         return np.cumsum(steps)
+
+    def _log_weight_list(self, lam, n):
+        return _poisson_log_weight_list(lam * self.duration, n)
 
     def _with_mean(self, b):
         return Deterministic(duration=b)
@@ -296,6 +346,9 @@ class HyperExponential(ServiceDistribution):
                 total += w * np.exp(_negbin_log_weights(1.0, r, lam, n))
         with np.errstate(divide="ignore"):
             return np.log(total)
+
+    def _log_weight_list(self, lam, n):
+        return _mixture_log_weight_list(self.weights, self.rates, lam, n)
 
     def _with_mean(self, b):
         factor = self.mean() / b

@@ -10,16 +10,38 @@ in which nothing cancels, computes.  The remaining busy-period quantities
 follow from Wald identities, and the stationary probabilities p1 (idle /
 lower passage) and p2 (above-threshold occupation) from the renewal reward
 theorem.
+
+Q_L has two routes, chosen in `_q_top` alone.  Up to L = PYTHON_MAX_LEVEL,
+and while numpy is not loaded, it runs on Python floats, lists and `math`:
+the same log-domain weights and truncation, increments, tilt and renewal
+loop, one entry at a time (sum(map(operator.mul, a, history))), and the
+same errors.  Everywhere else it imports numpy there and runs the kernels'
+blocked loop; so does a model whose weights run past _PYTHON_MAX_WEIGHTS
+(a slow gamma tail).  The loop is L^2/2 multiply-adds either way, about
+50 ns each on Python floats, so a whole `optimize --mode exact` (39
+solves) at L = 200 costs less on the interpreter than `import numpy`
+(90-105 ms) alone.  Measured in fresh processes on a 2-vCPU x86_64 VM,
+Python 3.11, medians of 11: at L = 256 that optimize took 0.15-0.23 s on
+the Python route and 0.17-0.24 s on numpy, at L = 320 and 384 0.25 and
+0.28 s against 0.23 and 0.24 s; so the crossover is near L = 256.
+
+The rule reads sys.modules for two reasons.  Once numpy is loaded its route
+is the faster per solve (0.3 ms against 1.3-2 ms at L = 200).  And a caller
+that loaded numpy for its own use sees every solve go through the kernels:
+perfbench/launcher.py loads them to wrap kernels.busy_period_recurrence.
+The two routes agree to 1e-12 relative in Q_L (tests/test_routes.py); a
+change to the exact numerics must land on both.
 """
 
 import math
-
-import numpy as np
+import operator
+import sys
+from itertools import accumulate
 
 from ._record import Record
+from .asymptotics import _exp
 from .errors import NumericDegeneracyError
 from .model import CostModel, DamModel  # re-exported as exact.DamModel etc.
-from . import kernels
 
 __all__ = [
     "DamModel",
@@ -46,6 +68,11 @@ _TAIL = 2.0 ** -60
 # laws of shape 1e-4 and 1e-8 need 614,401 and billions of them
 _MAX_WEIGHTS = 1 << 20
 
+# the largest L solved on Python floats while numpy is not loaded, and the
+# most weights that route sums before it hands the model to numpy
+PYTHON_MAX_LEVEL = 256
+_PYTHON_MAX_WEIGHTS = 1 << 12
+
 
 class BusyPeriodMetrics(Record):
     e_nu1: float
@@ -64,32 +91,43 @@ class ExactSolution(Record):
     cost: float = None
 
 
+def _check_r0(r0, model):
+    if r0 < _R0_FLOOR:
+        raise NumericDegeneracyError(
+            "r_0 = %g underflows; the normal-regime service law puts its mass "
+            "too far from the origin for arrival rate %g" % (r0, model.lam))
+
+
 def _weights(model, n):
     """r_0..r_n of the normal-regime law, refusing an underflowing r_0."""
     r = model.b1.mixed_poisson_weights(model.lam, n)
-    if r[0] < _R0_FLOOR:
-        raise NumericDegeneracyError(
-            "r_0 = %g underflows; the normal-regime service law puts its mass "
-            "too far from the origin for arrival rate %g" % (r[0], model.lam))
+    _check_r0(r[0], model)
     return r
 
 
-def _series(model):
-    """r_0..r_N, N doubled from 2L + 200 until the weights left out sum
-    to below _TAIL * T_L (only a T_L below 1/2 is read from the tail).
+def _enough(r, L, total):
+    """Whether r_0..r_N leave out weights that sum to below _TAIL * T_L
+    (only a T_L below 1/2 is read from the tail); total sums a slice.
 
     The left-out sum is estimated as r_N q / (1 - q), q = r_N / r_{N-1}:
     every family's weights fall monotonically past their mode.
     """
+    last = r[-1]
+    if last == 0.0 or total(r[:L + 1]) <= 0.5:
+        return True
+    q = last / r[-2]
+    return q < 1.0 and last * q / (1.0 - q) <= _TAIL * total(r[L + 1:])
+
+
+def _series(model):
+    """r_0..r_N, N doubled from 2L + 200 until `_enough`."""
+    import numpy as np
+
     L = int(model.level)
     n = 2 * L + 200
     while True:
         r = _weights(model, n)
-        last = r[-1]
-        if last == 0.0 or r[:L + 1].sum() <= 0.5:
-            return r
-        q = last / r[-2]
-        if q < 1.0 and last * q / (1.0 - q) <= _TAIL * r[L + 1:].sum():
+        if _enough(r, L, np.sum):
             return r
         if n >= _MAX_WEIGHTS:
             # a tail too long to sum: the weights past r_n enter as one
@@ -101,6 +139,9 @@ def _series(model):
 def _counts(model):
     """(u, r_0, scales): the renewal sequence u tilted by the recurrence's
     x, so that Q_n = sum_{m<n} u[m] exp(scales[m]) / r_0 for n >= 1."""
+    import numpy as np
+    from . import kernels
+
     L = int(model.level)
     if L > MAX_LEVEL:
         raise ValueError("level %d is above the largest the exact route "
@@ -118,20 +159,100 @@ def _counts(model):
 
 def busy_period_counts(model):
     """Vector (Q_0, ..., Q_L); entries beyond double range come back as inf."""
+    import numpy as np
+
     u, r0, scales = _counts(model)
     with np.errstate(over="ignore"):
         return np.append(1.0, np.cumsum(u[:-1] * np.exp(scales[:-1])) / r0)
 
 
-def _q_top(model):
-    """Q_L; inf beyond double range."""
-    u, r0, scales = _counts(model)
-    q = float(np.dot(u[:-1], np.exp(-scales[:0:-1]))) / r0
+def _finite_q(q):
     if not math.isfinite(q):
         raise NumericDegeneracyError(
             "the busy-period recurrence gave a non-finite Q_L")
+    return q
+
+
+def _numpy_q_top(model):
+    """Q_L by the kernels' blocked recurrence; inf beyond double range."""
+    import numpy as np
+
+    u, r0, scales = _counts(model)
+    q = _finite_q(float(np.dot(u[:-1], np.exp(-scales[:0:-1]))) / r0)
     with np.errstate(over="ignore"):
         return q * float(np.exp(scales[-1]))
+
+
+# --- the same Q_L on Python floats, lists and `math` alone ---
+
+def _python_series(model):
+    """`_series` as a list, or None where the weights run past
+    _PYTHON_MAX_WEIGHTS before they are `_enough`."""
+    L = int(model.level)
+    n = 2 * L + 200
+    while n <= _PYTHON_MAX_WEIGHTS:
+        r = model.b1.mixed_poisson_weight_list(model.lam, n)
+        _check_r0(r[0], model)
+        if _enough(r, L, sum):
+            return r
+        n *= 2
+    return None
+
+
+def _python_tilt(a):
+    """`kernels._tilt` on Python floats: the x < 0 with
+    sum_k a_k e^{kx} = 1, given the increments a_1..a_L."""
+    log_a = [math.log(v) if v > 0.0 else -math.inf for v in a]
+    k = range(1, len(a) + 1)
+    x = 0.0
+    while True:
+        e = [v + i * x for i, v in zip(k, log_a)]
+        top = max(e)
+        w = [math.exp(v - top) for v in e]
+        total = sum(w)
+        step = (top + math.log(total)) * total / sum(map(operator.mul, k, w))
+        if not x - step < x:
+            return x
+        x -= step
+
+
+def _python_renewal(a):
+    """u_{L-1}, ..., u_0 of the increments a_1..a_L, newest first: the
+    kernels' renewal loop one entry at a time, u_m = sum_k a_k u_{m-k}."""
+    history = [1.0]
+    for _ in range(len(a) - 1):
+        history.insert(0, sum(map(operator.mul, a, history)))
+    return history
+
+
+def _python_q_top(model):
+    """Q_L as `_numpy_q_top` gives it, or None to hand the model over."""
+    L = int(model.level)
+    r = _python_series(model)
+    if r is None:
+        return None
+    # the increments as `_counts` builds them: 1 - sum_{j<=k} r_j, else
+    # sum_{j>k} r_j, for k = 1..L
+    head = list(accumulate(r[:L + 1]))[1:]
+    tail = list(accumulate(reversed(r[2:])))[::-1]
+    a = [(1.0 - h if 1.0 - h >= 0.5 else t) / r[0]
+         for h, t in zip(head, tail)]
+    x = _python_tilt(a) if sum(a) > 1.0 else 0.0
+    tilt = [math.exp(k * x) for k in range(1, L + 1)]
+    u = _python_renewal(list(map(operator.mul, a, tilt)))
+    # with u the tilted sequence, Q_L e^{Lx} = sum_{m<L} u_m e^{(L-m)x} / r_0
+    q = _finite_q(sum(map(operator.mul, u, tilt)) / r[0])
+    return q * _exp(-L * x)
+
+
+def _q_top(model):
+    """Q_L; inf beyond double range.  The one choice of route: Python
+    floats up to PYTHON_MAX_LEVEL while numpy is not loaded, else numpy."""
+    if int(model.level) <= PYTHON_MAX_LEVEL and "numpy" not in sys.modules:
+        q = _python_q_top(model)
+        if q is not None:
+            return q
+    return _numpy_q_top(model)
 
 
 def _probs(model, inv_q):

@@ -218,6 +218,16 @@ def test_j_lower_values():
         assert asymptotics.j_lower(c, 2.0, 0.0, zero) == 0.0
 
 
+@pytest.mark.parametrize("c", [1e4, 6.8e7, 1e12, 1e300, 1e308])
+def test_j_lower_at_large_c_keeps_its_limit(c):
+    # with j1 = 0, J_lower = C k (e^x - 1), x = rho12_tilde/(2C), falls to
+    # k rho12_tilde/2 = 1 as C grows; e^x - 1 formed by subtraction cancels
+    # there (0.99999999988 at C = 6.8e7), and 2C overflows at 1e308
+    free = exact.CostModel(j1=0.0, j2=1.0)
+    assert asymptotics.j_lower(c, 2.0, 0.5, free) == pytest.approx(
+        1.0 + 0.5 / c + 1.0 / (6.0 * c * c), rel=1e-12)
+
+
 def test_rho12_tilde():
     assert asymptotics.rho12_tilde(1.0, Exponential(rate=5.0)) == pytest.approx(2.0)
     assert asymptotics.rho12_tilde(1.0, Deterministic(duration=3.0)) == pytest.approx(1.0)

@@ -275,7 +275,9 @@ def test_optimize_ends_where_the_literal_cost_is_flat(tmp_path, c_max):
         env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["regime"] == "lower_penalized"
+    rec = json.loads(proc.stdout)
+    assert rec["regime"] == "lower_penalized"
+    assert rec["rho1_star"] > 0
 
 
 def test_verify_upper_at_small_c(capsys):
@@ -582,16 +584,18 @@ print(sorted(m for m in sys.modules
     assert proc.stdout.strip() == "[]"
 
 
-def test_asymptotic_paths_do_not_import_numpy(tmp_path):
-    """Start-up, the asymptotic commands and config errors run without numpy;
-    the first command that needs it pins OpenBLAS to one thread."""
+def test_small_problems_do_not_import_numpy(tmp_path):
+    """Start-up, the asymptotic commands, config errors and the exact
+    commands up to exact.PYTHON_MAX_LEVEL run without numpy; the first
+    command that needs it pins OpenBLAS to one thread."""
     script = """
 import contextlib, io, os, sys
 def numpy_loaded():
     return any(m.split(".")[0] == "numpy" for m in sys.modules)
 import damctl.cli
-from damctl import cli, CostModel, DamModel, optimize_asymptotic
+from damctl import cli, exact, CostModel, DamModel, optimize_asymptotic
 assert not numpy_loaded(), "import"
+top = str(exact.PYTHON_MAX_LEVEL)
 model = ["--lambda", "1", "--b1", "exp:1", "--b2", "exp:2"]
 runs = [
     (["optimize"] + model + ["--level", "1000", "--j1", "2"], 0),
@@ -605,6 +609,15 @@ runs = [
     (["optimize"] + model + ["--level", "5", "--mode", "exact",
       "--rho1-max", "inf"], 2),
     (["--help"], 0),
+    (["analyze"] + model + ["--level", "5"], 0),
+    (["analyze", "--lambda", "1", "--b1", "gamma:2.5:2", "--b2", "exp:2",
+      "--level", top], 0),
+    (["optimize"] + model + ["--level", "200", "--mode", "exact"], 0),
+    (["optimize", "--lambda", "1", "--b1", "hyper:0.4:0.5:0.6:3",
+      "--b2", "exp:2", "--level", top, "--mode", "exact"], 0),
+    (["verify"] + model + ["--regime", "upper", "--levels", "50," + top], 0),
+    (["verify"] + model + ["--regime", "lower", "--c", "2",
+      "--levels", "7,100"], 0),
 ]
 for argv, want in runs:
     with contextlib.redirect_stdout(io.StringIO()), \\
@@ -612,7 +625,7 @@ for argv, want in runs:
         assert cli.main(argv) == want, argv
     assert not numpy_loaded(), argv
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["analyze"] + model + ["--level", "5"]) == 0
+    assert cli.main(["analyze"] + model + ["--level", str(int(top) + 1)]) == 0
 assert numpy_loaded()
 print(os.environ["OPENBLAS_NUM_THREADS"])
 """
@@ -627,8 +640,9 @@ print(os.environ["OPENBLAS_NUM_THREADS"])
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
     """Importing the CLI loads none of dataclasses, inspect, csv or numpy;
-    the commands that need no numpy load none of dataclasses, inspect or
-    numpy, and no command loads dataclasses."""
+    the commands that need no numpy (the exact ones at small L included)
+    load none of dataclasses, inspect or numpy, and no command loads
+    dataclasses."""
     script = """
 import contextlib, io, sys
 def loaded(*names):
@@ -651,11 +665,11 @@ light = [
       "--level", "5"], 2),
     (["optimize"] + model + ["--level", "5", "--mode", "exact",
       "--rho1-max", "inf"], 2),
-]
-heavy = [
     (["analyze"] + model + ["--level", "50"], 0),
     (["optimize"] + model + ["--level", "20", "--mode", "exact"], 0),
     (["verify"] + model + ["--regime", "upper", "--levels", "50,100"], 0),
+]
+heavy = [
     (["simulate"] + model + ["--level", "5", "--cycles", "256"], 0),
 ]
 for argv, want in light + heavy:
@@ -714,6 +728,33 @@ def test_verify_lower_note_skips_undefined_rel_err(capsys):
     row = out.splitlines()[1].split(",")
     assert row[6] == "0" and row[8] == ""
     assert "p1 0.0168, p2 nan" in err
+
+
+@pytest.mark.parametrize("c, level", [("150", 100), ("100", 100),
+                                      ("250", 200)])
+def test_verify_lower_c_at_or_above_level_exits_2(capsys, c, level):
+    # rho1 = 1 - C/L would be 0 or negative at the first level named
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", "lower",
+                                  "--c", c, "--levels", "%d,300" % level])
+    assert code == 2
+    assert out == ""
+    assert "C < L" in err and "at L = %d" % level in err
+
+
+def test_verify_lower_at_small_c_keeps_the_table(capsys):
+    # e^(rho12_tilde/(2C)) overflows at C = 0.001: the literal columns and
+    # their errors are left empty, the exact columns stay
+    code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
+                                  "--b2", "exp:2", "--regime", "lower",
+                                  "--c", "0.001", "--levels", "100,200"])
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[4:6] == ["", ""] and row[7:9] == ["", ""]
+        assert 0 < float(row[3]) < 1 and 0 < float(row[6]) < 1
+    assert "p1 nan, p2 nan" in err
 
 
 def test_arithmetic_overflow_exits_3(capsys, monkeypatch):

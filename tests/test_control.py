@@ -117,6 +117,29 @@ def test_monotone_costs_return_the_interval_end_itself():
         assert sol.rho1_star == end
 
 
+@pytest.mark.parametrize("level", [1, 3, 100])
+@pytest.mark.parametrize("c_max", [1e9, 1e308])
+def test_lower_regime_keeps_rho1_positive(level, c_max):
+    # j1 = 0: the literal J_lower falls toward its C = 0 value as C grows,
+    # and the search must not reach C >= L, where rho1 = 1 - C/L <= 0
+    sol = control.optimize_asymptotic(exact.CostModel(0.0, 1.0), 0.5, 2.0,
+                                      level, c_max=c_max)
+    assert sol.regime == control.REGIME_LOWER
+    assert 0.0 <= sol.c_star < level
+    assert sol.rho1_star > 0.0
+
+
+@pytest.mark.parametrize("level", [1, 3, 100])
+def test_lower_regime_search_stays_below_level(level, monkeypatch):
+    # a lower-regime cost that falls without end: the answer is the
+    # largest C searched, which must stay below L
+    monkeypatch.setattr(asymptotics, "j_lower", lambda c, *args: -c)
+    sol = control.optimize_asymptotic(exact.CostModel(0.0, 1.0), 0.5, 2.0,
+                                      level, c_max=1e9)
+    assert level - 1e-6 < sol.c_star < level
+    assert sol.rho1_star > 0.0
+
+
 def test_optimize_exact_monotone_oracle():
     # grid scan confirms J is monotone in rho1 when only one side is charged
     for costs, sign in [(exact.CostModel(1.0, 0.0), -1), (exact.CostModel(0.0, 1.0), 1)]:

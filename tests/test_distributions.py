@@ -94,13 +94,18 @@ def test_weight_normalization_and_moments(d, lam):
     assert float((j * r).sum()) == pytest.approx(lam * d.mean(), rel=1e-8)
     assert float((j * (j - 1) * r).sum()) == pytest.approx(
         lam ** 2 * d.raw_moment(2), rel=1e-8)
+    # the Python-float twin, term for term
+    np.testing.assert_allclose(d.mixed_poisson_weight_list(lam, n), r,
+                               rtol=1e-12, atol=0)
 
 
 def test_weights_reject_bad_lambda():
-    with pytest.raises(ValueError):
-        Exponential(rate=1.0).mixed_poisson_weights(0.0, 5)
-    with pytest.raises(ValueError):
-        Exponential(rate=1.0).mixed_poisson_weights(-1.0, 5)
+    d = Exponential(rate=1.0)
+    for weights in (d.mixed_poisson_weights, d.mixed_poisson_weight_list):
+        with pytest.raises(ValueError):
+            weights(0.0, 5)
+        with pytest.raises(ValueError):
+            weights(-1.0, 5)
 
 
 def test_weights_survive_deep_tails():
@@ -190,10 +195,12 @@ def test_weights_match_loggamma_reference(d, kind, params):
     n = 4000
     want = np.exp([float(x) for x in
                    mp_reference.log_weights(kind, params, 1.0, n)])
-    got = d.mixed_poisson_weights(1.0, n)
     normal = want > 1e-300  # compare where the reference is a normal double
     assert normal.sum() > 100
-    np.testing.assert_allclose(got[normal], want[normal], rtol=2e-11, atol=0)
+    for got in (d.mixed_poisson_weights(1.0, n),
+                np.array(d.mixed_poisson_weight_list(1.0, n))):
+        np.testing.assert_allclose(got[normal], want[normal], rtol=2e-11,
+                                   atol=0)
 
 
 @pytest.mark.parametrize("make", [

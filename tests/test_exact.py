@@ -267,13 +267,13 @@ def test_solve_matches_single_metric_entry_points(tag, rho1):
 
 def test_solve_runs_one_recurrence(monkeypatch):
     calls = []
-    real = exact.kernels.busy_period_recurrence
+    real = kernels.busy_period_recurrence
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(exact.kernels, "busy_period_recurrence", counting)
+    monkeypatch.setattr(kernels, "busy_period_recurrence", counting)
     exact.solve(mm1(1.0, 50), exact.CostModel(j1=1.0, j2=1.0))
     assert calls == [50]
 
