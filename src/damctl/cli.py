@@ -16,10 +16,11 @@ Exit codes: 0 success, 2 configuration error, 3 numeric error.
 A request imports and builds only what it runs.  The exact commands
 (analyze, verify, simulate, optimize --mode exact) import `exact` when they
 run, after checking their options, and simulate imports `simulator`, and
-with it numpy.  `exact` solves L <= exact.PYTHON_MAX_LEVEL (256) on Python
+with it numpy.  `exact` solves L <= exact.PYTHON_MAX_LEVEL (384) on Python
 floats while numpy is not loaded, and imports numpy for larger L: about
-where 39 solves, one `optimize --mode exact`, cost as much on the
-interpreter as `import numpy` (90-105 ms) and the numpy solves together.
+where the 17 or so solves of one `optimize --mode exact` cost as much on
+the interpreter as `import numpy` (90-105 ms) and the numpy solves
+together.
 It reads sys.modules because once numpy is loaded its route is the faster
 per solve, and because a caller that loaded numpy (perfbench/launcher.py)
 then sees every solve in the kernels.  So optimize --mode asymptotic,

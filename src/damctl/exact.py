@@ -18,12 +18,15 @@ loop, one entry at a time (sum(map(operator.mul, a, history))), and the
 same errors.  Everywhere else it imports numpy there and runs the kernels'
 blocked loop; so does a model whose weights run past _PYTHON_MAX_WEIGHTS
 (a slow gamma tail).  The loop is L^2/2 multiply-adds either way, about
-50 ns each on Python floats, so a whole `optimize --mode exact` (39
+50 ns each on Python floats, so a whole `optimize --mode exact` (about 17
 solves) at L = 200 costs less on the interpreter than `import numpy`
 (90-105 ms) alone.  Measured in fresh processes on a 2-vCPU x86_64 VM,
-Python 3.11, medians of 11: at L = 256 that optimize took 0.15-0.23 s on
-the Python route and 0.17-0.24 s on numpy, at L = 320 and 384 0.25 and
-0.28 s against 0.23 and 0.24 s; so the crossover is near L = 256.
+Python 3.11, medians of 11 on exp, gamma 2.5 and hyper laws, that
+optimize took 0.10-0.12 s on the Python route and 0.14-0.19 s on numpy at
+L = 256, 0.10 against 0.13 s at L = 320, and 0.11-0.15 against
+0.13-0.18 s at L = 384 (two runs); at L = 448 and 512 numpy was the
+faster, 0.14-0.16 against 0.14-0.17 s and 0.13 against 0.15-0.17 s.  So
+the crossover lies between L = 384 and 448.
 
 The rule reads sys.modules for two reasons.  Once numpy is loaded its route
 is the faster per solve (0.3 ms against 1.3-2 ms at L = 200).  And a caller
@@ -70,7 +73,7 @@ _MAX_WEIGHTS = 1 << 20
 
 # the largest L solved on Python floats while numpy is not loaded, and the
 # most weights that route sums before it hands the model to numpy
-PYTHON_MAX_LEVEL = 256
+PYTHON_MAX_LEVEL = 384
 _PYTHON_MAX_WEIGHTS = 1 << 12
 
 

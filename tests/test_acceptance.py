@@ -165,7 +165,7 @@ def test_criterion_08_optimizer_oracle():
         grid = np.linspace(0.0, 10.0 * rho12t, 10 ** 6)
         want = float(grid[np.argmin(curve(grid))])
         worst = max(worst, abs(sol.c_star - want))
-    _report(8, "golden-section optimum vs million-point grid scan (20 tuples)",
+    _report(8, "asymptotic optimum vs million-point grid scan (20 tuples)",
             worst <= 1e-5, time.perf_counter() - t0, 10.0,
             "max |C* - grid| = %.2e" % worst)
 

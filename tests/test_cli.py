@@ -227,7 +227,7 @@ def test_sweep_j_upper_where_2c_overflows(capsys):
 
 
 def test_optimize_c_max_where_2c_overflows(capsys):
-    # golden section prices C up to 1.7e308, where 2C overflows; it finds
+    # a --c-max of 1.7e308 is past where 2C overflows; the search finds
     # the optimum found under --c-max 1e308, within its bracket of 1e-8
     argv = ["optimize", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
             "--level", "100", "--j1", "2", "--j2", "1", "--c-max"]
@@ -262,10 +262,25 @@ def test_optimize_search_does_not_grow_with_c_max(capsys, monkeypatch, c_max):
     assert rec["predicted_cost"] == default["predicted_cost"]
 
 
+@pytest.mark.parametrize("mode", ["asymptotic", "exact"])
+def test_optimize_prints_zero_drift_as_positive_zero(capsys, mode):
+    # lower regime with j1 = 0: C* = 0; the exact range starts at rho1 = 1,
+    # its optimum when p2 alone is charged
+    code, out, err = run(capsys, [
+        "optimize", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+        "--level", "100", "--j1", "0", "--j2", "1", "--mode", mode,
+        "--rho1-min", "1"])
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["regime"] == "lower_penalized"
+    assert rec["c_star"] == 0.0
+    assert math.copysign(1.0, rec["delta_star"]) == 1.0
+
+
 @pytest.mark.parametrize("c_max", ["83886080", "1e9", "1e308"])
 def test_optimize_ends_where_the_literal_cost_is_flat(tmp_path, c_max):
     # with j1 = 0 the literal J_lower is flat to round-off at large C, where
-    # golden section's bracket narrows to a few ulps; run in a child process,
+    # a search's bracket narrows to a few ulps; run in a child process,
     # so that a search that never ends fails at the timeout
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import golden_reference
 import grid_costs
 from damctl import asymptotics, control, exact
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
@@ -28,9 +29,76 @@ def test_classify_regime_scale_invariance(alpha):
         assert scaled == base
 
 
-def test_golden_section_quadratic():
-    xstar = control.golden_section(lambda x: (x - 0.37) ** 2, 0.0, 2.0, 1e-10)
-    assert xstar == pytest.approx(0.37, abs=1e-8)
+def _counted(f):
+    """f, and a list that grows by one entry per call of it."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+def test_brent_quadratic():
+    f, calls = _counted(lambda x: (x - 0.37) ** 2)
+    x, fx = control.brent_minimize(f, 0.0, 2.0, 1e-10)
+    assert x == pytest.approx(0.37, abs=1e-8)
+    assert fx == (x - 0.37) ** 2
+    assert len(calls) == len(set(calls)) <= 10
+
+
+@pytest.mark.parametrize("where", [-1.0, 0.0, 1.0, 2.0])
+def test_search_returns_the_end_itself(where):
+    # a minimum at or beyond an end is that end, priced once
+    f, calls = _counted(lambda x: (x - where) ** 2)
+    x, fx = control._brent_and_ends(f, 0.0, 1.0, 1e-10)
+    end = 0.0 if where < 0.5 else 1.0
+    assert x == end
+    assert fx == (end - where) ** 2
+    assert calls.count(end) == 1
+
+
+@pytest.mark.parametrize("end", [0.0, 1.0])
+def test_an_end_wins_a_tie(end):
+    # f is least on the 5e-11 next to an end, half of tol, where the search
+    # stops: the end ties the best interior point and is returned
+    f, calls = _counted(lambda x: max(abs(x - end), 5e-11))
+    assert control.brent_minimize(f, 0.0, 1.0, 1e-10)[1] == 5e-11
+    x, fx = control._brent_and_ends(f, 0.0, 1.0, 1e-10)
+    assert x == end
+    assert fx == 5e-11
+    assert calls.count(end) == 1
+
+
+@pytest.mark.parametrize("level", [100.0, 2.0 ** 20])
+def test_search_stops_where_the_cost_is_flat(level):
+    # with j1 = 0 the literal J_lower falls to within round-off of its
+    # C = 0 value as C grows; the search takes 49 and 67 evaluations here,
+    # golden section 50 and 70
+    costs = exact.CostModel(0.0, 1.0)
+    f, calls = _counted(lambda c: asymptotics.j_lower(c, 2.0, 0.5, costs))
+    x, fx = control.brent_minimize(f, 0.0, math.nextafter(level, 0.0), 1e-8)
+    assert 0.0 < x < level
+    assert len(calls) <= 80
+
+
+def test_search_stops_on_a_constant_near_overflow():
+    # the bracket's midpoint is formed without a + b, which overflows here
+    f, calls = _counted(lambda x: 1.0)
+    x, fx = control.brent_minimize(f, 1e300, 1.7e308, 1e-8)
+    assert 1e300 < x < 1.7e308
+    assert fx == 1.0
+    assert len(calls) <= 80
+
+
+@pytest.mark.parametrize("f", [lambda x: abs(x - 0.3),
+                               lambda x: max(2.0 * (0.3 - x), x - 0.3)])
+def test_brent_finds_a_kink(f):
+    g, calls = _counted(f)
+    x, fx = control.brent_minimize(g, 0.0, 1.0, 1e-10)
+    assert abs(x - 0.3) <= 1e-10
+    assert fx == f(x)
+    assert len(calls) <= 60
 
 
 def test_optimize_asymptotic_balanced():
@@ -86,6 +154,20 @@ def test_optimize_asymptotic_fills_recommendation():
     assert sol.delta_star == pytest.approx(-sol.c_star / 1000)
 
 
+def test_zero_drift_is_positive_zero():
+    # lower regime, j1 = 0: C* = 0, and -1 * 0 / L would be -0.0
+    sol = control.optimize_asymptotic(exact.CostModel(0.0, 1.0), 0.5, 2.0, 100)
+    assert sol.regime == control.REGIME_LOWER
+    assert sol.c_star == 0.0
+    assert math.copysign(1.0, sol.delta_star) == 1.0
+    # p2 alone is charged: rho1* is the range's low end, 1
+    sol = control.optimize_exact(1.0, Exponential(rate=1.0), B2, 10,
+                                 exact.CostModel(0.0, 1.0),
+                                 rho1_range=(1.0, 1.5))
+    assert sol.rho1_star == 1.0
+    assert math.copysign(1.0, sol.delta_star) == 1.0
+
+
 def test_optimize_exact_balanced_small_level():
     sol = control.optimize_exact(1.0, Exponential(rate=1.0), B2, 100,
                                  exact.CostModel(1.0, 1.0))
@@ -107,7 +189,7 @@ def test_optimize_exact_single_sided_costs_hit_range_ends():
 
 
 def test_monotone_costs_return_the_interval_end_itself():
-    # golden section alone stops within tol of an end; the end is priced too
+    # Brent's search alone stops inside the interval; the end is priced too
     sol = control.optimize_asymptotic(exact.CostModel(2.0, 1.0), 0.5, 2.0,
                                       1000, c_max=0.5)  # C* is about 1.04
     assert sol.c_star == 0.5
@@ -173,7 +255,7 @@ def _dense_scan(family, level=200, points=2001):
 @pytest.mark.parametrize("j1", [2.0, 0.5])  # upper- and lower-penalized
 @pytest.mark.parametrize("family", sorted(EXACT_SHAPES))
 def test_optimize_exact_matches_dense_scan(family, j1):
-    # golden section alone needs one minimum in rho1; a 2,001-point scan of
+    # Brent's search alone needs one minimum in rho1; a 2,001-point scan of
     # the range would see a second, lower one
     costs = exact.CostModel(j1, 1.0)
     sol = control.optimize_exact(1.0, EXACT_SHAPES[family], B2, 200, costs)
@@ -183,6 +265,29 @@ def test_optimize_exact_matches_dense_scan(family, j1):
     i = int(np.argmin(vals))
     assert abs(sol.rho1_star - rho1s[i]) <= rho1s[1] - rho1s[0]
     assert sol.predicted_cost <= vals[i] * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("route", ["_python_q_top", "_numpy_q_top"])
+@pytest.mark.parametrize("j1", [2.0, 0.5])  # upper- and lower-penalized
+@pytest.mark.parametrize("family", sorted(EXACT_SHAPES))
+def test_optimize_exact_matches_golden_section(family, j1, route, monkeypatch):
+    # golden section's optimum, which took 39 solves, in at most 22, and
+    # never costlier beyond round-off
+    monkeypatch.setattr(exact, "_q_top", getattr(exact, route))
+    costs = exact.CostModel(j1, 1.0)
+
+    def cost(rho1):
+        return exact.cost(exact.DamModel(
+            1.0, EXACT_SHAPES[family].scale_to_mean(rho1), B2, 200), costs)
+
+    ref_rho1, ref_cost = golden_reference.minimize(cost, 0.5, 1.5, 1e-7)
+    calls, real_cost = [], exact.cost
+    monkeypatch.setattr(exact, "cost",
+                        lambda *a, **k: calls.append(a) or real_cost(*a, **k))
+    sol = control.optimize_exact(1.0, EXACT_SHAPES[family], B2, 200, costs)
+    assert abs(sol.rho1_star - ref_rho1) <= 1e-7
+    assert sol.predicted_cost <= ref_cost * (1.0 + 1e-12)
+    assert len(calls) <= 22
 
 
 def test_optimize_exact_reports_the_winning_cost():

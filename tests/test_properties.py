@@ -90,7 +90,7 @@ def test_one_sided_cost_is_monotone_in_rho1(setting, lower, j, rho1s):
 @PROPERTY
 @given(settings_(), costs_, st.floats(0.3, 0.95), st.floats(1.05, 2.0))
 def test_no_scan_point_beats_the_exact_optimum(setting, costs, lo, hi):
-    # golden section alone is exact only if J has one minimum in rho1.  Deep
+    # Brent's search alone is exact only if J has one minimum in rho1.  Deep
     # subcritical, p2 is round-off of order 1e-14 (its numerator cancels), so
     # J = L (j1 p1 + j2 p2) is compared up to 1e-12 in each probability
     lam, shape, b2, level = setting

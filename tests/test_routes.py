@@ -27,7 +27,7 @@ SHAPES = {
     "det": Deterministic(duration=1.0),
     "hyper": HyperExponential(weights=(0.4, 0.6), rates=(0.5, 3.0)),
 }
-LEVELS = [1, 2, 7, 50, 200, exact.PYTHON_MAX_LEVEL]
+LEVELS = [1, 2, 7, 50, 200, 256, exact.PYTHON_MAX_LEVEL]
 LOADS = [0.5, 0.95, 1.0, 1.05, 1.5, 3.0]
 
 
