@@ -27,9 +27,22 @@ then sees every solve in the kernels.  So optimize --mode asymptotic,
 sweep, --help, a rejected option and the exact commands at small L never
 load numpy; csv is imported by the two commands that write it.  The parser
 holds every command's name and help but only the named command's options.
+
+A request also skips the exit's garbage collections.  main registers
+gc.freeze with atexit, once per process, so the collections run while the
+interpreter finalizes skip every object alive at exit (about 21,500 after
+an analyze that loaded numpy), which the OS frees anyway.  That takes the
+time from main's return to the process's end from 23-28 ms to 6-8 ms
+after a command that loaded numpy, and from 10 to 3 ms after one that did
+not.  Output, exit codes and written files are unchanged (files are closed
+before main returns; Python never promises __del__ at exit).  Importing
+damctl or damctl.cli registers nothing, and an in-process caller collects
+as before until its own exit.
 """
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -48,6 +61,8 @@ MAX_C_GRID_POINTS = 10 ** 6
 # simulate refuses a run whose expected services, cycles x (E nu1 + E nu2),
 # exceed this
 MAX_SIM_SERVICES = 10 ** 9
+# main registers gc.freeze to run at exit, on its first call only
+_freeze_at_exit = True
 
 
 def _round12(obj):
@@ -425,6 +440,15 @@ def build_parser(cmd):
 
 
 def main(argv=None):
+    # at exit, move every live object into the permanent generation, so the
+    # collections of interpreter finalization skip them; the OS frees them
+    # anyway.  Registered here, once per process, so library users and
+    # `import damctl.cli` are untouched, and an in-process caller keeps
+    # collecting until its own exit
+    global _freeze_at_exit
+    if _freeze_at_exit:
+        atexit.register(gc.freeze)
+        _freeze_at_exit = False
     # numpy's OpenBLAS otherwise starts a worker thread per CPU whose idle
     # spinning costs CPU time and saves no wall time on these problem sizes;
     # set here, before a command loads numpy, so library users keep theirs

@@ -119,8 +119,11 @@ def _brent_and_ends(f, lo, hi, tol):
     Brent's search never prices lo or hi, so both are priced too, and an end
     wins a tie.  An end is the minimum where f is monotone, and C = 0 can be
     where f is not continuous: the literal J_lower diverges as C -> 0+, and
-    its value at C = 0 is the critical-regime cost.
+    its value at C = 0 is the critical-regime cost.  A zero-width interval
+    is priced once.
     """
+    if lo == hi:
+        return lo, f(lo)
     ends = (f(lo), lo), (f(hi), hi)
     x, fx = brent_minimize(f, lo, hi, tol)
     fx, x = min(*ends, (fx, x), key=lambda p: p[0])

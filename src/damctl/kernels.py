@@ -129,8 +129,12 @@ def busy_period_recurrence(a, L):
 # a run is byte-reproducible on one machine and numpy build.
 # ---------------------------------------------------------------------------
 
-# lanes in flight at once: from 4,096 to 65,536 lanes ran equally fast, and
-# this width keeps the lane arrays to a few megabytes
+# lanes in flight at once.  Over the 18 simulate-benchmark requests of seeds
+# 1-3, run in process, 4,096 lanes took 10-12% less time than this width,
+# with identical output, and about 10 page faults per request against
+# 1,200-1,600 (a (3, 16384) float64 gap block is 384 KiB).  In fresh
+# processes, where start-up dominates, three benchmark pairs showed no
+# difference.
 _LANES = 1 << 14
 
 # arrival gaps a lane reads per step

@@ -918,3 +918,73 @@ def test_config_key_that_names_no_option_exits_2(tmp_path, capsys):
     assert code == 0, err
     code, _, err = _run_config(tmp_path, capsys, "verify", levels=50)
     assert code == 0, err
+
+
+# one request in a fresh interpreter, as perfbench/run.py times it
+CALL_MAIN = ("import sys; from damctl.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--lambda", "1", "--b1", "gamma:2.5:2.4", "--b2", "exp:2",
+      "--level", "4000"], 0),
+    (["verify", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+      "--regime", "lower", "--c", "2", "--levels", "1000,2000,4000",
+      "--out", "table.csv"], 0),
+    (["analyze", "--lambda", "nan", "--b1", "exp:1", "--b2", "exp:2",
+      "--level", "4000"], 2),
+    (["analyze", "--lambda", "1", "--b1", "det:800", "--b2", "exp:2",
+      "--level", "4000"], 3),
+])
+def test_a_process_prints_and_writes_what_main_returns(tmp_path, monkeypatch,
+                                                       capsys, argv, code):
+    """The gc.freeze that main registers for the exit changes no stdout,
+    stderr, exit code or written file: frozen objects are not finalized at
+    exit, so a file must be complete when main returns.  The levels are
+    above exact.PYTHON_MAX_LEVEL, so both sides run on numpy."""
+    monkeypatch.chdir(tmp_path)
+    want = run(capsys, argv)
+    assert want[0] == code
+    table = tmp_path / "table.csv"
+    written = table.read_bytes() if "--out" in argv else None
+    if written is not None:
+        assert written.count(b"\n") == 4  # the header and three levels
+        table.unlink()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", CALL_MAIN] + argv,
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    if written is not None:
+        assert table.read_bytes() == written
+
+
+def test_only_main_registers_the_exit_hook(tmp_path):
+    """Importing damctl or its CLI and solving through the library register
+    nothing at exit; main registers one callback, however often it runs."""
+    script = """
+import atexit, contextlib, io
+before = atexit._ncallbacks()
+import damctl
+import damctl.cli
+import damctl.control
+from damctl import cli, CostModel, DamModel, Exponential, solve
+solve(DamModel(lam=1.0, b1=Exponential(rate=1.25), b2=Exponential(rate=2.0),
+               level=5), CostModel(j1=1.0, j2=1.0))
+assert atexit._ncallbacks() == before, "library use"
+model = ["--lambda", "1", "--b1", "exp:1", "--b2", "exp:2"]
+for argv, want in [(["analyze"] + model + ["--level", "5"], 0),
+                   (["analyze"] + model + ["--level", "5"], 0),
+                   (["sweep"] + model + ["--c-grid", "0:1:0.5"], 0),
+                   (["analyze"] + model, 2)]:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == want, argv
+print(atexit._ncallbacks() - before)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

@@ -154,6 +154,26 @@ def test_optimize_asymptotic_fills_recommendation():
     assert sol.delta_star == pytest.approx(-sol.c_star / 1000)
 
 
+@pytest.mark.parametrize("j1, name", [(2.0, "j_upper"), (0.5, "j_lower")])
+def test_a_zero_width_interval_is_priced_once(monkeypatch, j1, name):
+    # c_max = 0 leaves [0, 0]: C* = 0, and the cost there, from one call
+    costs = exact.CostModel(j1=j1, j2=1.0)
+    cost = getattr(asymptotics, name)
+    calls = []
+
+    def counted(c, *args):
+        calls.append(c)
+        return cost(c, *args)
+    monkeypatch.setattr(asymptotics, name, counted)
+    sol = control.optimize_asymptotic(costs, 0.5, 1.0, 100, c_max=0.0)
+    assert calls == [0.0]
+    assert sol.c_star == 0.0
+    assert sol.predicted_cost == cost(0.0, 1.0, 0.5, costs)
+    f, calls = _counted(lambda x: (x - 0.25) ** 2)
+    assert control._brent_and_ends(f, 0.5, 0.5, 1e-8) == (0.5, 0.0625)
+    assert calls == [0.5]
+
+
 def test_zero_drift_is_positive_zero():
     # lower regime, j1 = 0: C* = 0, and -1 * 0 / L would be -0.0
     sol = control.optimize_asymptotic(exact.CostModel(0.0, 1.0), 0.5, 2.0, 100)
