@@ -15,6 +15,11 @@ them twice, with numpy (`_log_weights`, for large n) and on Python floats
 both follow one of three recipes: negative binomial (exponential, Erlang,
 gamma), Poisson (deterministic) or a mixture of phases (hyperexponential).
 
+The phase-type families (exponential, Erlang, hyperexponential) also give
+`phases(most)`: an acyclic representation by exponential phases in series
+or in parallel, from which `exact` solves Q_L without the weights.  Gamma
+and deterministic laws give None.
+
 numpy is imported only by the numpy weight code and the samplers, so
 building and describing a distribution does not load it.  The serializers
 read each family's field names and types from its record fields.
@@ -111,7 +116,17 @@ class ServiceDistribution(Record):
     reads uniforms on (0, 1] only through lanes.take(idx, m), peek(idx, m)
     and skip(idx, counts) (kernels._Lanes), at most lanes.BLOCK at once,
     and consumes exactly the draws it used.
+
+    A phase-type family overrides phases(most); the rest inherit None.
     """
+
+    def phases(self, most):
+        """(alpha, rates, onward): a service starts in phase i with
+        probability alpha[i], which ends at rate rates[i] and then passes
+        to phase i + 1 with probability onward[i], else ends the service.
+        None for a law that is not phase-type or needs more than `most`
+        phases (an Erlang shape can be far too large to list)."""
+        return None
 
     def mean(self):
         return self.raw_moment(1)
@@ -174,6 +189,9 @@ class Exponential(ServiceDistribution):
 
     def _with_mean(self, b):
         return Exponential(rate=1.0 / b)
+
+    def phases(self, most):
+        return ((1.0,), (self.rate,), (0.0,)) if most >= 1 else None
 
     def lane_services(self, lanes, idx):
         import numpy as np
@@ -256,6 +274,13 @@ class Erlang(Gamma):
             raise ValueError("Erlang shape must be a positive integer")
         if self.rate <= 0:
             raise ValueError("Erlang rate must be positive")
+
+    def phases(self, most):
+        k = int(self.shape)
+        if k > most:
+            return None
+        return ((1.0,) + (0.0,) * (k - 1), (self.rate,) * k,
+                (1.0,) * (k - 1) + (0.0,))
 
     def lane_services(self, lanes, idx):
         import numpy as np
@@ -354,6 +379,11 @@ class HyperExponential(ServiceDistribution):
         factor = self.mean() / b
         return HyperExponential(weights=self.weights,
                                 rates=tuple(r * factor for r in self.rates))
+
+    def phases(self, most):
+        if len(self.rates) > most:
+            return None
+        return self.weights, self.rates, (0.0,) * len(self.rates)
 
     def lane_services(self, lanes, idx):
         """Pick a phase with the first uniform, draw its exponential with the

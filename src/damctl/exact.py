@@ -11,29 +11,48 @@ follow from Wald identities, and the stationary probabilities p1 (idle /
 lower passage) and p2 (above-threshold occupation) from the renewal reward
 theorem.
 
-Q_L has two routes, chosen in `_q_top` alone.  Up to L = PYTHON_MAX_LEVEL,
-and while numpy is not loaded, it runs on Python floats, lists and `math`:
-the same log-domain weights and truncation, increments, tilt and renewal
-loop, one entry at a time (sum(map(operator.mul, a, history))), and the
-same errors.  Everywhere else it imports numpy there and runs the kernels'
-blocked loop; so does a model whose weights run past _PYTHON_MAX_WEIGHTS
-(a slow gamma tail).  The loop is L^2/2 multiply-adds either way, about
-50 ns each on Python floats, so a whole `optimize --mode exact` (about 17
-solves) at L = 200 costs less on the interpreter than `import numpy`
-(90-105 ms) alone.  Measured in fresh processes on a 2-vCPU x86_64 VM,
-Python 3.11, medians of 11 on exp, gamma 2.5 and hyper laws, that
-optimize took 0.10-0.12 s on the Python route and 0.14-0.19 s on numpy at
-L = 256, 0.10 against 0.13 s at L = 320, and 0.11-0.15 against
-0.13-0.18 s at L = 384 (two runs); at L = 448 and 512 numpy was the
-faster, 0.14-0.16 against 0.14-0.17 s and 0.13 against 0.15-0.17 s.  So
-the crossover lies between L = 384 and 448.
+Q_L has three routes, chosen in `_q_top` alone by one rule.  While numpy
+is not loaded, a law that lists its phases (`phases(MAX_PHASES)`: exp,
+Erlang and hyperexponential laws of at most MAX_PHASES phases) runs the
+phase route at any L up to MAX_LEVEL, and any other law runs the Python
+route up to L = PYTHON_MAX_LEVEL.  Everywhere else Q_L imports numpy and
+runs the kernels' blocked loop; so does a model whose weights run past
+_PYTHON_MAX_WEIGHTS (a slow gamma tail).
+
+The phase route.  A phase-type law's renewal sequence u also follows a
+d-dimensional linear filter with nonnegative coefficients (Neuts,
+Matrix-Geometric Solutions in Stochastic Models, 1981; Latouche and
+Ramaswami, 1999, ch. 2), so Q_L costs O(L d) on Python floats, with no
+weights, truncation or tilt: about (0.45 + 0.12 d) us a step, 2-3 ms at
+L = 4000 for d <= 3.  MAX_PHASES is where it stops paying: whole
+`optimize --mode exact` processes (about 17 solves, the command that
+solves most often) on Erlang(d) laws, fresh, medians of 3-5 against numpy
+imported first, took 0.10 against 0.13 s at d = 8 and L = 2000, 0.24
+against 0.24 s at L = 4000, 0.27 against 0.33 s at L = 8000 and 0.60
+against 0.88 s at L = 16000; at d = 10 they tied at L = 8000 and 16000,
+and at d = 12 numpy was the faster at L = 4000-16000.
+
+The Python route runs the numpy route's algorithm on Python floats, lists
+and `math`: the same log-domain weights and truncation, increments, tilt
+and renewal loop, one entry at a time (sum(map(operator.mul, a,
+history))), and the same errors.  The loop is L^2/2 multiply-adds either
+way, about 50 ns each on Python floats, so a whole `optimize --mode
+exact` at L = 200 costs less on the interpreter than `import numpy`
+(90-105 ms) alone.
+Measured in fresh processes on a 2-vCPU x86_64 VM, Python 3.11, medians
+of 11 on gamma 2.5 and det laws (the laws that take it), that optimize
+took 0.10-0.15 s on the Python route and 0.14-0.19 s on numpy at L = 256,
+0.12-0.16 against 0.14-0.20 s at L = 320 and 0.13-0.19 against
+0.13-0.20 s at L = 384 (two runs: numpy won one det run by 24 ms, the
+other three tied); at L = 448 numpy was the faster, 0.15 against
+0.16-0.18 s.  So the crossover lies between L = 384 and 448.
 
 The rule reads sys.modules for two reasons.  Once numpy is loaded its route
 is the faster per solve (0.3 ms against 1.3-2 ms at L = 200).  And a caller
 that loaded numpy for its own use sees every solve go through the kernels:
 perfbench/launcher.py loads them to wrap kernels.busy_period_recurrence.
-The two routes agree to 1e-12 relative in Q_L (tests/test_routes.py); a
-change to the exact numerics must land on both.
+The three routes agree to 1e-12 relative in Q_L (tests/test_routes.py);
+a change to the exact numerics must land on all of them.
 """
 
 import math
@@ -76,6 +95,10 @@ _MAX_WEIGHTS = 1 << 20
 PYTHON_MAX_LEVEL = 384
 _PYTHON_MAX_WEIGHTS = 1 << 12
 
+# the most phases of a law whose Q_L runs by its phases while numpy is not
+# loaded, at any L up to MAX_LEVEL
+MAX_PHASES = 8
+
 
 class BusyPeriodMetrics(Record):
     e_nu1: float
@@ -99,6 +122,15 @@ def _check_r0(r0, model):
         raise NumericDegeneracyError(
             "r_0 = %g underflows; the normal-regime service law puts its mass "
             "too far from the origin for arrival rate %g" % (r0, model.lam))
+
+
+def _solvable_level(model):
+    """L, refusing one above MAX_LEVEL."""
+    L = int(model.level)
+    if L > MAX_LEVEL:
+        raise ValueError("level %d is above the largest the exact route "
+                         "solves, %d" % (L, MAX_LEVEL))
+    return L
 
 
 def _weights(model, n):
@@ -145,10 +177,7 @@ def _counts(model):
     import numpy as np
     from . import kernels
 
-    L = int(model.level)
-    if L > MAX_LEVEL:
-        raise ValueError("level %d is above the largest the exact route "
-                         "solves, %d" % (L, MAX_LEVEL))
+    L = _solvable_level(model)
     r = _series(model)
     # the increments a_k = T_k / r_0: T_k = 1 - sum_{j<=k} r_j is exact
     # enough while it is at least 1/2; below that the tail sum, added from
@@ -248,11 +277,81 @@ def _python_q_top(model):
     return q * _exp(-L * x)
 
 
+# --- Q_L of a phase-type law by its d-dimensional filter, O(L d) ---
+
+def _substitute(terms, move):
+    """y_i = terms_i + move_i y_{i+1}, lists from the last phase to the
+    first: the back substitution that solves (lam I - T) y = D terms, with
+    T the law's upper-bidiagonal sub-generator and D = diag(lam + mu_i)."""
+    y, out = 0.0, []
+    for t, b in zip(terms, move):
+        y = t + b * y
+        out.append(y)
+    return out
+
+
+def _phase_q_top(model):
+    """Q_L from the law's phases, or None for a law that is not phase-type
+    or has more than MAX_PHASES; inf beyond double range.
+
+    With T the sub-generator, t = -T 1 its exit rates and R = lam (lam I -
+    T)^-1, the weights are r_j = alpha R^j h, h = (lam I - T)^-1 t, and
+    R 1 + h = 1, so a_k = alpha R^k v with v = R 1 / r_0.  The renewal
+    sequence is then u_0 = 1 and u_m = alpha s_m, s_1 = R v, s_{m+1} =
+    R (s_m + v u_m): the same u as the renewal loop, from nonnegative terms
+    alone, without weights, truncation or tilt.
+    """
+    phases = model.b1.phases(MAX_PHASES)
+    if phases is None:
+        return None
+    L = _solvable_level(model)
+    lam = model.lam
+    alpha, rates, onward = (p[::-1] for p in phases)
+    keep = [lam / (lam + mu) for mu in rates]
+    move = [c * mu / (lam + mu) for c, mu in zip(onward, rates)]
+    h = _substitute([(1.0 - c) * mu / (lam + mu)
+                     for c, mu in zip(onward, rates)], move)
+    r0 = sum(map(operator.mul, alpha, h))
+    _check_r0(r0, model)
+    v = [w / r0 for w in _substitute(keep, move)]
+    s = _substitute(list(map(operator.mul, keep, v)), move)
+    u = sum(map(operator.mul, alpha, s))
+    # total = u_0 + ... + u_{m-1}, and s_m <= max(v) total since R 1 <= 1;
+    # so while total <= limit no step leaves double range.  Past it, total,
+    # s and u are scaled by 2^-e, exactly, and e is added to shift.
+    limit = math.ldexp(1.0, 1020 - 2 * math.frexp(1.0 + max(v))[1])
+    total, shift = 1.0, 0
+    for _ in range(L - 1):
+        if total > limit:
+            e = math.frexp(total / limit)[1]
+            total, u = math.ldexp(total, -e), math.ldexp(u, -e)
+            s = [math.ldexp(x, -e) for x in s]
+            shift += e
+        total += u
+        # s = R (s + v u) by the substitution, and u = alpha s beside it
+        y = u_next = 0.0
+        s_next = []
+        for k, b, x, w, a in zip(keep, move, s, v, alpha):
+            y = k * (x + w * u) + b * y
+            u_next += a * y
+            s_next.append(y)
+        s, u = s_next, u_next
+    frac, e = math.frexp(total)
+    q = _finite_q(frac / r0)
+    try:
+        return math.ldexp(q, e + shift)
+    except OverflowError:
+        return math.inf
+
+
 def _q_top(model):
-    """Q_L; inf beyond double range.  The one choice of route: Python
-    floats up to PYTHON_MAX_LEVEL while numpy is not loaded, else numpy."""
-    if int(model.level) <= PYTHON_MAX_LEVEL and "numpy" not in sys.modules:
-        q = _python_q_top(model)
+    """Q_L; inf beyond double range.  The one choice of route: while numpy
+    is not loaded, a law of at most MAX_PHASES phases by its phases, any
+    other up to PYTHON_MAX_LEVEL on Python floats; else numpy."""
+    if "numpy" not in sys.modules:
+        q = _phase_q_top(model)
+        if q is None and int(model.level) <= PYTHON_MAX_LEVEL:
+            q = _python_q_top(model)
         if q is not None:
             return q
     return _numpy_q_top(model)

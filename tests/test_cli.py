@@ -600,11 +600,13 @@ print(sorted(m for m in sys.modules
 
 
 def test_small_problems_do_not_import_numpy(tmp_path):
-    """Start-up, the asymptotic commands, config errors and the exact
-    commands up to exact.PYTHON_MAX_LEVEL run without numpy; the first
-    command that needs it pins OpenBLAS to one thread."""
+    """Start-up, the asymptotic commands, config errors, the exact commands
+    up to exact.PYTHON_MAX_LEVEL and an exp law above it run without numpy;
+    a gamma or det law above it needs numpy, and the first command that
+    loads it pins OpenBLAS to one thread."""
     script = """
 import contextlib, io, os, sys
+heavy = sys.argv[1]
 def numpy_loaded():
     return any(m.split(".")[0] == "numpy" for m in sys.modules)
 import damctl.cli
@@ -633,6 +635,7 @@ runs = [
     (["verify"] + model + ["--regime", "upper", "--levels", "50," + top], 0),
     (["verify"] + model + ["--regime", "lower", "--c", "2",
       "--levels", "7,100"], 0),
+    (["analyze"] + model + ["--level", str(int(top) + 1)], 0),
 ]
 for argv, want in runs:
     with contextlib.redirect_stdout(io.StringIO()), \\
@@ -640,17 +643,88 @@ for argv, want in runs:
         assert cli.main(argv) == want, argv
     assert not numpy_loaded(), argv
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["analyze"] + model + ["--level", str(int(top) + 1)]) == 0
+    assert cli.main(["analyze", "--lambda", "1", "--b1", heavy, "--b2", "exp:2",
+                     "--level", str(int(top) + 1)]) == 0
 assert numpy_loaded()
 print(os.environ["OPENBLAS_NUM_THREADS"])
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+    for heavy in ("gamma:2.5:2", "det:0.8"):
+        proc = subprocess.run([sys.executable, "-c", script, heavy], env=env,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, (heavy, proc.stderr)
+        assert proc.stdout.strip() == "1"
+
+
+def test_phase_type_laws_solve_without_numpy(tmp_path):
+    """exp, Erlang and hyper laws of at most exact.MAX_PHASES phases solve
+    on their phases at any level, numpy unloaded: analyze at L = 4000 and
+    at exact.MAX_LEVEL, verify and optimize --mode exact.  The M/M/1 p1 and
+    p2 are the closed form's, the others those of the numpy route.  One
+    more phase than the bound loads numpy."""
+    script = """
+import contextlib, io, json, sys
+from damctl import cli, exact
+def numpy_loaded():
+    return any(m.split(".")[0] == "numpy" for m in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert not numpy_loaded(), argv
+    print(json.dumps(out.getvalue()))
+over = "erlang:%d:1" % (exact.MAX_PHASES + 1)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["analyze", "--lambda", "1", "--b1", over,
+                     "--b2", "exp:2", "--level", "4000"]) == 0
+print(numpy_loaded())
+"""
+    top = "erlang:%d:%d" % ((exact.MAX_PHASES,) * 2)
+    analyses = [(b1, 4000) for b1 in ("exp:0.9995", "erlang:2:2.001",
+                                      "hyper:0.3:0.5:0.7:2.6", top)]
+    analyses.append(("exp:0.9995", exact.MAX_LEVEL))
+    runs = [["analyze", "--lambda", "1", "--b1", b1, "--b2", "exp:2",
+             "--level", str(level)] for b1, level in analyses]
+    runs += [
+        ["verify", "--lambda", "1", "--b1", "erlang:2:2", "--b2", "exp:2",
+         "--regime", "upper", "--c", "1", "--levels", "1000,4000"],
+        ["optimize", "--mode", "exact", "--lambda", "1", "--b1",
+         "hyper:0.3:0.5:0.7:2.6", "--b2", "exp:2", "--level", "1000"],
+        # r_0 = 1e-300: Q_L is beyond double range, so p1 = 0, p2 = rho2
+        ["analyze", "--lambda", "1", "--b1", "exp:1e-300", "--b2", "exp:2",
+         "--level", "50", "--j1", "2", "--j2", "1"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1"
+    *outs, loaded = proc.stdout.splitlines()
+    assert loaded == "True"
+    outs = [json.loads(out) for out in outs]
+    outs = [out if argv[0] == "verify" else json.loads(out)
+            for out, argv in zip(outs, runs)]
+    for rec in outs[:len(analyses)]:
+        model = exact.DamModel(lam=1.0, b1=dist_from_dict(rec["model"]["b1"]),
+                               b2=dist_from_dict(rec["model"]["b2"]),
+                               level=rec["model"]["level"])
+        if rec["model"]["b1"]["type"] == "exp":
+            with mpmath.workdps(40):
+                rho = 1 / mpmath.mpf(model.b1.rate)
+                q = (rho ** (model.level + 1) - 1) / (rho - 1)
+            want = exact._probs(model, float(1 / q))
+        else:
+            sol = exact.solve(model)
+            want = sol.p1, sol.p2
+        assert (rec["p1"], rec["p2"]) == pytest.approx(want, rel=1e-10), rec
+    verify, optimize, tiny = outs[len(analyses):]
+    assert len(verify.splitlines()) == 3
+    assert optimize["mode"] == "exact"
+    assert (tiny["p1"], tiny["p2"], tiny["cost"]) == (0.0, 0.5, 25.0)
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
@@ -928,7 +1002,7 @@ CALL_MAIN = ("import sys; from damctl.cli import main; "
 @pytest.mark.parametrize("argv, code", [
     (["analyze", "--lambda", "1", "--b1", "gamma:2.5:2.4", "--b2", "exp:2",
       "--level", "4000"], 0),
-    (["verify", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+    (["verify", "--lambda", "1", "--b1", "gamma:2.5:2.5", "--b2", "exp:2",
       "--regime", "lower", "--c", "2", "--levels", "1000,2000,4000",
       "--out", "table.csv"], 0),
     (["analyze", "--lambda", "nan", "--b1", "exp:1", "--b2", "exp:2",
@@ -941,7 +1015,8 @@ def test_a_process_prints_and_writes_what_main_returns(tmp_path, monkeypatch,
     """The gc.freeze that main registers for the exit changes no stdout,
     stderr, exit code or written file: frozen objects are not finalized at
     exit, so a file must be complete when main returns.  The levels are
-    above exact.PYTHON_MAX_LEVEL, so both sides run on numpy."""
+    above exact.PYTHON_MAX_LEVEL and the laws are not phase-type, so both
+    sides run on numpy."""
     monkeypatch.chdir(tmp_path)
     want = run(capsys, argv)
     assert want[0] == code

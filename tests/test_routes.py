@@ -1,6 +1,7 @@
-"""The two routes to Q_L agree: Python floats (small L, numpy not loaded)
-and numpy.  pytest has numpy loaded, so each route is called directly;
-tests/test_cli.py checks which route a fresh interpreter takes."""
+"""The three routes to Q_L agree: a phase-type law's phases and Python
+floats (both while numpy is not loaded) and numpy.  pytest has numpy
+loaded, so each route is called directly; tests/test_cli.py checks which
+route a fresh interpreter takes."""
 
 import math
 import os
@@ -47,15 +48,13 @@ def solve_by(route, m, monkeypatch):
         return exact.solve(m, COSTS)
 
 
-@pytest.mark.parametrize("level", LEVELS)
-@pytest.mark.parametrize("tag", sorted(SHAPES))
-def test_routes_agree(tag, level, monkeypatch):
+def assert_agrees_with_numpy(route, tag, level, monkeypatch):
     for rho1 in LOADS:
         m = model(tag, rho1, level)
-        q_py = exact._python_q_top(m)
+        q_py = route(m)
         q_np = exact._numpy_q_top(m)
         assert q_py == pytest.approx(q_np, rel=1e-12), rho1
-        py = solve_by(exact._python_q_top, m, monkeypatch)
+        py = solve_by(route, m, monkeypatch)
         np_ = solve_by(exact._numpy_q_top, m, monkeypatch)
         assert py.p1 == pytest.approx(np_.p1, rel=1e-12, abs=0.0), rho1
         assert py.cost == pytest.approx(np_.cost, rel=1e-12), rho1
@@ -68,6 +67,12 @@ def test_routes_agree(tag, level, monkeypatch):
         assert near(py.busy.e_nu2, np_.busy.e_nu2, 1e-12 * nu2_terms), rho1
         assert near(py.busy.e_t2, np_.busy.e_t2,
                     1e-12 * nu2_terms * B2.mean()), rho1
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("tag", sorted(SHAPES))
+def test_routes_agree(tag, level, monkeypatch):
+    assert_agrees_with_numpy(exact._python_q_top, tag, level, monkeypatch)
 
 
 @pytest.mark.parametrize("level", [7, 50])
@@ -119,3 +124,93 @@ print(repr(exact.solve(m).busy.e_nu1), "numpy" in sys.modules)
     q, loaded = proc.stdout.split()
     assert loaded == "True"
     assert float(q) == exact._numpy_q_top(m)
+
+
+# --- the phase route: exp, Erlang and hyper laws by their phases ---
+
+PHASE_TAGS = ["exp", "erlang", "erlang40", "hyper"]
+
+
+@pytest.fixture
+def phases_up_to_40(monkeypatch):
+    """The phase route for Erlang(40) too, past MAX_PHASES."""
+    monkeypatch.setitem(SHAPES, "erlang40", Erlang(shape=40, rate=40.0))
+    monkeypatch.setattr(exact, "MAX_PHASES", 40)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("tag", PHASE_TAGS)
+def test_phase_route_agrees_with_numpy(tag, level, monkeypatch,
+                                       phases_up_to_40):
+    assert_agrees_with_numpy(exact._phase_q_top, tag, level, monkeypatch)
+
+
+@pytest.mark.parametrize("tag, level, rho1", [
+    ("erlang", 1000, 1.0), ("erlang40", 1000, 0.999), ("hyper", 1000, 1.001),
+    ("hyper", 2000, 0.9995)])
+def test_phase_route_matches_40_digit_reference(tag, level, rho1,
+                                                phases_up_to_40):
+    m = model(tag, rho1, level)
+    log_want = mp_reference.log_counts(m)[-1]
+    with mpmath.workdps(40):
+        err = abs(mpmath.log(exact._phase_q_top(m)) - log_want)
+    assert float(err) < 1e-12
+
+
+@pytest.mark.parametrize("level", [4000, 16000, 32000])
+@pytest.mark.parametrize("rho1", [0.8, 0.9995, 1.0, 1.0001, 1.5])
+def test_phase_route_matches_mm1_closed_form(level, rho1):
+    m = model("exp", rho1, level)
+    with mpmath.workdps(40):
+        rho = 1 / mpmath.mpf(m.b1.rate)
+        want = (rho ** (level + 1) - 1) / (rho - 1) if rho != 1 else level + 1
+        log_want = float(mpmath.log(want))
+    q = exact._phase_q_top(m)
+    if log_want > 709.0:
+        assert q == math.inf
+    else:
+        assert q == pytest.approx(math.exp(log_want), rel=1e-11)
+
+
+def test_phase_route_keeps_a_tiny_r0_finite(monkeypatch):
+    # r_0 = 2e-300: v = R 1 / r_0 is 5e299, so each step multiplies the
+    # state by about that; Q_L is beyond double range, p1 = 0, p2 = rho2
+    m = exact.DamModel(lam=1.0, b1=Exponential(rate=2e-300), b2=B2, level=50)
+    sol = solve_by(exact._phase_q_top, m, monkeypatch)
+    assert (sol.busy.e_nu1, sol.p1, sol.p2, sol.cost) == (math.inf, 0.0, 0.5,
+                                                           25.0)
+    # r_0 = 1e-10: Q_30 = 1.0006e300 is finite, but the state is rescaled
+    m = exact.DamModel(lam=1.0, b1=Erlang(shape=2, rate=1e-5), b2=B2,
+                       level=30)
+    assert exact._phase_q_top(m) == pytest.approx(exact._numpy_q_top(m),
+                                                  rel=1e-12)
+
+
+def test_phase_route_overflows_to_inf():
+    assert exact._phase_q_top(model("exp", 10.0, 320)) == math.inf
+    assert exact._numpy_q_top(model("exp", 10.0, 320)) == math.inf
+
+
+def test_phase_route_raises_what_the_other_routes_raise(monkeypatch):
+    # r_0 = (1e-160 / (1 + 1e-160))^2 underflows the floor
+    m = exact.DamModel(lam=1.0, b1=Erlang(shape=2, rate=1e-160), b2=B2,
+                       level=5)
+    with pytest.raises(NumericDegeneracyError, match="r_0"):
+        exact._phase_q_top(m)
+    with pytest.raises(NumericDegeneracyError, match="r_0"):
+        exact._numpy_q_top(m)
+    m = model("exp", 0.8, exact.MAX_LEVEL + 1)
+    with pytest.raises(ValueError, match="above the largest"):
+        exact._phase_q_top(m)
+    monkeypatch.setattr(Exponential, "phases",
+                        lambda self, most: ((1.0,), (math.nan,), (0.0,)))
+    with pytest.raises(NumericDegeneracyError, match="non-finite"):
+        exact._phase_q_top(model("exp", 0.8, 10))
+
+
+def test_phase_route_leaves_other_laws_to_the_others():
+    for tag in ("gamma0.5", "gamma2.5", "det"):
+        assert exact._phase_q_top(model(tag, 1.0, 50)) is None
+    over = Erlang(shape=exact.MAX_PHASES + 1, rate=1.0)
+    m = exact.DamModel(lam=1.0, b1=over, b2=B2, level=50)
+    assert exact._phase_q_top(m) is None
