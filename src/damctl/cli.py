@@ -18,16 +18,16 @@ A request imports and builds only what it runs.  The exact commands
 run, after checking their options, and simulate imports `simulator`, and
 with it numpy.  While numpy is not loaded, `exact` solves an exp, Erlang or
 hyper law of at most exact.MAX_PHASES (8) phases on Python floats at any
-level, by its phases in O(L d), and any other law at L <=
-exact.PYTHON_MAX_LEVEL (384), about where the 17 or so solves of one
-`optimize --mode exact` cost as much on the interpreter as `import numpy`
-(90-105 ms) and the numpy solves together; it imports numpy for the rest.
-It reads sys.modules because once numpy is loaded its route is the faster
-per solve, and because a caller that loaded numpy (perfbench/launcher.py)
-then sees every solve in the kernels.  So optimize --mode asymptotic,
-sweep, --help, a rejected option, the exact commands on phase-type laws
-and the others at small L never load numpy; csv is imported by the two
-commands that write it.  The parser holds every command's name and help
+level, by its phases in O(L d), and any other law by its band of K
+increments in O(L K) while L K is at most exact._PYTHON_MAX_WORK (2^18,
+between where one `analyze` and the 17 or so solves of one `optimize
+--mode exact` stop paying against `import numpy` and the numpy solves); it
+imports numpy for the rest.  It reads sys.modules because a caller that
+loaded numpy (perfbench/launcher.py) then sees every solve in the kernels.
+So optimize --mode asymptotic, sweep, --help, a rejected option, and the
+exact commands on phase-type laws and on gamma and det laws up to
+L = 4000 never load numpy; csv is imported by the two commands that write
+it.  The parser holds every command's name and help
 but only the named command's options.
 
 A request also skips the exit's garbage collections.  main registers

@@ -14,10 +14,11 @@ theorem.
 Q_L has three routes, chosen in `_q_top` alone by one rule.  While numpy
 is not loaded, a law that lists its phases (`phases(MAX_PHASES)`: exp,
 Erlang and hyperexponential laws of at most MAX_PHASES phases) runs the
-phase route at any L up to MAX_LEVEL, and any other law runs the Python
-route up to L = PYTHON_MAX_LEVEL.  Everywhere else Q_L imports numpy and
-runs the kernels' blocked loop; so does a model whose weights run past
-_PYTHON_MAX_WEIGHTS (a slow gamma tail).
+phase route at any L up to MAX_LEVEL, and any other law runs the banded
+route on Python floats while its band's work, L K multiply-adds, is at
+most _PYTHON_MAX_WORK.  Everywhere else Q_L imports numpy and runs the
+kernels' blocked loop; so does a model whose weights run past
+_PYTHON_MAX_WEIGHTS before its band is found (a slow gamma tail).
 
 The phase route.  A phase-type law's renewal sequence u also follows a
 d-dimensional linear filter with nonnegative coefficients (Neuts,
@@ -32,23 +33,33 @@ against 0.24 s at L = 4000, 0.27 against 0.33 s at L = 8000 and 0.60
 against 0.88 s at L = 16000; at d = 10 they tied at L = 8000 and 16000,
 and at d = 12 numpy was the faster at L = 4000-16000.
 
-The Python route runs the numpy route's algorithm on Python floats, lists
-and `math`: the same log-domain weights and truncation, increments, tilt
-and renewal loop, one entry at a time (sum(map(operator.mul, a,
-history))), and the same errors.  The loop is L^2/2 multiply-adds either
-way, about 50 ns each on Python floats, so a whole `optimize --mode
-exact` at L = 200 costs less on the interpreter than `import numpy`
-(90-105 ms) alone.
-Measured in fresh processes on a 2-vCPU x86_64 VM, Python 3.11, medians
-of 11 on gamma 2.5 and det laws (the laws that take it), that optimize
-took 0.10-0.15 s on the Python route and 0.14-0.19 s on numpy at L = 256,
-0.12-0.16 against 0.14-0.20 s at L = 320 and 0.13-0.19 against
-0.13-0.20 s at L = 384 (two runs: numpy won one det run by 24 ms, the
-other three tied); at L = 448 numpy was the faster, 0.15 against
-0.16-0.18 s.  So the crossover lies between L = 384 and 448.
+The banded route runs the numpy route's algorithm on Python floats, lists
+and `math`: the same log-domain weights, increments and tilt, and the same
+errors, with one cut.  The increments a_k fall geometrically past their
+mode (by about 0.3 a step for gamma(2.5), faster for det's Poisson tail),
+so the renewal loop reads only a_1..a_K, the band: K is the least index
+past which the tilted increments sum to at most 2^-60 / L of all of them,
+and only as many weights are read as that cut needs.  The loop is then
+L K multiply-adds, about 25 ns each with every u_m correctly rounded
+(`math.fsum`), and K is 16-21 for det laws, 28-56 for gamma(1.5-2.5) and
+about 470-490 for gamma(0.1) at L = 4000 (det 5-8 ms, gamma(2.5)
+8-13 ms, where numpy takes 3-4.5 ms).
+_PYTHON_MAX_WORK sits between the crossovers of the two commands: fresh
+processes on a 2-vCPU x86_64 VM, Python 3.11, gamma(0.1) laws, medians
+of 11 of the banded route against numpy imported first.  A single
+`analyze` took 68 against 127 ms at L = 1000 (K L = 0.45M), 87 against
+116 ms at 2000 (0.95M), 102 against 117 ms at 3000 and 129 against
+130 ms at 4000 (1.9M): it pays up to about 2M.  The ~17 solves of
+`optimize --mode exact` took 127 against 170 ms at L = 250 (K = L, 62k
+a solve), 151 against 170 ms at 350 (0.12M), 212 against 171 ms at 500
+(0.22M) and 308 against 173 ms at 700 (0.31M): they pay up to about
+0.17M.  At 2^18 the slower choice costs either command at most about
+1.4-1.8 times the faster, and every gamma law of shape 1.5 or more
+(K L <= 0.23M) and every det law takes the band up to L = 4000.
 
 The rule reads sys.modules for two reasons.  Once numpy is loaded its route
-is the faster per solve (0.3 ms against 1.3-2 ms at L = 200).  And a caller
+is the faster per solve up to L = 4000 or so (0.2-0.3 ms against 0.5-0.7 ms
+on the band at L = 200).  And a caller
 that loaded numpy for its own use sees every solve go through the kernels:
 perfbench/launcher.py loads them to wrap kernels.busy_period_recurrence.
 The three routes agree to 1e-12 relative in Q_L (tests/test_routes.py);
@@ -58,6 +69,8 @@ a change to the exact numerics must land on all of them.
 import math
 import operator
 import sys
+from bisect import bisect_right
+from collections import deque
 from itertools import accumulate
 
 from ._record import Record
@@ -79,20 +92,24 @@ __all__ = [
 
 _R0_FLOOR = 1e-300
 
-# the largest threshold L solved: the recurrence is O(L^2) and takes 0.4 s
-# at L = 64,000, so minutes at 2^20
+# the largest threshold L solved: numpy's recurrence is O(L^2) and takes
+# 0.4 s at L = 64,000, so minutes at 2^20 (the phase route is O(L d), and
+# the banded route runs only up to _PYTHON_MAX_WORK)
 MAX_LEVEL = 1 << 20
 
-# the weights left out past r_N, relative to T_L
+# the weights left out past r_N, relative to T_L; and, over L, the
+# increments the banded route leaves out, relative to all of them
 _TAIL = 2.0 ** -60
 
 # weights summed before a slow tail is taken as one remainder term: gamma
 # laws of shape 1e-4 and 1e-8 need 614,401 and billions of them
 _MAX_WEIGHTS = 1 << 20
 
-# the largest L solved on Python floats while numpy is not loaded, and the
-# most weights that route sums before it hands the model to numpy
-PYTHON_MAX_LEVEL = 384
+# the most multiply-adds, L K, of a renewal loop run on Python floats while
+# numpy is not loaded; the weights that route reads first, and the most it
+# reads before it hands the model to numpy
+_PYTHON_MAX_WORK = 1 << 18
+_PYTHON_FIRST_WEIGHTS = 1 << 9
 _PYTHON_MAX_WEIGHTS = 1 << 12
 
 # the most phases of a law whose Q_L runs by its phases while numpy is not
@@ -215,25 +232,73 @@ def _numpy_q_top(model):
         return q * float(np.exp(scales[-1]))
 
 
-# --- the same Q_L on Python floats, lists and `math` alone ---
+# --- the same Q_L on Python floats, lists and `math` alone, banded ---
 
-def _python_series(model):
-    """`_series` as a list, or None where the weights run past
-    _PYTHON_MAX_WEIGHTS before they are `_enough`."""
-    L = int(model.level)
-    n = 2 * L + 200
+def _python_increments(r, L):
+    """(a, unseen): the increments a_1..a_m as `_counts` builds them, m =
+    min(L, N - 1) from r_0..r_N, and an estimate of a_{m+1} + ... + a_L,
+    which the weights read do not give: inf while the weights still rise.
+
+    Past r_N the weights are taken to fall geometrically, as `_enough`
+    takes them, by q = r_N / r_{N-1}, so that sum_{k>=N} T_k =
+    sum_{j>N} (j - N) r_j is r_N q / (1 - q)^2.
+    """
+    m = min(L, len(r) - 2)
+    # 1 - sum_{j<=k} r_j, else sum_{j>k} r_j, for k = 1..m
+    head = list(accumulate(r[:m + 1]))[1:]
+    tail = list(accumulate(reversed(r[2:])))[::-1]
+    a = [(1.0 - h if 1.0 - h >= 0.5 else t) / r[0]
+         for h, t in zip(head, tail)]
+    last = r[-1]
+    if m == L or last == 0.0:
+        return a, 0.0
+    q = last / r[-2]
+    if not q < 1.0:
+        return a, math.inf
+    return a, last * q / (1.0 - q) ** 2 / r[0]
+
+
+def _band(a, budget):
+    """The least K with a_{K+1} + a_{K+2} + ... <= budget, the tail summed
+    from its small end; len(a) where there is none."""
+    return len(a) - bisect_right(list(accumulate(reversed(a))), budget)
+
+
+def _python_band(model, L):
+    """(a, x, r_0): the increments a_1..a_K, tilted by x, or None where
+    the weights run past _PYTHON_MAX_WEIGHTS before the band K is found.
+
+    K is the least index for which the increments past it, read or not,
+    sum to at most _TAIL / L of all of them, each tilted by e^{kx}; and the
+    weights read give a_1..a_K to _TAIL relative (`_enough`).  x is the
+    tilt of the increments kept untilted by the same rule, and the tilted
+    increments past that first cut are bounded by their untilted sum times
+    the largest e^{kx} among them.
+    """
+    n = min(2 * L + 200, _PYTHON_FIRST_WEIGHTS)
     while n <= _PYTHON_MAX_WEIGHTS:
         r = model.b1.mixed_poisson_weight_list(model.lam, n)
         _check_r0(r[0], model)
-        if _enough(r, L, sum):
-            return r
+        a, unseen = _python_increments(r, L)
+        total = sum(a)
+        # where the untilted sum is above 1, the tilted one is 1
+        budget = _TAIL / L * min(total, 1.0) - unseen
+        if budget >= 0.0:
+            K = _band(a, budget)
+            if _enough(r, K, sum):
+                if total <= 1.0:
+                    return a[:K], 0.0, r[0]
+                x = _python_tilt(a[:K])
+                past = (sum(a[K:]) + unseen) * math.exp((K + 1) * x)
+                a = [v * math.exp(k * x) for k, v in enumerate(a[:K], 1)]
+                return a[:_band(a, _TAIL / L * sum(a) - past)], x, r[0]
         n *= 2
     return None
 
 
 def _python_tilt(a):
     """`kernels._tilt` on Python floats: the x < 0 with
-    sum_k a_k e^{kx} = 1, given the increments a_1..a_L."""
+    sum_k a_k e^{kx} = 1, given the increments a_1..a_K."""
     log_a = [math.log(v) if v > 0.0 else -math.inf for v in a]
     k = range(1, len(a) + 1)
     x = 0.0
@@ -248,32 +313,33 @@ def _python_tilt(a):
         x -= step
 
 
-def _python_renewal(a):
-    """u_{L-1}, ..., u_0 of the increments a_1..a_L, newest first: the
-    kernels' renewal loop one entry at a time, u_m = sum_k a_k u_{m-k}."""
-    history = [1.0]
-    for _ in range(len(a) - 1):
-        history.insert(0, sum(map(operator.mul, a, history)))
-    return history
+def _python_renewal(a, L):
+    """u_0, ..., u_{L-1} of the increments a_1..a_K: the kernels' renewal
+    loop cut at the band, u_m = sum_{k<=min(m, K)} a_k u_{m-k}, from a
+    history of the K newest entries.  Each u_m is its sum correctly
+    rounded: near rho1 = 1 u settles to a constant, and a plain sum's
+    rounding then recurs at every step, 1.3e-12 in Q_L at L = 4000."""
+    history = deque([1.0], maxlen=len(a))
+    u = [1.0]
+    for _ in range(L - 1):
+        history.appendleft(math.fsum(map(operator.mul, a, history)))
+        u.append(history[0])
+    return u
 
 
 def _python_q_top(model):
-    """Q_L as `_numpy_q_top` gives it, or None to hand the model over."""
-    L = int(model.level)
-    r = _python_series(model)
-    if r is None:
+    """Q_L as `_numpy_q_top` gives it, or None to hand the model over:
+    where the weights run past _PYTHON_MAX_WEIGHTS, or the band's L K
+    multiply-adds past _PYTHON_MAX_WORK."""
+    L = _solvable_level(model)
+    band = _python_band(model, L)
+    if band is None or L * len(band[0]) > _PYTHON_MAX_WORK:
         return None
-    # the increments as `_counts` builds them: 1 - sum_{j<=k} r_j, else
-    # sum_{j>k} r_j, for k = 1..L
-    head = list(accumulate(r[:L + 1]))[1:]
-    tail = list(accumulate(reversed(r[2:])))[::-1]
-    a = [(1.0 - h if 1.0 - h >= 0.5 else t) / r[0]
-         for h, t in zip(head, tail)]
-    x = _python_tilt(a) if sum(a) > 1.0 else 0.0
-    tilt = [math.exp(k * x) for k in range(1, L + 1)]
-    u = _python_renewal(list(map(operator.mul, a, tilt)))
+    a, x, r0 = band
+    u = _python_renewal(a, L)
     # with u the tilted sequence, Q_L e^{Lx} = sum_{m<L} u_m e^{(L-m)x} / r_0
-    q = _finite_q(sum(map(operator.mul, u, tilt)) / r[0])
+    tilt = [math.exp(k * x) for k in range(L, 0, -1)]
+    q = _finite_q(math.fsum(map(operator.mul, u, tilt)) / r0)
     return q * _exp(-L * x)
 
 
@@ -347,10 +413,11 @@ def _phase_q_top(model):
 def _q_top(model):
     """Q_L; inf beyond double range.  The one choice of route: while numpy
     is not loaded, a law of at most MAX_PHASES phases by its phases, any
-    other up to PYTHON_MAX_LEVEL on Python floats; else numpy."""
+    other by its band on Python floats up to _PYTHON_MAX_WORK; else
+    numpy."""
     if "numpy" not in sys.modules:
         q = _phase_q_top(model)
-        if q is None and int(model.level) <= PYTHON_MAX_LEVEL:
+        if q is None:
             q = _python_q_top(model)
         if q is not None:
             return q

@@ -600,19 +600,19 @@ print(sorted(m for m in sys.modules
 
 
 def test_small_problems_do_not_import_numpy(tmp_path):
-    """Start-up, the asymptotic commands, config errors, the exact commands
-    up to exact.PYTHON_MAX_LEVEL and an exp law above it run without numpy;
-    a gamma or det law above it needs numpy, and the first command that
-    loads it pins OpenBLAS to one thread."""
+    """Start-up, the asymptotic commands, config errors and the exact
+    commands whose band's work is within exact._PYTHON_MAX_WORK run
+    without numpy; a law past that bound, or a slow tail, needs numpy, and
+    the first command that loads it pins OpenBLAS to one thread."""
     script = """
 import contextlib, io, os, sys
-heavy = sys.argv[1]
+heavy, level = sys.argv[1:]
 def numpy_loaded():
     return any(m.split(".")[0] == "numpy" for m in sys.modules)
 import damctl.cli
 from damctl import cli, exact, CostModel, DamModel, optimize_asymptotic
 assert not numpy_loaded(), "import"
-top = str(exact.PYTHON_MAX_LEVEL)
+top = "4000"
 model = ["--lambda", "1", "--b1", "exp:1", "--b2", "exp:2"]
 runs = [
     (["optimize"] + model + ["--level", "1000", "--j1", "2"], 0),
@@ -630,6 +630,8 @@ runs = [
     (["analyze", "--lambda", "1", "--b1", "gamma:2.5:2", "--b2", "exp:2",
       "--level", top], 0),
     (["optimize"] + model + ["--level", "200", "--mode", "exact"], 0),
+    (["optimize", "--lambda", "1", "--b1", "gamma:2.5:2.5", "--b2", "exp:2",
+      "--level", "1000", "--mode", "exact"], 0),
     (["optimize", "--lambda", "1", "--b1", "hyper:0.4:0.5:0.6:3",
       "--b2", "exp:2", "--level", top, "--mode", "exact"], 0),
     (["verify"] + model + ["--regime", "upper", "--levels", "50," + top], 0),
@@ -644,30 +646,30 @@ for argv, want in runs:
     assert not numpy_loaded(), argv
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["analyze", "--lambda", "1", "--b1", heavy, "--b2", "exp:2",
-                     "--level", str(int(top) + 1)]) == 0
+                     "--level", level]) == 0
 assert numpy_loaded()
 print(os.environ["OPENBLAS_NUM_THREADS"])
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = src
-    for heavy in ("gamma:2.5:2", "det:0.8"):
-        proc = subprocess.run([sys.executable, "-c", script, heavy], env=env,
-                              cwd=tmp_path, capture_output=True, text=True,
-                              timeout=300)
+    for heavy, level in [
+            # gamma(0.1): a band of about 480 increments, past the bound
+            ("gamma:0.1:0.1", str(exact._PYTHON_MAX_WORK // 100)),
+            # shape 1e-8: weights that fall as (1 + 1e-8)^-j, a slow tail
+            ("gamma:1e-8:1e-8", "10")]:
+        proc = subprocess.run([sys.executable, "-c", script, heavy, level],
+                              env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=300)
         assert proc.returncode == 0, (heavy, proc.stderr)
         assert proc.stdout.strip() == "1"
 
 
-def test_phase_type_laws_solve_without_numpy(tmp_path):
-    """exp, Erlang and hyper laws of at most exact.MAX_PHASES phases solve
-    on their phases at any level, numpy unloaded: analyze at L = 4000 and
-    at exact.MAX_LEVEL, verify and optimize --mode exact.  The M/M/1 p1 and
-    p2 are the closed form's, the others those of the numpy route.  One
-    more phase than the bound loads numpy."""
-    script = """
+# runs each argv of the JSON list in argv[1] through main in one fresh
+# interpreter, none of which may load numpy, and prints each stdout as JSON
+SOLVE_WITHOUT_NUMPY = """
 import contextlib, io, json, sys
-from damctl import cli, exact
+from damctl import cli
 def numpy_loaded():
     return any(m.split(".")[0] == "numpy" for m in sys.modules)
 for argv in json.loads(sys.argv[1]):
@@ -677,19 +679,55 @@ for argv in json.loads(sys.argv[1]):
         assert cli.main(argv) == 0, argv
     assert not numpy_loaded(), argv
     print(json.dumps(out.getvalue()))
-over = "erlang:%d:1" % (exact.MAX_PHASES + 1)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["analyze", "--lambda", "1", "--b1", over,
-                     "--b2", "exp:2", "--level", "4000"]) == 0
-print(numpy_loaded())
 """
-    top = "erlang:%d:%d" % ((exact.MAX_PHASES,) * 2)
-    analyses = [(b1, 4000) for b1 in ("exp:0.9995", "erlang:2:2.001",
-                                      "hyper:0.3:0.5:0.7:2.6", top)]
-    analyses.append(("exp:0.9995", exact.MAX_LEVEL))
-    runs = [["analyze", "--lambda", "1", "--b1", b1, "--b2", "exp:2",
+
+
+def solve_without_numpy(tmp_path, runs):
+    """Each run's stdout, from one fresh interpreter without numpy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", SOLVE_WITHOUT_NUMPY,
+                           json.dumps(runs)],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(out) for out in proc.stdout.splitlines()]
+
+
+def analyze_runs(analyses):
+    return [["analyze", "--lambda", "1", "--b1", b1, "--b2", "exp:2",
              "--level", str(level)] for b1, level in analyses]
-    runs += [
+
+
+def assert_probs_are_the_numpy_routes(out):
+    """p1 and p2 of an analyze record are the M/M/1 closed form's (exp) or
+    those of the numpy route, which pytest runs."""
+    rec = json.loads(out)
+    model = exact.DamModel(lam=1.0, b1=dist_from_dict(rec["model"]["b1"]),
+                           b2=dist_from_dict(rec["model"]["b2"]),
+                           level=rec["model"]["level"])
+    if rec["model"]["b1"]["type"] == "exp":
+        with mpmath.workdps(40):
+            rho = 1 / mpmath.mpf(model.b1.rate)
+            q = (rho ** (model.level + 1) - 1) / (rho - 1)
+        want = exact._probs(model, float(1 / q))
+    else:
+        sol = exact.solve(model)
+        want = sol.p1, sol.p2
+    assert (rec["p1"], rec["p2"]) == pytest.approx(want, rel=1e-10), rec
+
+
+def test_phase_type_laws_solve_without_numpy(tmp_path):
+    """exp, Erlang and hyper laws of at most exact.MAX_PHASES phases solve
+    on their phases at any level, numpy unloaded: analyze at L = 4000 and
+    at exact.MAX_LEVEL, verify and optimize --mode exact.  The M/M/1 p1 and
+    p2 are the closed form's, the others those of the numpy route.  One
+    more phase than the bound takes the band, still without numpy."""
+    top = "erlang:%d:%d" % ((exact.MAX_PHASES,) * 2)
+    over = "erlang:%d:%d" % ((exact.MAX_PHASES + 1,) * 2)
+    analyses = [(b1, 4000) for b1 in ("exp:0.9995", "erlang:2:2.001",
+                                      "hyper:0.3:0.5:0.7:2.6", top, over)]
+    analyses.append(("exp:0.9995", exact.MAX_LEVEL))
+    runs = analyze_runs(analyses) + [
         ["verify", "--lambda", "1", "--b1", "erlang:2:2", "--b2", "exp:2",
          "--regime", "upper", "--c", "1", "--levels", "1000,4000"],
         ["optimize", "--mode", "exact", "--lambda", "1", "--b1",
@@ -698,33 +736,37 @@ print(numpy_loaded())
         ["analyze", "--lambda", "1", "--b1", "exp:1e-300", "--b2", "exp:2",
          "--level", "50", "--j1", "2", "--j2", "1"],
     ]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    *outs, loaded = proc.stdout.splitlines()
-    assert loaded == "True"
-    outs = [json.loads(out) for out in outs]
-    outs = [out if argv[0] == "verify" else json.loads(out)
-            for out, argv in zip(outs, runs)]
-    for rec in outs[:len(analyses)]:
-        model = exact.DamModel(lam=1.0, b1=dist_from_dict(rec["model"]["b1"]),
-                               b2=dist_from_dict(rec["model"]["b2"]),
-                               level=rec["model"]["level"])
-        if rec["model"]["b1"]["type"] == "exp":
-            with mpmath.workdps(40):
-                rho = 1 / mpmath.mpf(model.b1.rate)
-                q = (rho ** (model.level + 1) - 1) / (rho - 1)
-            want = exact._probs(model, float(1 / q))
-        else:
-            sol = exact.solve(model)
-            want = sol.p1, sol.p2
-        assert (rec["p1"], rec["p2"]) == pytest.approx(want, rel=1e-10), rec
+    outs = solve_without_numpy(tmp_path, runs)
+    for out in outs[:len(analyses)]:
+        assert_probs_are_the_numpy_routes(out)
     verify, optimize, tiny = outs[len(analyses):]
     assert len(verify.splitlines()) == 3
-    assert optimize["mode"] == "exact"
+    assert json.loads(optimize)["mode"] == "exact"
+    tiny = json.loads(tiny)
     assert (tiny["p1"], tiny["p2"], tiny["cost"]) == (0.0, 0.5, 25.0)
+
+
+def test_banded_laws_solve_without_numpy(tmp_path, capsys):
+    """Gamma and det laws at L = 4000, whose bands hold some 20-60
+    increments, solve on Python floats, numpy unloaded: their p1 and p2,
+    and verify's exact columns, are the numpy route's."""
+    analyses = [("gamma:2.5:2.501", 4000), ("gamma:1.5:1.4", 4000),
+                ("det:0.9995", 4000), ("det:1.0004", 4000)]
+    verify = ["verify", "--lambda", "1", "--b1", "gamma:2.5:2.5", "--b2",
+              "exp:2", "--regime", "critical", "--levels", "1000,2000,4000"]
+    outs = solve_without_numpy(tmp_path, analyze_runs(analyses) + [verify])
+    for out in outs[:-1]:
+        assert_probs_are_the_numpy_routes(out)
+    code, want, _ = run(capsys, verify)
+    assert code == 0
+    rows = [line.split(",") for line in outs[-1].splitlines()]
+    want = [line.split(",") for line in want.splitlines()]
+    assert len(rows) == 4 and rows[0] == want[0]
+    exact_columns = [i for i, name in enumerate(want[0]) if "exact" in name]
+    for row, want_row in zip(rows[1:], want[1:]):
+        for i in exact_columns:
+            assert float(row[i]) == pytest.approx(float(want_row[i]),
+                                                  rel=1e-10), want[0][i]
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
@@ -998,6 +1040,22 @@ def test_config_key_that_names_no_option_exits_2(tmp_path, capsys):
 CALL_MAIN = ("import sys; from damctl.cli import main; "
              "sys.exit(main(sys.argv[1:]))")
 
+# the same request in a fresh interpreter, with what main printed, returned
+# and left in table.csv taken before the exit: os._exit skips the exit hook
+MAIN_RETURNS = """
+import contextlib, io, json, os, sys
+from damctl.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+table = None
+if os.path.exists("table.csv"):
+    with open("table.csv", "rb") as f:
+        table = f.read().hex()
+print(json.dumps([code, out.getvalue(), err.getvalue(), table]), flush=True)
+os._exit(0)
+"""
+
 
 @pytest.mark.parametrize("argv, code", [
     (["analyze", "--lambda", "1", "--b1", "gamma:2.5:2.4", "--b2", "exp:2",
@@ -1010,27 +1068,29 @@ CALL_MAIN = ("import sys; from damctl.cli import main; "
     (["analyze", "--lambda", "1", "--b1", "det:800", "--b2", "exp:2",
       "--level", "4000"], 3),
 ])
-def test_a_process_prints_and_writes_what_main_returns(tmp_path, monkeypatch,
-                                                       capsys, argv, code):
+def test_a_process_prints_and_writes_what_main_returns(tmp_path, argv, code):
     """The gc.freeze that main registers for the exit changes no stdout,
     stderr, exit code or written file: frozen objects are not finalized at
-    exit, so a file must be complete when main returns.  The levels are
-    above exact.PYTHON_MAX_LEVEL and the laws are not phase-type, so both
-    sides run on numpy."""
-    monkeypatch.chdir(tmp_path)
-    want = run(capsys, argv)
-    assert want[0] == code
+    exit, so a file must be complete when main returns.  Both sides run in
+    fresh interpreters, so both take the same route to Q_L."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", MAIN_RETURNS] + argv,
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got, out, err, written = json.loads(proc.stdout)
+    assert got == code
     table = tmp_path / "table.csv"
-    written = table.read_bytes() if "--out" in argv else None
-    if written is not None:
+    if "--out" in argv:
+        written = bytes.fromhex(written)
         assert written.count(b"\n") == 4  # the header and three levels
         table.unlink()
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", CALL_MAIN] + argv,
-                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
-                          capture_output=True, text=True, timeout=300)
-    assert (proc.returncode, proc.stdout, proc.stderr) == want
-    if written is not None:
+    proc = subprocess.run([sys.executable, "-c", CALL_MAIN] + argv, env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if "--out" in argv:
         assert table.read_bytes() == written
 
 

@@ -1,7 +1,7 @@
-"""The three routes to Q_L agree: a phase-type law's phases and Python
-floats (both while numpy is not loaded) and numpy.  pytest has numpy
-loaded, so each route is called directly; tests/test_cli.py checks which
-route a fresh interpreter takes."""
+"""The three routes to Q_L agree: a phase-type law's phases and the banded
+renewal on Python floats (both while numpy is not loaded) and numpy.
+pytest has numpy loaded, so each route is called directly;
+tests/test_cli.py checks which route a fresh interpreter takes."""
 
 import math
 import os
@@ -9,10 +9,11 @@ import subprocess
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 import mp_reference
-from damctl import exact
+from damctl import exact, kernels
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
                                   HyperExponential)
 from damctl.errors import NumericDegeneracyError
@@ -28,7 +29,7 @@ SHAPES = {
     "det": Deterministic(duration=1.0),
     "hyper": HyperExponential(weights=(0.4, 0.6), rates=(0.5, 3.0)),
 }
-LEVELS = [1, 2, 7, 50, 200, 256, exact.PYTHON_MAX_LEVEL]
+LEVELS = [1, 2, 7, 50, 200, 256, 384]
 LOADS = [0.5, 0.95, 1.0, 1.05, 1.5, 3.0]
 
 
@@ -69,9 +70,15 @@ def assert_agrees_with_numpy(route, tag, level, monkeypatch):
                     1e-12 * nu2_terms * B2.mean()), rho1
 
 
-@pytest.mark.parametrize("level", LEVELS)
+@pytest.fixture
+def unbounded_band(monkeypatch):
+    """The banded route for every law, however much work its band takes."""
+    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", math.inf)
+
+
+@pytest.mark.parametrize("level", LEVELS + [1000, 4000])
 @pytest.mark.parametrize("tag", sorted(SHAPES))
-def test_routes_agree(tag, level, monkeypatch):
+def test_routes_agree(tag, level, monkeypatch, unbounded_band):
     assert_agrees_with_numpy(exact._python_q_top, tag, level, monkeypatch)
 
 
@@ -86,6 +93,80 @@ def test_python_route_matches_40_digit_reference(tag, level, rho1):
     assert float(err) < 1e-12
 
 
+@pytest.mark.parametrize("tag", ["gamma0.5", "gamma2.5", "det"])
+@pytest.mark.parametrize("rho1", [0.95, 1.0, 1.0015, 1.05])  # 1 + 1.5/L
+def test_band_matches_40_digit_reference(tag, rho1, unbounded_band):
+    m = model(tag, rho1, 1000)
+    log_want = mp_reference.log_counts(m)[-1]
+    with mpmath.workdps(40):
+        err = abs(mpmath.log(exact._python_q_top(m)) - log_want)
+    assert float(err) < 1e-12
+
+
+def test_band_matches_40_digit_reference_at_4000():
+    # gamma(1.5) at rho1 = 1 + 1.5/L: u settles to a constant, where a
+    # plain sum in the renewal loop was off by 1.3e-12 in log Q_L
+    m = exact.DamModel(lam=1.0, b1=Gamma(shape=1.5, rate=1.5 / 1.000375),
+                       b2=B2, level=4000)
+    log_want = mp_reference.log_counts(m)[-1]
+    with mpmath.workdps(40):
+        err = abs(mpmath.log(exact._python_q_top(m)) - log_want)
+    assert float(err) < 1e-12
+
+
+BAND_CASES = [(tag, rho1, level) for tag in ("gamma0.5", "gamma2.5", "det",
+                                              "exp", "hyper")
+              for rho1 in (0.5, 0.95, 1.0, 1.05, 3.0)
+              for level in (7, 200, 1000, 4000)]
+
+
+def full_increments(m):
+    """a_1..a_L as the numpy route builds them, from all its weights."""
+    L = int(m.level)
+    r = exact._series(m)
+    head = 1.0 - np.cumsum(r[:L + 1])[1:]
+    tail = np.cumsum(r[:1:-1])[::-1][:L]
+    return np.where(head >= 0.5, head, tail) / r[0]
+
+
+@pytest.mark.parametrize("tag, rho1, level", BAND_CASES)
+def test_band_drops_at_most_its_share(tag, rho1, level):
+    m = model(tag, rho1, level)
+    a, x, _ = exact._python_band(m, level)
+    tilted = full_increments(m) * np.exp(np.arange(1, level + 1) * x)
+    K = len(a)
+    assert tilted[K:].sum() <= 2.0 ** -60 / level * tilted.sum()
+    assert a == pytest.approx(tilted[:K], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("tag, rho1, level",
+                         [case for case in BAND_CASES if case[1] > 1.0])
+def test_band_tilt_is_the_kernels_tilt(tag, rho1, level):
+    # the root on the band's K increments, against the one on all L
+    m = model(tag, rho1, level)
+    x = exact._python_band(m, level)[1]
+    with np.errstate(divide="ignore"):
+        want = kernels._tilt(np.log(full_increments(m)))
+    assert x == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+def test_band_renewal_is_the_kernels_loop_on_the_band():
+    # u of a_1..a_K alone is the full loop's u on a_1..a_K and then zeros
+    a = [0.3, 0.25, 0.2, 0.15, 0.05]
+    u, scales = kernels.busy_period_recurrence(a + [0.0] * 15, 20)
+    assert not scales.any()
+    assert exact._python_renewal(a, 20) == pytest.approx(list(u[:20]),
+                                                         rel=1e-15)
+
+
+def test_band_cuts_a_light_tail_far_below_the_level():
+    # a gamma(2.5) law's increments fall by about 0.3 a step; det's faster
+    for tag, most in (("gamma2.5", 45), ("det", 22)):
+        for rho1 in (0.95, 1.0, 1.05):
+            a = exact._python_band(model(tag, rho1, 4000), 4000)[0]
+            assert len(a) <= most
+
+
 def test_python_route_refuses_an_underflowing_r0():
     m = exact.DamModel(lam=1.0, b1=Deterministic(duration=800.0), b2=B2,
                        level=5)
@@ -93,9 +174,24 @@ def test_python_route_refuses_an_underflowing_r0():
         exact._python_q_top(m)
 
 
+def test_python_route_refuses_a_level_above_max_level():
+    with pytest.raises(ValueError, match="above the largest"):
+        exact._python_q_top(model("gamma2.5", 1.0, exact.MAX_LEVEL + 1))
+
+
+def test_python_route_hands_work_past_its_bound_to_numpy(monkeypatch):
+    m = model("gamma2.5", 1.0, 4000)
+    K = len(exact._python_band(m, 4000)[0])
+    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", 4000 * K)
+    assert exact._python_q_top(m) == pytest.approx(exact._numpy_q_top(m),
+                                                   rel=1e-12)
+    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", 4000 * K - 1)
+    assert exact._python_q_top(m) is None
+
+
 def test_python_route_refuses_a_non_finite_q(monkeypatch):
-    def nan_renewal(a):
-        return [math.nan] * len(a)
+    def nan_renewal(a, L):
+        return [math.nan] * L
 
     monkeypatch.setattr(exact, "_python_renewal", nan_renewal)
     with pytest.raises(NumericDegeneracyError, match="non-finite"):
