@@ -19,11 +19,12 @@ run, after checking their options, and simulate imports `simulator`, and
 with it numpy.  While numpy is not loaded, `exact` solves an exp, Erlang or
 hyper law of at most exact.MAX_PHASES (8) phases on Python floats at any
 level, by its phases in O(L d), and any other law by its band of K
-increments in O(L K) while L K is at most exact._PYTHON_MAX_WORK (2^18,
-between where one `analyze` and the 17 or so solves of one `optimize
---mode exact` stop paying against `import numpy` and the numpy solves); it
-imports numpy for the rest.  It reads sys.modules because a caller that
-loaded numpy (perfbench/launcher.py) then sees every solve in the kernels.
+increments in O(L K), on Python floats while L K is at most
+exact._PYTHON_MAX_WORK (2^18, between where one `analyze` and the 17 or so
+solves of one `optimize --mode exact` stop paying against `import numpy`
+and the numpy solves) and on numpy past it.  It reads sys.modules because
+a caller that loaded numpy (perfbench/launcher.py) then sees every solve
+on the band in the kernels.
 So optimize --mode asymptotic, sweep, --help, a rejected option, and the
 exact commands on phase-type laws and on gamma and det laws up to
 L = 4000 never load numpy; csv is imported by the two commands that write

@@ -5,20 +5,16 @@ the coefficient of z^L in r(z) / (r(z) - z), with r_j the arrival-count
 weights of the normal-regime service law.  Since r(z) - z = (1 - z) r_0
 (1 - A(z)), with increments a_k = T_k / r_0 and T_k = sum_{j>k} r_j, and
 the renewal sequence u of a has U(z) (1 - A(z)) = 1, Q_0 = 1 and Q_n =
-sum_{m<n} u_m / r_0: a partial sum of u, which the kernels' renewal loop,
-in which nothing cancels, computes.  The remaining busy-period quantities
-follow from Wald identities, and the stationary probabilities p1 (idle /
-lower passage) and p2 (above-threshold occupation) from the renewal reward
+sum_{m<n} u_m / r_0: a partial sum of u, which a renewal loop, in which
+nothing cancels, computes.  The remaining busy-period quantities follow
+from Wald identities, and the stationary probabilities p1 (idle / lower
+passage) and p2 (above-threshold occupation) from the renewal reward
 theorem.
 
-Q_L has three routes, chosen in `_q_top` alone by one rule.  While numpy
-is not loaded, a law that lists its phases (`phases(MAX_PHASES)`: exp,
-Erlang and hyperexponential laws of at most MAX_PHASES phases) runs the
-phase route at any L up to MAX_LEVEL, and any other law runs the banded
-route on Python floats while its band's work, L K multiply-adds, is at
-most _PYTHON_MAX_WORK.  Everywhere else Q_L imports numpy and runs the
-kernels' blocked loop; so does a model whose weights run past
-_PYTHON_MAX_WEIGHTS before its band is found (a slow gamma tail).
+Q_L has two routes, chosen in `_q_top` alone.  While numpy is not loaded,
+a law that lists its phases (`phases(MAX_PHASES)`: exp, Erlang and
+hyperexponential laws of at most MAX_PHASES phases) runs the phase route
+at any L up to MAX_LEVEL; every other solve runs the band.
 
 The phase route.  A phase-type law's renewal sequence u also follows a
 d-dimensional linear filter with nonnegative coefficients (Neuts,
@@ -31,39 +27,50 @@ solves most often) on Erlang(d) laws, fresh, medians of 3-5 against numpy
 imported first, took 0.10 against 0.13 s at d = 8 and L = 2000, 0.24
 against 0.24 s at L = 4000, 0.27 against 0.33 s at L = 8000 and 0.60
 against 0.88 s at L = 16000; at d = 10 they tied at L = 8000 and 16000,
-and at d = 12 numpy was the faster at L = 4000-16000.
+and at d = 12 numpy was the faster at L = 4000-16000.  Against numpy's
+banded loop Erlang(8) took 0.17 against 0.20 s at L = 2000, 0.19 against
+0.16 s at 4000 and 0.59 against 0.26 s at 16000.
 
-The banded route runs the numpy route's algorithm on Python floats, lists
-and `math`: the same log-domain weights, increments and tilt, and the same
-errors, with one cut.  The increments a_k fall geometrically past their
-mode (by about 0.3 a step for gamma(2.5), faster for det's Poisson tail),
-so the renewal loop reads only a_1..a_K, the band: K is the least index
-past which the tilted increments sum to at most 2^-60 / L of all of them,
-and only as many weights are read as that cut needs.  The loop is then
-L K multiply-adds, about 25 ns each with every u_m correctly rounded
-(`math.fsum`), and K is 16-21 for det laws, 28-56 for gamma(1.5-2.5) and
-about 470-490 for gamma(0.1) at L = 4000 (det 5-8 ms, gamma(2.5)
-8-13 ms, where numpy takes 3-4.5 ms).
+The band.  The increments a_k fall geometrically past their mode (by
+about 0.3 a step for gamma(2.5), faster for det's Poisson tail), so the
+renewal loop reads only a_1..a_K: K is the least index past which the
+tilted increments sum to at most 2^-60 / L of all of them, and weights
+are read, from 512 on, only as far as that cut needs; past _MAX_WEIGHTS
+the rest of a slow tail enters as one term.  Where the a_k sum to above 1
+(rho1 > 1) u grows geometrically, so the band is tilted to a_k e^{kx},
+which sum to 1 at the root x < 0, and every tilted u_m stays at most 1
+(Feller, An Introduction to Probability Theory, Vol. II, XI.6).  K is
+16-22 for det laws, 28-56 for gamma(1.5-2.5) and about 470-520 for
+gamma(0.1) at L = 4000-64000.  Numpy reads the weights once it is loaded
+or past _PYTHON_MAX_WEIGHTS (a slow tail, which loads it), the families'
+list twins else.  One of two loops runs the band in O(L K): numpy's
+blocked loop in the kernels once numpy is loaded or where L K is above
+_PYTHON_MAX_WORK, else a list loop, about 25 ns a multiply-add with every
+u_m correctly rounded (`math.fsum`).  On numpy a det, gamma(2.5) or
+gamma(0.1) law solves in 1.3-2.4 ms at L = 4000, 22-36 ms at 64000 and
+0.3-0.55 s at 2^20.
 _PYTHON_MAX_WORK sits between the crossovers of the two commands: fresh
 processes on a 2-vCPU x86_64 VM, Python 3.11, gamma(0.1) laws, medians
-of 11 of the banded route against numpy imported first.  A single
-`analyze` took 68 against 127 ms at L = 1000 (K L = 0.45M), 87 against
-116 ms at 2000 (0.95M), 102 against 117 ms at 3000 and 129 against
-130 ms at 4000 (1.9M): it pays up to about 2M.  The ~17 solves of
-`optimize --mode exact` took 127 against 170 ms at L = 250 (K = L, 62k
-a solve), 151 against 170 ms at 350 (0.12M), 212 against 171 ms at 500
-(0.22M) and 308 against 173 ms at 700 (0.31M): they pay up to about
-0.17M.  At 2^18 the slower choice costs either command at most about
-1.4-1.8 times the faster, and every gamma law of shape 1.5 or more
-(K L <= 0.23M) and every det law takes the band up to L = 4000.
+of 11 of the list loop against numpy imported first and its loop on all
+of a_1..a_L, at most 4.5 ms a solve at L <= 4000 (its band takes 1-2 ms
+there, so `import numpy` sets the crossovers).  A single `analyze` took
+68 against 127 ms at L = 1000 (K L = 0.45M), 87 against 116 ms at 2000
+(0.95M), 102 against 117 ms at 3000 and 129 against 130 ms at 4000
+(1.9M): it pays up to about 2M.  The ~17 solves of `optimize --mode
+exact` took 127 against 170 ms at L = 250 (K = L, 62k a solve), 151
+against 170 ms at 350 (0.12M), 212 against 171 ms at 500 (0.22M) and 308
+against 173 ms at 700 (0.31M): they pay up to about 0.17M.  At 2^18 the
+slower choice costs either command at most about 1.4-1.8 times the
+faster, and every gamma law of shape 1.5 or more (K L <= 0.23M) and every
+det law takes the list loop up to L = 4000.
 
-The rule reads sys.modules for two reasons.  Once numpy is loaded its route
-is the faster per solve up to L = 4000 or so (0.2-0.3 ms against 0.5-0.7 ms
-on the band at L = 200).  And a caller
-that loaded numpy for its own use sees every solve go through the kernels:
-perfbench/launcher.py loads them to wrap kernels.busy_period_recurrence.
-The three routes agree to 1e-12 relative in Q_L (tests/test_routes.py);
-a change to the exact numerics must land on all of them.
+The rule reads sys.modules (`_numpy_loaded`) for two reasons.  Once numpy
+is loaded its loop is the faster per solve (0.2-0.45 ms against 0.5-2.1 ms
+on the list loop at L = 200).  And a caller that loaded numpy for its own
+use sees every solve go through the kernels: perfbench/launcher.py loads
+them to wrap kernels.busy_period_recurrence.  The phase route and both
+loops agree to 1e-12 relative in Q_L (tests/test_routes.py); a change to
+the exact numerics must land on both routes.
 """
 
 import math
@@ -92,24 +99,24 @@ __all__ = [
 
 _R0_FLOOR = 1e-300
 
-# the largest threshold L solved: numpy's recurrence is O(L^2) and takes
-# 0.4 s at L = 64,000, so minutes at 2^20 (the phase route is O(L d), and
-# the banded route runs only up to _PYTHON_MAX_WORK)
+# the largest threshold L solved: the band's loop is O(L K), and numpy's
+# takes about 0.3-0.5 s at 2^20 for det and gamma laws (the phase route is
+# O(L d))
 MAX_LEVEL = 1 << 20
 
-# the weights left out past r_N, relative to T_L; and, over L, the
-# increments the banded route leaves out, relative to all of them
+# the weights left out past r_N, relative to T_K; and, over L, the
+# increments the band leaves out, relative to all of them
 _TAIL = 2.0 ** -60
 
-# weights summed before a slow tail is taken as one remainder term: gamma
-# laws of shape 1e-4 and 1e-8 need 614,401 and billions of them
+# the weights read first, and the most summed before a slow tail is taken as
+# one remainder term: gamma laws of shape 1e-4 and 1e-8 need 614,401 and
+# billions of them
+_FIRST_WEIGHTS = 1 << 9
 _MAX_WEIGHTS = 1 << 20
 
-# the most multiply-adds, L K, of a renewal loop run on Python floats while
-# numpy is not loaded; the weights that route reads first, and the most it
-# reads before it hands the model to numpy
+# the most multiply-adds, L K, of the band's loop run on Python floats while
+# numpy is not loaded, and the most weights read on them
 _PYTHON_MAX_WORK = 1 << 18
-_PYTHON_FIRST_WEIGHTS = 1 << 9
 _PYTHON_MAX_WEIGHTS = 1 << 12
 
 # the most phases of a law whose Q_L runs by its phases while numpy is not
@@ -150,69 +157,35 @@ def _solvable_level(model):
     return L
 
 
+def _numpy_loaded():
+    """Whether this process has loaded numpy: the rule of every choice."""
+    return "numpy" in sys.modules
+
+
 def _weights(model, n):
-    """r_0..r_n of the normal-regime law, refusing an underflowing r_0."""
-    r = model.b1.mixed_poisson_weights(model.lam, n)
+    """r_0..r_n of the normal-regime law as a list, refusing an underflowing
+    r_0: numpy's once numpy is loaded or past _PYTHON_MAX_WEIGHTS (a slow
+    tail, which loads it), else the list twins'."""
+    if _numpy_loaded() or n > _PYTHON_MAX_WEIGHTS:
+        r = model.b1.mixed_poisson_weights(model.lam, n).tolist()
+    else:
+        r = model.b1.mixed_poisson_weight_list(model.lam, n)
     _check_r0(r[0], model)
     return r
 
 
-def _enough(r, L, total):
+def _enough(r, L):
     """Whether r_0..r_N leave out weights that sum to below _TAIL * T_L
-    (only a T_L below 1/2 is read from the tail); total sums a slice.
+    (only a T_L below 1/2 is read from the tail).
 
     The left-out sum is estimated as r_N q / (1 - q), q = r_N / r_{N-1}:
     every family's weights fall monotonically past their mode.
     """
     last = r[-1]
-    if last == 0.0 or total(r[:L + 1]) <= 0.5:
+    if last == 0.0 or sum(r[:L + 1]) <= 0.5:
         return True
     q = last / r[-2]
-    return q < 1.0 and last * q / (1.0 - q) <= _TAIL * total(r[L + 1:])
-
-
-def _series(model):
-    """r_0..r_N, N doubled from 2L + 200 until `_enough`."""
-    import numpy as np
-
-    L = int(model.level)
-    n = 2 * L + 200
-    while True:
-        r = _weights(model, n)
-        if _enough(r, L, np.sum):
-            return r
-        if n >= _MAX_WEIGHTS:
-            # a tail too long to sum: the weights past r_n enter as one
-            # term, 1 - sum(r), good to about 1e-16 / T_L relative
-            return np.append(r, max(1.0 - r.sum(), 0.0))
-        n *= 2
-
-
-def _counts(model):
-    """(u, r_0, scales): the renewal sequence u tilted by the recurrence's
-    x, so that Q_n = sum_{m<n} u[m] exp(scales[m]) / r_0 for n >= 1."""
-    import numpy as np
-    from . import kernels
-
-    L = _solvable_level(model)
-    r = _series(model)
-    # the increments a_k = T_k / r_0: T_k = 1 - sum_{j<=k} r_j is exact
-    # enough while it is at least 1/2; below that the tail sum, added from
-    # its small end, keeps its relative accuracy
-    head = 1.0 - np.cumsum(r[:L + 1])[1:]
-    tail = np.cumsum(r[:1:-1])[::-1][:L]
-    u, scales = kernels.busy_period_recurrence(
-        np.where(head >= 0.5, head, tail) / r[0], L)
-    return u, float(r[0]), scales
-
-
-def busy_period_counts(model):
-    """Vector (Q_0, ..., Q_L); entries beyond double range come back as inf."""
-    import numpy as np
-
-    u, r0, scales = _counts(model)
-    with np.errstate(over="ignore"):
-        return np.append(1.0, np.cumsum(u[:-1] * np.exp(scales[:-1])) / r0)
+    return q < 1.0 and last * q / (1.0 - q) <= _TAIL * sum(r[L + 1:])
 
 
 def _finite_q(q):
@@ -222,26 +195,16 @@ def _finite_q(q):
     return q
 
 
-def _numpy_q_top(model):
-    """Q_L by the kernels' blocked recurrence; inf beyond double range."""
-    import numpy as np
+def _increments(r, L):
+    """(a, unseen): the increments a_1..a_m, m = min(L, N - 1) from
+    r_0..r_N, and an estimate of a_{m+1} + ... + a_L, which the weights
+    read do not give: inf while the weights still rise.
 
-    u, r0, scales = _counts(model)
-    q = _finite_q(float(np.dot(u[:-1], np.exp(-scales[:0:-1]))) / r0)
-    with np.errstate(over="ignore"):
-        return q * float(np.exp(scales[-1]))
-
-
-# --- the same Q_L on Python floats, lists and `math` alone, banded ---
-
-def _python_increments(r, L):
-    """(a, unseen): the increments a_1..a_m as `_counts` builds them, m =
-    min(L, N - 1) from r_0..r_N, and an estimate of a_{m+1} + ... + a_L,
-    which the weights read do not give: inf while the weights still rise.
-
-    Past r_N the weights are taken to fall geometrically, as `_enough`
-    takes them, by q = r_N / r_{N-1}, so that sum_{k>=N} T_k =
-    sum_{j>N} (j - N) r_j is r_N q / (1 - q)^2.
+    a_k = T_k / r_0, and T_k = 1 - sum_{j<=k} r_j is exact enough while it
+    is at least 1/2; below that the tail sum, added from its small end,
+    keeps its relative accuracy.  Past r_N the weights are taken to fall
+    geometrically, as `_enough` takes them, by q = r_N / r_{N-1}, so that
+    sum_{k>=N} T_k = sum_{j>N} (j - N) r_j is r_N q / (1 - q)^2.
     """
     m = min(L, len(r) - 2)
     # 1 - sum_{j<=k} r_j, else sum_{j>k} r_j, for k = 1..m
@@ -258,47 +221,52 @@ def _python_increments(r, L):
     return a, last * q / (1.0 - q) ** 2 / r[0]
 
 
-def _band(a, budget):
-    """The least K with a_{K+1} + a_{K+2} + ... <= budget, the tail summed
-    from its small end; len(a) where there is none."""
-    return len(a) - bisect_right(list(accumulate(reversed(a))), budget)
+def _cut(a, budget):
+    """The least K >= 1 with a_{K+1} + a_{K+2} + ... <= budget, the tail
+    summed from its small end; len(a) where there is none."""
+    return max(1, len(a) - bisect_right(list(accumulate(reversed(a))), budget))
 
 
-def _python_band(model, L):
-    """(a, x, r_0): the increments a_1..a_K, tilted by x, or None where
-    the weights run past _PYTHON_MAX_WEIGHTS before the band K is found.
+def _band(model, L):
+    """(a, x, r_0): the increments a_1..a_K, tilted by x.
 
     K is the least index for which the increments past it, read or not,
     sum to at most _TAIL / L of all of them, each tilted by e^{kx}; and the
-    weights read give a_1..a_K to _TAIL relative (`_enough`).  x is the
-    tilt of the increments kept untilted by the same rule, and the tilted
+    weights read give a_1..a_K to _TAIL relative (`_enough`), or end, past
+    _MAX_WEIGHTS, in one term for the rest of the tail.  x is the tilt of
+    the increments kept untilted by the same rule, and the tilted
     increments past that first cut are bounded by their untilted sum times
     the largest e^{kx} among them.
     """
-    n = min(2 * L + 200, _PYTHON_FIRST_WEIGHTS)
-    while n <= _PYTHON_MAX_WEIGHTS:
-        r = model.b1.mixed_poisson_weight_list(model.lam, n)
-        _check_r0(r[0], model)
-        a, unseen = _python_increments(r, L)
+    n = min(2 * L + 200, _FIRST_WEIGHTS)
+    while True:
+        r = _weights(model, n)
+        whole = n >= _MAX_WEIGHTS
+        if whole:
+            # a tail too long to sum: the weights past r_n enter as one
+            # term, 1 - sum(r), good to about 1e-16 / T_L relative
+            r.append(max(1.0 - math.fsum(r), 0.0))
+        a, unseen = _increments(r, L)
         total = sum(a)
         # where the untilted sum is above 1, the tilted one is 1
         budget = _TAIL / L * min(total, 1.0) - unseen
-        if budget >= 0.0:
-            K = _band(a, budget)
-            if _enough(r, K, sum):
-                if total <= 1.0:
-                    return a[:K], 0.0, r[0]
-                x = _python_tilt(a[:K])
-                past = (sum(a[K:]) + unseen) * math.exp((K + 1) * x)
-                a = [v * math.exp(k * x) for k, v in enumerate(a[:K], 1)]
-                return a[:_band(a, _TAIL / L * sum(a) - past)], x, r[0]
-        n *= 2
-    return None
+        K = _cut(a, budget)
+        if whole or budget >= 0.0 and _enough(r, K):
+            break
+        n = min(2 * n, _MAX_WEIGHTS)
+    if total <= 1.0:
+        return a[:K], 0.0, r[0]
+    x = _tilt(a[:K])
+    past = (sum(a[K:]) + unseen) * math.exp((K + 1) * x)
+    a = [v * math.exp(k * x) for k, v in enumerate(a[:K], 1)]
+    return a[:_cut(a, _TAIL / L * sum(a) - past)], x, r[0]
 
 
-def _python_tilt(a):
-    """`kernels._tilt` on Python floats: the x < 0 with
-    sum_k a_k e^{kx} = 1, given the increments a_1..a_K."""
+def _tilt(a):
+    """The x < 0 with sum_k a_k e^{kx} = 1, given increments a_1..a_K that
+    sum to above 1: Newton's method on the log of the sum, which is convex
+    and increasing in x (the iterates fall to the root without passing it),
+    and finite where a_k reaches 1e300 and e^{kx} underflows."""
     log_a = [math.log(v) if v > 0.0 else -math.inf for v in a]
     k = range(1, len(a) + 1)
     x = 0.0
@@ -313,12 +281,12 @@ def _python_tilt(a):
         x -= step
 
 
-def _python_renewal(a, L):
-    """u_0, ..., u_{L-1} of the increments a_1..a_K: the kernels' renewal
-    loop cut at the band, u_m = sum_{k<=min(m, K)} a_k u_{m-k}, from a
-    history of the K newest entries.  Each u_m is its sum correctly
-    rounded: near rho1 = 1 u settles to a constant, and a plain sum's
-    rounding then recurs at every step, 1.3e-12 in Q_L at L = 4000."""
+def _renewal(a, L):
+    """u_0, ..., u_{L-1} of the band a_1..a_K on Python floats: u_m =
+    sum_{k<=min(m, K)} a_k u_{m-k}, from a history of the K newest entries.
+    Each u_m is its sum correctly rounded: near rho1 = 1 u settles to a
+    constant, and a plain sum's rounding then recurs at every step, 1.3e-12
+    in Q_L at L = 4000."""
     history = deque([1.0], maxlen=len(a))
     u = [1.0]
     for _ in range(L - 1):
@@ -327,20 +295,33 @@ def _python_renewal(a, L):
     return u
 
 
-def _python_q_top(model):
-    """Q_L as `_numpy_q_top` gives it, or None to hand the model over:
-    where the weights run past _PYTHON_MAX_WEIGHTS, or the band's L K
-    multiply-adds past _PYTHON_MAX_WORK."""
+def _band_q_top(model):
+    """Q_L by the band; inf beyond double range.  The kernels' blocked loop
+    runs it once numpy is loaded or past _PYTHON_MAX_WORK multiply-adds,
+    and the list loop else."""
     L = _solvable_level(model)
-    band = _python_band(model, L)
-    if band is None or L * len(band[0]) > _PYTHON_MAX_WORK:
-        return None
-    a, x, r0 = band
-    u = _python_renewal(a, L)
+    a, x, r0 = _band(model, L)
+    if _numpy_loaded() or L * len(a) > _PYTHON_MAX_WORK:
+        from . import kernels
+        u = kernels.busy_period_recurrence(a, L, x)[0][:L].tolist()
+    else:
+        u = _renewal(a, L)
     # with u the tilted sequence, Q_L e^{Lx} = sum_{m<L} u_m e^{(L-m)x} / r_0
     tilt = [math.exp(k * x) for k in range(L, 0, -1)]
     q = _finite_q(math.fsum(map(operator.mul, u, tilt)) / r0)
     return q * _exp(-L * x)
+
+
+def busy_period_counts(model):
+    """Vector (Q_0, ..., Q_L); entries beyond double range come back as inf."""
+    import numpy as np
+    from . import kernels
+
+    L = _solvable_level(model)
+    a, x, r0 = _band(model, L)
+    u, scales = kernels.busy_period_recurrence(a, L, x)
+    with np.errstate(over="ignore"):
+        return np.append(1.0, np.cumsum(u[:-1] * np.exp(scales[:-1])) / r0)
 
 
 # --- Q_L of a phase-type law by its d-dimensional filter, O(L d) ---
@@ -411,17 +392,11 @@ def _phase_q_top(model):
 
 
 def _q_top(model):
-    """Q_L; inf beyond double range.  The one choice of route: while numpy
-    is not loaded, a law of at most MAX_PHASES phases by its phases, any
-    other by its band on Python floats up to _PYTHON_MAX_WORK; else
-    numpy."""
-    if "numpy" not in sys.modules:
-        q = _phase_q_top(model)
-        if q is None:
-            q = _python_q_top(model)
-        if q is not None:
-            return q
-    return _numpy_q_top(model)
+    """Q_L; inf beyond double range.  The one choice of route: a law of at
+    most MAX_PHASES phases by its phases while numpy is not loaded, else
+    the band."""
+    q = None if _numpy_loaded() else _phase_q_top(model)
+    return _band_q_top(model) if q is None else q
 
 
 def _probs(model, inv_q):

@@ -1,11 +1,11 @@
 """Hot numeric kernels: busy-period recurrence and cycle simulation.
 
-The recurrence is a renewal loop on the increments that `exact` builds
-from the arrival weights.  Its terms are all nonnegative, it is tilted to
-stay in double range, and it runs in blocks that double from 1 entry to
-_RENEWAL_BLOCK, each block two C-level convolutions;
-``busy_period_recurrence`` is its one implementation, and every exact
-quantity and optimizer evaluation runs through it.
+The recurrence is a renewal loop on the band of increments a_1..a_K that
+`exact` builds from the arrival weights and tilts to stay in double range.
+Its terms are all nonnegative, and it runs in blocks that double from 1
+entry to _RENEWAL_BLOCK, each block two C-level convolutions whose history
+reaches back K entries: O(L K).  ``busy_period_recurrence`` runs the band
+wherever numpy is loaded; `exact` runs it on Python floats where it is not.
 
 The simulator runs many regeneration cycles at once as lanes of numpy
 arrays, and each step advances every lane by one whole service (see
@@ -17,25 +17,22 @@ module keeps the streams and the step loop, and a lane reads a service's
 draws, and a few arrival gaps, ahead as one block.
 """
 
-import math
-
 import numpy as np
 
 
 # ---------------------------------------------------------------------------
 # Busy-period recurrence
 #
-# u is the renewal sequence of the increments a_1..a_L, u_0 = 1 and
-# u_m = sum_{k=1..m} a_k u_{m-k}, with generating function U(z) =
+# u is the renewal sequence of the band a_1..a_K that `exact` builds, u_0 = 1
+# and u_m = sum_{k=1..min(m, K)} a_k u_{m-k}, with generating function U(z) =
 # 1 / (1 - A(z)); `exact` sums it to the counts Q.  Every term is
-# nonnegative, so nothing cancels.  Where sum_k a_k exceeds 1 (rho1 > 1) u
-# grows geometrically; the loop then runs on the tilted a_k e^{kx}, whose
-# sum is 1 at the root x < 0, so every tilted value stays at most 1
-# (Feller, An Introduction to Probability Theory, Vol. II, XI.6).
+# nonnegative, so nothing cancels, and `exact` has tilted the band so that
+# every u_m stays at most 1.
 #
 # The loop runs in blocks.  Within a block [s, s + nb), u_{s+i} = h_i +
 # sum_{k=1..i} a_k u_{s+i-k}, where the history h_i = sum_{j<s} a_{s+i-j}
-# u_j holds every term that reaches back before s.  The solution of this
+# u_j holds every term that reaches back before s, and only its K newest
+# entries, j >= s - K, meet a nonzero a.  The solution of this
 # renewal equation with forcing h is h * u: U(z) (1 - A(z)) = 1, so the
 # inverse of the block's lower-triangular Toeplitz matrix I - T_a is the
 # lower-triangular Toeplitz matrix of u_0..u_{nb-1} (Brent & Kung, "Fast
@@ -46,53 +43,33 @@ import numpy as np
 # one holds _RENEWAL_BLOCK entries.
 # ---------------------------------------------------------------------------
 
-# entries per block: on a 2-vCPU x86_64 VM, 32 ran within 16% of the
-# fastest of 16..128 at each of L = 200, 1000, 4000 and 16000 (smaller
-# blocks win at small L, larger ones at large L)
+# entries per block: 32 ran within 16% of the fastest of 16..128 on the
+# unbanded O(L^2) loop at L = 200-16000; on the band 64 or 128 is the best, and
+# 32 takes 1.2-1.9 times as long at L = 200-64000 (det, gamma(2.5) and
+# gamma(0.1) laws on a 2-vCPU x86_64 VM)
 _RENEWAL_BLOCK = 32
 
 
-def _tilt(log_a):
-    """The x < 0 with sum_k exp(log_a[k-1] + k x) = 1, given a sum above 1
-    at x = 0: Newton's method on the log of the sum, which is convex and
-    increasing in x (the iterates fall to the root without passing it), and
-    finite where a_k reaches 1e300 and e^{kx} underflows."""
-    k = np.arange(1, len(log_a) + 1)
-    x = 0.0
-    while True:
-        e = log_a + k * x
-        top = e.max()
-        w = np.exp(e - top)
-        total = w.sum()
-        step = (top + math.log(total)) * total / np.dot(k, w)
-        if not x - step < x:
-            return x
-        x -= step
+def busy_period_recurrence(a, L, x):
+    """Run the renewal loop on the band a_1..a_K (K >= 1), tilted by x <= 0;
+    returns (tilted values, log scales).
 
-
-def busy_period_recurrence(a, L):
-    """Run the renewal loop on a_1..a_L; returns (tilted values, log scales).
-
-    Entry m of the renewal sequence u_0 = 1, u_m = sum_{k=1..m} a_k u_{m-k}
-    equals values[m] * exp(scales[m]), with scales[m] = -m x for the tilt
-    x <= 0.
+    Entry m of the untilted band's renewal sequence equals values[m] *
+    exp(scales[m]), with scales[m] = -m x.
     """
-    a = np.asarray(a, dtype=np.float64)
+    K = len(a)
+    # zeros past a_K, so that a block's history reads a_1..a_{K+nb-1}
+    a = np.concatenate((np.asarray(a, dtype=np.float64),
+                        np.zeros(_RENEWAL_BLOCK)))
     L = int(L)
-    x = 0.0
-    if a.sum() > 1.0:
-        with np.errstate(divide="ignore"):
-            x = _tilt(np.log(a))
-        # an e^{kx} that underflows drops a term below a_k * 2^-1075,
-        # at most 3e-24 next to a sum of 1
-        a = a * np.exp(np.arange(1, L + 1) * x)
     u = np.empty(L + 1)
     u[0] = 1.0
     s = 1
     while s <= L:
         nb = min(_RENEWAL_BLOCK, s, L + 1 - s)
-        # h_i = sum_{j<s} a_{s+i-j} u_j: nb dot products of length s
-        h = np.convolve(a[:s + nb - 1], u[:s], "valid")
+        lo = max(0, s - K)
+        # h_i = sum_{lo<=j<s} a_{s+i-j} u_j: nb dot products of length s - lo
+        h = np.convolve(a[:s - lo + nb - 1], u[lo:s], "valid")
         u[s:s + nb] = np.convolve(h, u[:nb])[:nb]
         s += nb
     return u, np.arange(L + 1) * -x
@@ -102,7 +79,7 @@ def busy_period_recurrence(a, L):
 # Lane-vectorized simulator.
 #
 # Cycle i draws uniforms on (0, 1] from its own splitmix64 stream (Steele,
-# Lea & Flood, OOPSLA 2014) started at stream_key(seed, i): hash the seed,
+# Lea & Flood, OOPSLA 2014) started at _stream_keys(seed, i): hash the seed,
 # xor in the golden-ratio multiple of i, hash again.  The stream is
 # counter-based: from state x its j-th next draw is mix(x + j * golden), so
 # a lane can read draws ahead and then consume only those it used (Salmon et
@@ -168,7 +145,7 @@ def _uniforms(state, m):
 
 
 def _stream_keys(seed, cycles):
-    """stream_key(seed, i) for every i in `cycles`."""
+    """The 64-bit key of each cycle i in `cycles`: the splitting rule."""
     z1 = _mix(np.full(1, seed, dtype=np.uint64) + _GOLDEN_U64)
     return _mix((z1 ^ (cycles.astype(np.uint64) * _GOLDEN_U64)) + _GOLDEN_U64)
 
@@ -292,7 +269,3 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
                     parked = 0
     return out_idle, out_below, out_above, out_nu1, out_nu2
 
-
-def stream_key(seed, idx):
-    """64-bit stream key for (seed, idx); the splitting rule of the simulator."""
-    return int(_stream_keys(seed, np.array([idx], dtype=np.uint64))[0])

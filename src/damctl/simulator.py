@@ -8,7 +8,7 @@ service class, matching the Wald identities used by the exact analytics.
 
 Randomness is a counter-based splittable stream keyed by (seed, cycle
 index), so a run is reproducible cycle by cycle regardless of execution
-order; see `kernels.stream_key` for the splitting rule.
+order; see `kernels._stream_keys` for the splitting rule.
 """
 
 import math

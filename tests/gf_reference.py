@@ -14,7 +14,7 @@ def gf_coefficients(model, n):
     """First n+1 series coefficients of r(z) / (r(z) - z), from the model's
     double weights r_0..r_n (refusing an underflowing r_0 as exact does)."""
     n = int(n)
-    num = exact._weights(model, n)
+    num = np.array(exact._weights(model, n))
     den = num.copy()
     den[1] -= 1.0
     out = np.empty(n + 1)

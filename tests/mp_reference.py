@@ -12,7 +12,7 @@ weights, the reference holds none of the double weights' rounding error.
 import mpmath
 import numpy as np
 
-from damctl import exact
+from damctl import exact, kernels
 from damctl.distributions import family_tag
 
 DIGITS = 40
@@ -94,10 +94,18 @@ def log_counts(model):
         return [mpmath.log(x) for x in q]
 
 
+def double_counts(model):
+    """(u, r_0, scales): the kernels' loop on the model's band, so that
+    Q_n = sum_{m<n} u[m] exp(scales[m]) / r_0 for n >= 1."""
+    a, x, r0 = exact._band(model, int(model.level))
+    u, scales = kernels.busy_period_recurrence(a, model.level, x)
+    return u, r0, scales
+
+
 def double_log_q(model):
     """log Q_L from the double route's factors, finite also where Q_L is
     beyond double range."""
-    u, r0, scales = exact._counts(model)
+    u, r0, scales = double_counts(model)
     return float(np.log(np.dot(u[:-1], np.exp(-scales[:0:-1])) / r0)
                  + scales[-1])
 
@@ -106,7 +114,7 @@ def double_log_counts(model):
     """log Q_0..log Q_L from the double route's factors, finite also where
     Q_n is beyond double range: log Q_n is the log of
     sum_{m<n} u[m] exp(scales[m] - scales[n-1]) / r_0, plus scales[n-1]."""
-    u, r0, scales = exact._counts(model)
+    u, r0, scales = double_counts(model)
     sums = np.convolve(u[:-1], np.exp(-scales[:-1]))[:len(u) - 1]
     return np.concatenate(([0.0], np.log(sums / r0) + scales[:-1]))
 

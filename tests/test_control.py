@@ -287,13 +287,17 @@ def test_optimize_exact_matches_dense_scan(family, j1):
     assert sol.predicted_cost <= vals[i] * (1.0 + 1e-8)
 
 
-@pytest.mark.parametrize("route", ["_python_q_top", "_numpy_q_top"])
+@pytest.mark.parametrize("numpy_loaded", [False, True],
+                         ids=["_python_q_top", "_numpy_q_top"])
 @pytest.mark.parametrize("j1", [2.0, 0.5])  # upper- and lower-penalized
 @pytest.mark.parametrize("family", sorted(EXACT_SHAPES))
-def test_optimize_exact_matches_golden_section(family, j1, route, monkeypatch):
+def test_optimize_exact_matches_golden_section(family, j1, numpy_loaded,
+                                               monkeypatch):
     # golden section's optimum, which took 39 solves, in at most 22, and
-    # never costlier beyond round-off
-    monkeypatch.setattr(exact, "_q_top", getattr(exact, route))
+    # never costlier beyond round-off, on the band's loop on Python floats
+    # and on numpy's
+    monkeypatch.setattr(exact, "_q_top", exact._band_q_top)
+    monkeypatch.setattr(exact, "_numpy_loaded", lambda: numpy_loaded)
     costs = exact.CostModel(j1, 1.0)
 
     def cost(rho1):

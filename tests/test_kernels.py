@@ -221,15 +221,15 @@ def test_gap_lookahead_does_not_change_cycles(family, ahead, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 40, 2 ** 64 - 1])
 def test_stream_key_matches_splitting_rule(seed):
-    for idx in (0, 1, 999):
-        assert kernels.stream_key(seed, idx) == _stream_key(seed, idx)
+    keys = kernels._stream_keys(seed, np.array([0, 1, 999]))
+    assert keys.tolist() == [_stream_key(seed, idx) for idx in (0, 1, 999)]
 
 
 def test_arrival_at_the_completion_instant_comes_after_it():
     # departure-first: cycle 0's first draw is its idle period and its second
     # the first arrival gap; a deterministic service of exactly that gap ties
     # the arrival with the completion, which then ends the cycle
-    key = np.array([kernels.stream_key(7, 0)], dtype=np.uint64)
+    key = kernels._stream_keys(7, np.array([0]))
     g1 = float(-np.log(kernels._uniforms(key + kernels._OFFSET[1], 1)[0, 0]))
     args = (1, 7, 1.0, 5, Deterministic(duration=g1), Exponential(rate=2.0))
     assert kernels.simulate_cycles(*args)[3][0] == 1

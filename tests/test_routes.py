@@ -1,7 +1,9 @@
-"""The three routes to Q_L agree: a phase-type law's phases and the banded
-renewal on Python floats (both while numpy is not loaded) and numpy.
-pytest has numpy loaded, so each route is called directly;
-tests/test_cli.py checks which route a fresh interpreter takes."""
+"""The two routes to Q_L agree: a phase-type law's phases (while numpy is
+not loaded) and the band, whose two loops, the list loop on Python floats
+and numpy's in the kernels, agree with the unbanded loop on all of a_1..a_L
+built here.  pytest has numpy loaded, so `python_q_top` runs the band as a
+process without numpy does; tests/test_cli.py checks which route a fresh
+interpreter takes."""
 
 import math
 import os
@@ -49,14 +51,56 @@ def solve_by(route, m, monkeypatch):
         return exact.solve(m, COSTS)
 
 
-def assert_agrees_with_numpy(route, tag, level, monkeypatch):
+def without_numpy(route):
+    """route as a process without numpy runs it: on list weights, however
+    many it reads, and within _PYTHON_MAX_WORK on the list loop."""
+    def run(m):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exact, "_numpy_loaded", lambda: False)
+            patch.setattr(exact, "_PYTHON_MAX_WEIGHTS", math.inf)
+            return route(m)
+    return run
+
+
+def full_increments(m):
+    """(a_1..a_L, r_0) from all the weights r_0..r_N that leave out less
+    than 2^-60 T_L, without a band."""
+    L = int(m.level)
+    n = 2 * L + 200
+    while not exact._enough(r := exact._weights(m, n), L):
+        n *= 2
+    r = np.array(r)
+    head = 1.0 - np.cumsum(r[:L + 1])[1:]
+    tail = np.cumsum(r[:1:-1])[::-1][:L]
+    return np.where(head >= 0.5, head, tail) / r[0], r[0]
+
+
+def unbanded_q_top(m):
+    """Q_L by the kernels' loop on all of a_1..a_L (K = L), tilted by the
+    root on all of them: O(L^2), the reference for the band."""
+    L = int(m.level)
+    a, r0 = full_increments(m)
+    x = exact._tilt(a.tolist()) if a.sum() > 1.0 else 0.0
+    u, scales = kernels.busy_period_recurrence(
+        a * np.exp(np.arange(1, L + 1) * x), L, x)
+    q = exact._finite_q(float(np.dot(u[:-1], np.exp(-scales[:0:-1]))) / r0)
+    with np.errstate(over="ignore"):
+        return q * float(np.exp(scales[-1]))
+
+
+python_q_top = without_numpy(exact._band_q_top)
+
+
+def assert_agrees_with_numpy(route, tag, level, monkeypatch,
+                             reference=unbanded_q_top):
+    """route against the unbanded loop, which runs on numpy."""
     for rho1 in LOADS:
         m = model(tag, rho1, level)
         q_py = route(m)
-        q_np = exact._numpy_q_top(m)
+        q_np = reference(m)
         assert q_py == pytest.approx(q_np, rel=1e-12), rho1
         py = solve_by(route, m, monkeypatch)
-        np_ = solve_by(exact._numpy_q_top, m, monkeypatch)
+        np_ = solve_by(reference, m, monkeypatch)
         assert py.p1 == pytest.approx(np_.p1, rel=1e-12, abs=0.0), rho1
         assert py.cost == pytest.approx(np_.cost, rel=1e-12), rho1
         # p2 and e_nu2 are differences of terms of the sizes below, and
@@ -72,14 +116,19 @@ def assert_agrees_with_numpy(route, tag, level, monkeypatch):
 
 @pytest.fixture
 def unbounded_band(monkeypatch):
-    """The banded route for every law, however much work its band takes."""
+    """The list loop for every law, however much work its band takes."""
     monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", math.inf)
 
 
 @pytest.mark.parametrize("level", LEVELS + [1000, 4000])
 @pytest.mark.parametrize("tag", sorted(SHAPES))
 def test_routes_agree(tag, level, monkeypatch, unbounded_band):
-    assert_agrees_with_numpy(exact._python_q_top, tag, level, monkeypatch)
+    # each of the band's loops against the unbanded one on the same weights:
+    # at L = 4000 and rho1 = 1.05 the Erlang(3) law's list and numpy weights
+    # alone move Q_L by 1.0e-12
+    assert_agrees_with_numpy(python_q_top, tag, level, monkeypatch,
+                             without_numpy(unbanded_q_top))
+    assert_agrees_with_numpy(exact._band_q_top, tag, level, monkeypatch)
 
 
 @pytest.mark.parametrize("level", [7, 50])
@@ -89,7 +138,7 @@ def test_python_route_matches_40_digit_reference(tag, level, rho1):
     m = model(tag, rho1, level)
     log_want = mp_reference.log_counts(m)[-1]
     with mpmath.workdps(40):
-        err = abs(mpmath.log(exact._python_q_top(m)) - log_want)
+        err = abs(mpmath.log(python_q_top(m)) - log_want)
     assert float(err) < 1e-12
 
 
@@ -99,7 +148,7 @@ def test_band_matches_40_digit_reference(tag, rho1, unbounded_band):
     m = model(tag, rho1, 1000)
     log_want = mp_reference.log_counts(m)[-1]
     with mpmath.workdps(40):
-        err = abs(mpmath.log(exact._python_q_top(m)) - log_want)
+        err = abs(mpmath.log(python_q_top(m)) - log_want)
     assert float(err) < 1e-12
 
 
@@ -110,7 +159,7 @@ def test_band_matches_40_digit_reference_at_4000():
                        b2=B2, level=4000)
     log_want = mp_reference.log_counts(m)[-1]
     with mpmath.workdps(40):
-        err = abs(mpmath.log(exact._python_q_top(m)) - log_want)
+        err = abs(mpmath.log(python_q_top(m)) - log_want)
     assert float(err) < 1e-12
 
 
@@ -120,20 +169,11 @@ BAND_CASES = [(tag, rho1, level) for tag in ("gamma0.5", "gamma2.5", "det",
               for level in (7, 200, 1000, 4000)]
 
 
-def full_increments(m):
-    """a_1..a_L as the numpy route builds them, from all its weights."""
-    L = int(m.level)
-    r = exact._series(m)
-    head = 1.0 - np.cumsum(r[:L + 1])[1:]
-    tail = np.cumsum(r[:1:-1])[::-1][:L]
-    return np.where(head >= 0.5, head, tail) / r[0]
-
-
 @pytest.mark.parametrize("tag, rho1, level", BAND_CASES)
 def test_band_drops_at_most_its_share(tag, rho1, level):
     m = model(tag, rho1, level)
-    a, x, _ = exact._python_band(m, level)
-    tilted = full_increments(m) * np.exp(np.arange(1, level + 1) * x)
+    a, x, _ = exact._band(m, level)
+    tilted = full_increments(m)[0] * np.exp(np.arange(1, level + 1) * x)
     K = len(a)
     assert tilted[K:].sum() <= 2.0 ** -60 / level * tilted.sum()
     assert a == pytest.approx(tilted[:K], rel=1e-15, abs=0.0)
@@ -144,66 +184,112 @@ def test_band_drops_at_most_its_share(tag, rho1, level):
 def test_band_tilt_is_the_kernels_tilt(tag, rho1, level):
     # the root on the band's K increments, against the one on all L
     m = model(tag, rho1, level)
-    x = exact._python_band(m, level)[1]
-    with np.errstate(divide="ignore"):
-        want = kernels._tilt(np.log(full_increments(m)))
+    x = exact._band(m, level)[1]
+    want = exact._tilt(full_increments(m)[0].tolist())
     assert x == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 def test_band_renewal_is_the_kernels_loop_on_the_band():
-    # u of a_1..a_K alone is the full loop's u on a_1..a_K and then zeros
+    # u of a_1..a_K alone, by either loop, is the full loop's u on a_1..a_K
+    # and then zeros
     a = [0.3, 0.25, 0.2, 0.15, 0.05]
-    u, scales = kernels.busy_period_recurrence(a + [0.0] * 15, 20)
+    u, scales = kernels.busy_period_recurrence(a + [0.0] * 15, 20, 0.0)
     assert not scales.any()
-    assert exact._python_renewal(a, 20) == pytest.approx(list(u[:20]),
-                                                         rel=1e-15)
+    assert exact._renewal(a, 20) == pytest.approx(list(u[:20]), rel=1e-15)
+    band = kernels.busy_period_recurrence(a, 20, 0.0)[0]
+    assert band.tolist() == pytest.approx(list(u), rel=1e-15)
+
+
+def critical_q(m):
+    """Q_L at rho1 = 1 but for terms that fall geometrically with L:
+    2 L / (lam^2 m2) + 2 m3 / (3 lam m2^2), with m2 and m3 the normal-regime
+    law's raw moments."""
+    lam, m2, m3 = m.lam, m.b1.raw_moment(2), m.b1.raw_moment(3)
+    return 2.0 * m.level / (lam * lam * m2) + 2.0 * m3 / (3.0 * lam * m2 * m2)
+
+
+@pytest.mark.parametrize("level", [200, 4000, 64000])
+@pytest.mark.parametrize("lam", [1.0, 0.7])
+@pytest.mark.parametrize("tag", sorted(SHAPES))
+def test_routes_meet_the_closed_form_at_rho1_one(tag, lam, level,
+                                                 unbounded_band):
+    m = exact.DamModel(lam=lam, b1=SHAPES[tag].scale_to_mean(1.0 / lam),
+                       b2=B2, level=level)
+    routes = [python_q_top, exact._band_q_top]
+    if exact._phase_q_top(model(tag, 1.0, 1)) is not None:
+        routes.append(exact._phase_q_top)
+    for route in routes:
+        assert route(m) == pytest.approx(critical_q(m), rel=4e-16 * level)
+
+
+def test_numpy_loop_meets_the_closed_form_at_max_level():
+    m = exact.DamModel(lam=1.0, b1=Deterministic(duration=1.0), b2=B2,
+                       level=exact.MAX_LEVEL)
+    assert exact._band_q_top(m) == pytest.approx(critical_q(m),
+                                                 rel=4e-16 * exact.MAX_LEVEL)
 
 
 def test_band_cuts_a_light_tail_far_below_the_level():
     # a gamma(2.5) law's increments fall by about 0.3 a step; det's faster
     for tag, most in (("gamma2.5", 45), ("det", 22)):
         for rho1 in (0.95, 1.0, 1.05):
-            a = exact._python_band(model(tag, rho1, 4000), 4000)[0]
+            a = exact._band(model(tag, rho1, 4000), 4000)[0]
             assert len(a) <= most
+
+
+def test_band_of_zero_increments_solves():
+    # det(1e-300): r_0 + r_1 = 1 in doubles, so every a_k is 0 and the band
+    # is a_1 = 0 alone; u = 1, 0, 0, ... and Q_L = 1 / r_0 on both loops
+    m = exact.DamModel(lam=1.0, b1=Deterministic(duration=1e-300), b2=B2,
+                       level=5)
+    assert exact._band(m, 5)[0] == [0.0]
+    for route in (python_q_top, exact._band_q_top):
+        assert route(m) == 1.0 / exact._weights(m, 0)[0]
 
 
 def test_python_route_refuses_an_underflowing_r0():
     m = exact.DamModel(lam=1.0, b1=Deterministic(duration=800.0), b2=B2,
                        level=5)
     with pytest.raises(NumericDegeneracyError, match="r_0"):
-        exact._python_q_top(m)
+        python_q_top(m)
 
 
 def test_python_route_refuses_a_level_above_max_level():
     with pytest.raises(ValueError, match="above the largest"):
-        exact._python_q_top(model("gamma2.5", 1.0, exact.MAX_LEVEL + 1))
+        python_q_top(model("gamma2.5", 1.0, exact.MAX_LEVEL + 1))
 
 
 def test_python_route_hands_work_past_its_bound_to_numpy(monkeypatch):
+    # L K multiply-adds run on the list loop, and one more on numpy's
     m = model("gamma2.5", 1.0, 4000)
-    K = len(exact._python_band(m, 4000)[0])
+    K = len(exact._band(m, 4000)[0])
+    want = unbanded_q_top(m)
+    calls, real = [], kernels.busy_period_recurrence
+    monkeypatch.setattr(kernels, "busy_period_recurrence",
+                        lambda *args: calls.append(args[1]) or real(*args))
     monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", 4000 * K)
-    assert exact._python_q_top(m) == pytest.approx(exact._numpy_q_top(m),
-                                                   rel=1e-12)
+    assert python_q_top(m) == pytest.approx(want, rel=1e-12)
+    assert calls == []
     monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", 4000 * K - 1)
-    assert exact._python_q_top(m) is None
+    assert python_q_top(m) == pytest.approx(want, rel=1e-12)
+    assert calls == [4000]
 
 
 def test_python_route_refuses_a_non_finite_q(monkeypatch):
     def nan_renewal(a, L):
         return [math.nan] * L
 
-    monkeypatch.setattr(exact, "_python_renewal", nan_renewal)
+    monkeypatch.setattr(exact, "_renewal", nan_renewal)
     with pytest.raises(NumericDegeneracyError, match="non-finite"):
-        exact._python_q_top(model("exp", 0.8, 10))
+        python_q_top(model("exp", 0.8, 10))
 
 
 def test_slow_tail_is_handed_to_numpy():
     # shape 1e-8: the weights fall as (1 + 1e-8)^-j, past any list the
-    # Python route sums; a fresh interpreter then loads numpy to solve it
+    # Python route sums; a fresh interpreter then loads numpy to read them
+    # and to solve it
     m = exact.DamModel(lam=1.0, b1=Gamma(shape=1e-8, rate=1e-8), b2=B2,
                        level=10)
-    assert exact._python_q_top(m) is None
     script = """
 import sys
 from damctl import exact
@@ -219,7 +305,7 @@ print(repr(exact.solve(m).busy.e_nu1), "numpy" in sys.modules)
     assert proc.returncode == 0, proc.stderr
     q, loaded = proc.stdout.split()
     assert loaded == "True"
-    assert float(q) == exact._numpy_q_top(m)
+    assert float(q) == exact._band_q_top(m)
 
 
 # --- the phase route: exp, Erlang and hyper laws by their phases ---
@@ -278,13 +364,13 @@ def test_phase_route_keeps_a_tiny_r0_finite(monkeypatch):
     # r_0 = 1e-10: Q_30 = 1.0006e300 is finite, but the state is rescaled
     m = exact.DamModel(lam=1.0, b1=Erlang(shape=2, rate=1e-5), b2=B2,
                        level=30)
-    assert exact._phase_q_top(m) == pytest.approx(exact._numpy_q_top(m),
+    assert exact._phase_q_top(m) == pytest.approx(exact._band_q_top(m),
                                                   rel=1e-12)
 
 
 def test_phase_route_overflows_to_inf():
     assert exact._phase_q_top(model("exp", 10.0, 320)) == math.inf
-    assert exact._numpy_q_top(model("exp", 10.0, 320)) == math.inf
+    assert exact._band_q_top(model("exp", 10.0, 320)) == math.inf
 
 
 def test_phase_route_raises_what_the_other_routes_raise(monkeypatch):
@@ -294,7 +380,7 @@ def test_phase_route_raises_what_the_other_routes_raise(monkeypatch):
     with pytest.raises(NumericDegeneracyError, match="r_0"):
         exact._phase_q_top(m)
     with pytest.raises(NumericDegeneracyError, match="r_0"):
-        exact._numpy_q_top(m)
+        exact._band_q_top(m)
     m = model("exp", 0.8, exact.MAX_LEVEL + 1)
     with pytest.raises(ValueError, match="above the largest"):
         exact._phase_q_top(m)

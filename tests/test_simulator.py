@@ -81,7 +81,8 @@ def test_confidence_interval_coverage():
 
 def test_stream_key_splitting_rule():
     # distinct (seed, index) pairs map to distinct streams
-    keys = {kernels.stream_key(seed, idx) for seed in range(4) for idx in range(4)}
+    keys = {key for seed in range(4)
+            for key in kernels._stream_keys(seed, np.arange(4)).tolist()}
     assert len(keys) == 16
 
 
