@@ -47,6 +47,10 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-12
 
+# the log1p terms of numpy's negative-binomial weights taken from math, so
+# that the twins agree; `exact` reads at most this many weights on lists
+_TWIN_TERMS = 1 << 12
+
 
 def _check_finite(name, *values):
     if not all(math.isfinite(v) for v in values):
@@ -58,14 +62,19 @@ def _negbin_log_weights(shape, rate, lam, n):
     # probability p = rate/(lam+rate), so r_j/r_{j-1} = q*(shape+j-1)/j.
     # log r_j = shape*log p + j*log q + log_coef_j, where log_coef_j is the
     # running sum of log1p((shape-1)/i) over i <= j; its terms are small, so
-    # the sum keeps its accuracy out to thousands of terms.
+    # the sum keeps its accuracy out to thousands of terms.  numpy's log1p
+    # can differ from math's in the last bit, which moves every later weight.
     import numpy as np
 
     j = np.arange(n + 1, dtype=np.float64)
     log_p = math.log(rate) - math.log(lam + rate)
     log_q = math.log(lam) - math.log(lam + rate)
+    x = (shape - 1.0) / j[1:]
+    terms = np.log1p(x)
+    if shape != 1.0:  # else every term is 0
+        terms[:_TWIN_TERMS] = list(map(math.log1p, x[:_TWIN_TERMS].tolist()))
     log_coef = np.zeros(n + 1)
-    np.cumsum(np.log1p((shape - 1.0) / j[1:]), out=log_coef[1:])
+    np.cumsum(terms, out=log_coef[1:])
     return shape * log_p + j * log_q + log_coef
 
 

@@ -21,21 +21,17 @@ d-dimensional linear filter with nonnegative coefficients (Neuts,
 Matrix-Geometric Solutions in Stochastic Models, 1981; Latouche and
 Ramaswami, 1999, ch. 2), so Q_L costs O(L d) on Python floats, with no
 weights, truncation or tilt: about (0.45 + 0.12 d) us a step, 2-3 ms at
-L = 4000 for d <= 3.  MAX_PHASES is where it stops paying: whole
-`optimize --mode exact` processes (about 17 solves, the command that
-solves most often) on Erlang(d) laws, fresh, medians of 3-5 against numpy
-imported first, took 0.10 against 0.13 s at d = 8 and L = 2000, 0.24
-against 0.24 s at L = 4000, 0.27 against 0.33 s at L = 8000 and 0.60
-against 0.88 s at L = 16000; at d = 10 they tied at L = 8000 and 16000,
-and at d = 12 numpy was the faster at L = 4000-16000.  Against numpy's
-banded loop Erlang(8) took 0.17 against 0.20 s at L = 2000, 0.19 against
-0.16 s at 4000 and 0.59 against 0.26 s at 16000.
+L = 4000 for d <= 3.  At d = MAX_PHASES the whole `optimize --mode
+exact` process (about 17 solves, the command that solves most often) on
+an Erlang(8) law, fresh, medians of 5 against numpy imported first and
+its banded loop, took 0.17 against 0.20 s at L = 2000, 0.19 against 0.16
+s at 4000 and 0.59 against 0.26 s at 16000.
 
 The band.  The increments a_k fall geometrically past their mode (by
 about 0.3 a step for gamma(2.5), faster for det's Poisson tail), so the
 renewal loop reads only a_1..a_K: K is the least index past which the
 tilted increments sum to at most 2^-60 / L of all of them, and weights
-are read, from 512 on, only as far as that cut needs; past _MAX_WEIGHTS
+are read, from 128 on, only as far as that cut needs; past _MAX_WEIGHTS
 the rest of a slow tail enters as one term.  Where the a_k sum to above 1
 (rho1 > 1) u grows geometrically, so the band is tilted to a_k e^{kx},
 which sum to 1 at the root x < 0, and every tilted u_m stays at most 1
@@ -43,34 +39,33 @@ which sum to 1 at the root x < 0, and every tilted u_m stays at most 1
 16-22 for det laws, 28-56 for gamma(1.5-2.5) and about 470-520 for
 gamma(0.1) at L = 4000-64000.  Numpy reads the weights once it is loaded
 or past _PYTHON_MAX_WEIGHTS (a slow tail, which loads it), the families'
-list twins else.  One of two loops runs the band in O(L K): numpy's
-blocked loop in the kernels once numpy is loaded or where L K is above
-_PYTHON_MAX_WORK, else a list loop, about 25 ns a multiply-add with every
-u_m correctly rounded (`math.fsum`).  On numpy a det, gamma(2.5) or
-gamma(0.1) law solves in 1.3-2.4 ms at L = 4000, 22-36 ms at 64000 and
-0.3-0.55 s at 2^20.
-_PYTHON_MAX_WORK sits between the crossovers of the two commands: fresh
-processes on a 2-vCPU x86_64 VM, Python 3.11, gamma(0.1) laws, medians
-of 11 of the list loop against numpy imported first and its loop on all
-of a_1..a_L, at most 4.5 ms a solve at L <= 4000 (its band takes 1-2 ms
-there, so `import numpy` sets the crossovers).  A single `analyze` took
-68 against 127 ms at L = 1000 (K L = 0.45M), 87 against 116 ms at 2000
-(0.95M), 102 against 117 ms at 3000 and 129 against 130 ms at 4000
-(1.9M): it pays up to about 2M.  The ~17 solves of `optimize --mode
-exact` took 127 against 170 ms at L = 250 (K = L, 62k a solve), 151
-against 170 ms at 350 (0.12M), 212 against 171 ms at 500 (0.22M) and 308
-against 173 ms at 700 (0.31M): they pay up to about 0.17M.  At 2^18 the
-slower choice costs either command at most about 1.4-1.8 times the
-faster, and every gamma law of shape 1.5 or more (K L <= 0.23M) and every
-det law takes the list loop up to L = 4000.
+list twins else; for a gamma or Erlang law both sum the same log1p terms,
+where numpy's own would move Q_L by up to 1.2e-12 at L = 4000.  One of two
+loops runs the band in O(L K): numpy's blocked loop in the kernels once
+numpy is loaded or where L K is above _PYTHON_MAX_WORK, else a list loop,
+about 25 ns a multiply-add with every u_m correctly rounded (`math.fsum`).
+On numpy a det, gamma(2.5) or gamma(0.1) law solves in 1.3-2.4 ms at
+L = 4000, 21-26 ms at 64000 and 0.35-0.44 s at 2^20.
+_PYTHON_MAX_WORK sits between the crossovers of the two commands, which
+`import numpy` sets: fresh processes on a 2-vCPU x86_64 VM, Python 3.11,
+gamma(0.1) laws, medians of 11 of the list loop against numpy imported
+first.  A single `analyze` took 68 against 127 ms at L = 1000 (K L =
+0.45M), 87 against 116 ms at 2000 (0.95M), 102 against 117 ms at 3000 and
+129 against 130 ms at 4000 (1.9M): it pays up to about 2M.  The ~17
+solves of `optimize --mode exact` took 127 against 170 ms at L = 250
+(K = L, 62k a solve), 151 against 170 ms at 350 (0.12M), 212 against 171
+ms at 500 (0.22M) and 308 against 173 ms at 700 (0.31M): they pay up to
+about 0.17M.  At 2^18 the slower choice costs either command at most
+about 1.4-1.8 times the faster, and every gamma law of shape 1.5 or more
+(K L <= 0.23M) and every det law takes the list loop up to L = 4000.
 
 The rule reads sys.modules (`_numpy_loaded`) for two reasons.  Once numpy
-is loaded its loop is the faster per solve (0.2-0.45 ms against 0.5-2.1 ms
-on the list loop at L = 200).  And a caller that loaded numpy for its own
-use sees every solve go through the kernels: perfbench/launcher.py loads
-them to wrap kernels.busy_period_recurrence.  The phase route and both
-loops agree to 1e-12 relative in Q_L (tests/test_routes.py); a change to
-the exact numerics must land on both routes.
+is loaded its loop is the faster per solve (0.1-0.2 ms against 0.25-0.5
+ms on the list loop at L = 200, for det and gamma(1.5-2.5) laws).  And a
+caller that loaded numpy, as perfbench/launcher.py does to wrap
+kernels.busy_period_recurrence, sees every solve go through it.  The phase
+route and both loops agree to 1e-12 relative in Q_L (tests/test_routes.py);
+a change to the exact numerics must land on both routes.
 """
 
 import math
@@ -78,10 +73,11 @@ import operator
 import sys
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from ._record import Record
 from .asymptotics import _exp
+from .distributions import _TWIN_TERMS
 from .errors import NumericDegeneracyError
 from .model import CostModel, DamModel  # re-exported as exact.DamModel etc.
 
@@ -99,9 +95,7 @@ __all__ = [
 
 _R0_FLOOR = 1e-300
 
-# the largest threshold L solved: the band's loop is O(L K), and numpy's
-# takes about 0.3-0.5 s at 2^20 for det and gamma laws (the phase route is
-# O(L d))
+# the largest L solved: numpy's loop on a det or gamma band takes 0.4 s there
 MAX_LEVEL = 1 << 20
 
 # the weights left out past r_N, relative to T_K; and, over L, the
@@ -111,13 +105,13 @@ _TAIL = 2.0 ** -60
 # the weights read first, and the most summed before a slow tail is taken as
 # one remainder term: gamma laws of shape 1e-4 and 1e-8 need 614,401 and
 # billions of them
-_FIRST_WEIGHTS = 1 << 9
+_FIRST_WEIGHTS = 1 << 7
 _MAX_WEIGHTS = 1 << 20
 
 # the most multiply-adds, L K, of the band's loop run on Python floats while
-# numpy is not loaded, and the most weights read on them
+# numpy is not loaded, and the most weights read on them (see distributions)
 _PYTHON_MAX_WORK = 1 << 18
-_PYTHON_MAX_WEIGHTS = 1 << 12
+_PYTHON_MAX_WEIGHTS = _TWIN_TERMS
 
 # the most phases of a law whose Q_L runs by its phases while numpy is not
 # loaded, at any L up to MAX_LEVEL
@@ -208,10 +202,10 @@ def _increments(r, L):
     """
     m = min(L, len(r) - 2)
     # 1 - sum_{j<=k} r_j, else sum_{j>k} r_j, for k = 1..m
-    head = list(accumulate(r[:m + 1]))[1:]
-    tail = list(accumulate(reversed(r[2:])))[::-1]
+    head = accumulate(islice(r, 1, m + 1), initial=r[0])
+    tail = deque(accumulate(islice(reversed(r), len(r) - 2)), maxlen=m)
     a = [(1.0 - h if 1.0 - h >= 0.5 else t) / r[0]
-         for h, t in zip(head, tail)]
+         for h, t in zip(islice(head, 1, None), reversed(tail))]
     last = r[-1]
     if m == L or last == 0.0:
         return a, 0.0
@@ -238,7 +232,7 @@ def _band(model, L):
     increments past that first cut are bounded by their untilted sum times
     the largest e^{kx} among them.
     """
-    n = min(2 * L + 200, _FIRST_WEIGHTS)
+    n = _FIRST_WEIGHTS
     while True:
         r = _weights(model, n)
         whole = n >= _MAX_WEIGHTS
@@ -307,8 +301,9 @@ def _band_q_top(model):
     else:
         u = _renewal(a, L)
     # with u the tilted sequence, Q_L e^{Lx} = sum_{m<L} u_m e^{(L-m)x} / r_0
-    tilt = [math.exp(k * x) for k in range(L, 0, -1)]
-    q = _finite_q(math.fsum(map(operator.mul, u, tilt)) / r0)
+    if x:
+        u = map(operator.mul, u, [math.exp(k * x) for k in range(L, 0, -1)])
+    q = _finite_q(math.fsum(u) / r0)
     return q * _exp(-L * x)
 
 

@@ -43,10 +43,7 @@ import numpy as np
 # one holds _RENEWAL_BLOCK entries.
 # ---------------------------------------------------------------------------
 
-# entries per block: 32 ran within 16% of the fastest of 16..128 on the
-# unbanded O(L^2) loop at L = 200-16000; on the band 64 or 128 is the best, and
-# 32 takes 1.2-1.9 times as long at L = 200-64000 (det, gamma(2.5) and
-# gamma(0.1) laws on a 2-vCPU x86_64 VM)
+# entries per block, once the first blocks have doubled up to it
 _RENEWAL_BLOCK = 32
 
 

@@ -287,6 +287,8 @@ def test_optimize_exact_matches_dense_scan(family, j1):
     assert sol.predicted_cost <= vals[i] * (1.0 + 1e-8)
 
 
+# the ids keep the names the two loops' routes had before `_band_q_top`
+# took both, so that the test names stay stable
 @pytest.mark.parametrize("numpy_loaded", [False, True],
                          ids=["_python_q_top", "_numpy_q_top"])
 @pytest.mark.parametrize("j1", [2.0, 0.5])  # upper- and lower-penalized

@@ -94,9 +94,12 @@ def test_weight_normalization_and_moments(d, lam):
     assert float((j * r).sum()) == pytest.approx(lam * d.mean(), rel=1e-8)
     assert float((j * (j - 1) * r).sum()) == pytest.approx(
         lam ** 2 * d.raw_moment(2), rel=1e-8)
-    # the Python-float twin, term for term
+    # the Python-float twin, term for term; a negative-binomial law's log
+    # weights are the same bits, numpy's log1p terms being math's
     np.testing.assert_allclose(d.mixed_poisson_weight_list(lam, n), r,
                                rtol=1e-12, atol=0)
+    if isinstance(d, (Exponential, Gamma)):
+        assert d._log_weights(lam, n).tolist() == d._log_weight_list(lam, n)
 
 
 def test_weights_reject_bad_lambda():

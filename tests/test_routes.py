@@ -92,8 +92,9 @@ python_q_top = without_numpy(exact._band_q_top)
 
 
 def assert_agrees_with_numpy(route, tag, level, monkeypatch,
-                             reference=unbanded_q_top):
-    """route against the unbanded loop, which runs on numpy."""
+                             reference=exact._band_q_top):
+    """route against reference, by default the band on numpy's weights and
+    loop: the route of a process with numpy loaded."""
     for rho1 in LOADS:
         m = model(tag, rho1, level)
         q_py = route(m)
@@ -123,12 +124,13 @@ def unbounded_band(monkeypatch):
 @pytest.mark.parametrize("level", LEVELS + [1000, 4000])
 @pytest.mark.parametrize("tag", sorted(SHAPES))
 def test_routes_agree(tag, level, monkeypatch, unbounded_band):
-    # each of the band's loops against the unbanded one on the same weights:
-    # at L = 4000 and rho1 = 1.05 the Erlang(3) law's list and numpy weights
-    # alone move Q_L by 1.0e-12
+    # a process without numpy against one with it: list weights and loop
+    # against numpy's; then each loop against the unbanded one on its weights
+    assert_agrees_with_numpy(python_q_top, tag, level, monkeypatch)
     assert_agrees_with_numpy(python_q_top, tag, level, monkeypatch,
                              without_numpy(unbanded_q_top))
-    assert_agrees_with_numpy(exact._band_q_top, tag, level, monkeypatch)
+    assert_agrees_with_numpy(exact._band_q_top, tag, level, monkeypatch,
+                             unbanded_q_top)
 
 
 @pytest.mark.parametrize("level", [7, 50])
@@ -324,7 +326,9 @@ def phases_up_to_40(monkeypatch):
 @pytest.mark.parametrize("tag", PHASE_TAGS)
 def test_phase_route_agrees_with_numpy(tag, level, monkeypatch,
                                        phases_up_to_40):
-    assert_agrees_with_numpy(exact._phase_q_top, tag, level, monkeypatch)
+    for reference in (exact._band_q_top, unbanded_q_top):
+        assert_agrees_with_numpy(exact._phase_q_top, tag, level, monkeypatch,
+                                 reference)
 
 
 @pytest.mark.parametrize("tag, level, rho1", [
