@@ -121,9 +121,9 @@ class ServiceDistribution(Record):
     _log_weights(lam, n) (a numpy array), _log_weight_list(lam, n) (the
     same on Python floats) and _with_mean(b), whose arguments the public
     methods here check once, and lane_services(lanes, idx), the simulator's
-    sampler: one service time for each lane in the index array idx.  It
-    reads uniforms on (0, 1] only through lanes.take(idx, m), peek(idx, m)
-    and skip(idx, counts) (kernels._Lanes), at most lanes.BLOCK at once,
+    sampler: one service time for each draw stream in the index array idx.
+    It reads uniforms on (0, 1] only through lanes.take(idx, m), peek(idx,
+    m) and skip(idx, counts) (kernels._Slots), at most lanes.BLOCK at once,
     and consumes exactly the draws it used.
 
     A phase-type family overrides phases(most); the rest inherit None.

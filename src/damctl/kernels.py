@@ -8,13 +8,27 @@ reaches back K entries: O(L K).  ``busy_period_recurrence`` runs the band
 wherever numpy is loaded; `exact` runs it on Python floats where it is not.
 
 The simulator runs many regeneration cycles at once as lanes of numpy
-arrays, and each step advances every lane by one whole service (see
-"Lane-vectorized simulator" below).  Each cycle draws from its own
-counter-based splitmix64 stream keyed by (seed, cycle index), so
-replications are reproducible regardless of execution order.  Each service
+arrays, and each step advances every lane by a block of service slots (see
+"Lane-vectorized simulator" below).  The arrivals during a service are a
+Poisson count given its length, so no arrival time is kept.  Each service
 law draws its own services (``ServiceDistribution.lane_services``); this
-module keeps the streams and the step loop, and a lane reads a service's
-draws, and a few arrival gaps, ahead as one block.
+module keeps the streams and the step loop.
+
+The key rule.  splitmix64 (Steele, Lea & Flood, OOPSLA 2014) gives a
+64-bit key k the value mix(k + p * golden) at counter p, and a uniform on
+(0, 1] from that value's top 53 bits.  Cycle i has the key
+c_i = _stream_keys(seed, i): hash the seed, xor in the golden-ratio
+multiple of i, hash again.  Counter 0 of c_i is the cycle's idle uniform,
+and its counter j + 1 is the key of slot j, the cycle's (j+1)-th service.
+A slot's draws of kind 0 (arrival uniforms), 1 (b1 draws) and 2 (b2
+draws) are its counters kind * 2^62 + d, d = 1, 2, ..., one counter range
+per kind.  So each draw is keyed by (cycle, j, kind, d) and every counter
+is read for one purpose only: however many draws a service takes (Erlang
+shapes and Marsaglia-Tsang retries have no bound), it moves only its own
+range, and a slot's draws do not depend on which slots were read before
+it, or how far (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC 2011).  A run is reproducible cycle by cycle whatever the order of
+execution.
 """
 
 import numpy as np
@@ -75,44 +89,45 @@ def busy_period_recurrence(a, L, x):
 # ---------------------------------------------------------------------------
 # Lane-vectorized simulator.
 #
-# Cycle i draws uniforms on (0, 1] from its own splitmix64 stream (Steele,
-# Lea & Flood, OOPSLA 2014) started at _stream_keys(seed, i): hash the seed,
-# xor in the golden-ratio multiple of i, hash again.  The stream is
-# counter-based: from state x its j-th next draw is mix(x + j * golden), so
-# a lane can read draws ahead and then consume only those it used (Salmon et
-# al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+# Every estimate needs only the number of arrivals during each service, not
+# their times: given the service time S it is Poisson(lam S), drawn by
+# inverting the slot's arrival uniforms (_poisson_counts).  The draws follow
+# the key rule of the module docstring.
 #
-# Each lane carries one cycle, and each step advances every lane by one
-# service.  A new cycle takes its idle period as it starts, so it begins at
-# its first service.  A lane at a service start picks its law from the
-# number in system, and the law's lane_services reads that service's draws
-# as one block.  Then every lane reads _GAP_AHEAD arrival gaps and adds
-# them, one after another, to the time since its service began.  The
-# arrivals are the times before the first one at or after the service time
-# (a tie counts as after it, departure-first); the lane consumes their gaps
-# and that one.  A lane whose times all fall short consumes every gap it
-# read and carries the time into the next step.  A finished lane hands its
-# slot to the next cycle index; once every cycle has started it is parked
-# instead, and parked lanes are dropped once they are half the pool.  A
-# cycle's draws, and the arithmetic on them, depend neither on the lane
-# that carries it nor on how far ahead it reads, so the per-cycle arrays
-# depend on neither the lane width nor _GAP_AHEAD.
+# Each lane carries one cycle, and each step gives every live lane
+# `width` slots, about _STEP_SLOTS in all.  Every slot gets both candidates,
+# a b1 service and a b2 service, each with its arrival count, drawn as one
+# array per law through the law's lane_services.  Then a loop over the
+# slots takes each lane's slot under b1 while n <= level and under b2 above
+# it, and moves n by the count minus one; a lane whose n reaches 0 takes no
+# more slots.  After the step a finished lane's place goes to the next cycle
+# index, or, once every cycle has started, is dropped.  A cycle's draws, and
+# the arithmetic on them, depend neither on the lane that carries it nor on
+# `width`, so the per-cycle arrays depend on neither the lane width nor the
+# slots per step.
 #
-# log, cos and power are numpy's.  Their last bit can differ from the C
-# library's and, since numpy picks a SIMD loop by CPU, between machines, so
-# a run is byte-reproducible on one machine and numpy build.
+# log, cos, exp and power are numpy's.  Their last bit can differ from the
+# C library's and, since numpy picks a SIMD loop by CPU, between machines,
+# so a run is byte-reproducible on one machine and numpy build.
 # ---------------------------------------------------------------------------
 
-# lanes in flight at once.  Over the 18 simulate-benchmark requests of seeds
-# 1-3, run in process, 4,096 lanes took 10-12% less time than this width,
-# with identical output, and about 10 page faults per request against
-# 1,200-1,600 (a (3, 16384) float64 gap block is 384 KiB).  In fresh
-# processes, where start-up dominates, three benchmark pairs showed no
-# difference.
-_LANES = 1 << 14
+# lanes in flight at once
+_LANES = 1 << 12
 
-# arrival gaps a lane reads per step
-_GAP_AHEAD = 3
+# service slots per step: about _STEP_SLOTS in all, and at least _MIN_SLOTS
+# and at most _MAX_SLOTS per live lane.  A step's arrays then hold about
+# 8,192 entries (64 KiB of float64) whether 4,096 lanes take 2 slots each
+# or a run's last long cycles take 256.
+_STEP_SLOTS = 1 << 13
+_MIN_SLOTS = 2
+_MAX_SLOTS = 256
+
+# the means drawn by inverting one uniform are those below _POISSON_PART.  A
+# larger mean is split into equal parts below it (Poisson additivity), and
+# part m (m >= 1) reads arrival draw m.  exp(-part) stays far from its
+# underflow at 745, an inversion takes a few hundred terms at most, and a
+# mean of 1e9 needs about 4M parts.
+_POISSON_PART = 256.0
 
 _GOLDEN_U64 = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -124,6 +139,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _BLOCK = 32
 _OFFSET = np.arange(_BLOCK + 1, dtype=np.uint64) * _GOLDEN_U64
 
+# a slot's draw kinds after its arrivals (kind 0); _KIND[kind] moves a slot
+# key to its counter kind * 2^62
+_B1, _B2 = 1, 2
+_KIND = (np.arange(3, dtype=np.uint64) << np.uint64(62)) * _GOLDEN_U64
+
 
 def _mix(x):
     """splitmix64's output function of the states x."""
@@ -134,11 +154,15 @@ def _mix(x):
     return z ^ (z >> np.uint64(31))
 
 
+def _unit(z):
+    """Uniforms on (0, 1] from the top 53 bits of the 64-bit values z."""
+    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 1.1102230246251565e-16
+
+
 def _uniforms(state, m):
     """The next m uniforms on (0, 1] of each stream, one row per draw; the
     states do not move."""
-    z = _mix(state + _OFFSET[1:m + 1, None])
-    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 1.1102230246251565e-16
+    return _unit(_mix(state + _OFFSET[1:m + 1, None]))
 
 
 def _stream_keys(seed, cycles):
@@ -147,15 +171,87 @@ def _stream_keys(seed, cycles):
     return _mix((z1 ^ (cycles.astype(np.uint64) * _GOLDEN_U64)) + _GOLDEN_U64)
 
 
-class _Lanes:
-    """State of the cycles in flight, one array entry per lane; the service
-    laws read its streams through take, peek and skip."""
+def _slot_keys(keys, slots):
+    """The key of service slot `slots` of the cycles with keys `keys`
+    (broadcast): the value at the cycle's counter slot + 1."""
+    return _mix(keys + (slots + 1).astype(np.uint64) * _GOLDEN_U64)
+
+
+def _invert_poisson(mean, u):
+    """The least k with u <= P(Poisson(mean) <= k), that cdf summed term by
+    term from exp(-mean), or the first k whose term underflows to 0."""
+    count = np.zeros(len(u), dtype=np.int64)
+    p = np.exp(-mean)
+    live = (u > p).nonzero()[0]
+    mean, p, u = mean.take(live), p.take(live), u.take(live)
+    f = p.copy()
+    k = 0
+    # the inversions still running, compacted by index each term (a gather
+    # by index is far cheaper than one by boolean mask)
+    while len(live):
+        k += 1
+        p *= mean / k
+        f += p
+        count[live] = k
+        go = ((u > f) & (p > 0.0)).nonzero()[0]
+        live, mean, p, f, u = (live.take(go), mean.take(go), p.take(go),
+                               f.take(go), u.take(go))
+    return count
+
+
+def _poisson_counts(mean, keys):
+    """Poisson(mean[i]) counts from the arrival stream at state keys[i %
+    len(keys)].  A mean below _POISSON_PART inverts the stream's first draw;
+    a larger one is split into floor(mean / _POISSON_PART) + 1 equal parts,
+    part m read from draw m."""
+    u = _unit(_mix(keys + _OFFSET[1]))
+    u = np.concatenate((u,) * (len(mean) // len(keys)))
+    if mean.max() < _POISSON_PART:
+        return _invert_poisson(mean, u)
+    split = (mean >= _POISSON_PART).nonzero()[0]
+    parts = np.floor(mean[split] / _POISSON_PART) + 1.0
+    each = mean.copy()
+    each[split] = mean[split] / parts
+    count = _invert_poisson(each, u)
+    more = parts.astype(np.int64) - 1
+    owner = np.repeat(split, more)
+    # draws 2 .. parts of each split entry
+    draw = np.arange(len(owner)) - np.repeat(np.cumsum(more) - more, more) + 2
+    u = _unit(_mix(keys[owner % len(keys)] + draw.astype(np.uint64) * _GOLDEN_U64))
+    np.add.at(count, owner, _invert_poisson(each[owner], u))
+    return count
+
+
+class _Slots:
+    """Draw streams, one per entry, at states `state`; the service laws read
+    them through take, peek and skip."""
 
     BLOCK = _BLOCK
+
+    def __init__(self, state):
+        self.state = state
+
+    def take(self, idx, m):
+        """Consume the next m uniforms of the given streams, one row per draw."""
+        state = self.state[idx]
+        self.state[idx] = state + _OFFSET[m]
+        return _uniforms(state, m)
+
+    def peek(self, idx, m):
+        """The next m uniforms of the given streams, left unconsumed."""
+        return _uniforms(self.state[idx], m)
+
+    def skip(self, idx, counts):
+        """Consume counts[i] draws of stream idx[i]."""
+        self.state[idx] += _OFFSET[counts]
+
+
+class _Lanes:
+    """State of the cycles in flight, one array entry per lane."""
+
     _FIELDS = (
-        ("cycle", np.int64), ("state", np.uint64), ("serving", np.bool_),
-        ("n", np.int64), ("s", np.float64), ("t", np.float64),
-        ("idle", np.float64), ("below", np.float64), ("above", np.float64),
+        ("cycle", np.int64), ("key", np.uint64), ("slot", np.int64),
+        ("n", np.int64), ("below", np.float64), ("above", np.float64),
         ("k1", np.int64), ("k2", np.int64),
     )
 
@@ -166,38 +262,33 @@ class _Lanes:
     def __len__(self):
         return len(self.cycle)
 
-    def begin_cycles(self, slots, first, seed, lam):
-        """Put cycles first, first+1, ... into the given lane slots, each
-        past its idle period and at its first service."""
-        cycles = np.arange(first, first + len(slots), dtype=np.int64)
+    def begin_cycles(self, lanes, first, seed, idle, lam):
+        """Put cycles first, first+1, ... into the given lanes at their first
+        service, and write their idle periods into `idle`."""
+        cycles = np.arange(first, first + len(lanes), dtype=np.int64)
         keys = _stream_keys(seed, cycles)
-        self.cycle[slots] = cycles
-        self.idle[slots] = -np.log(_uniforms(keys, 1)[0]) / lam
-        self.state[slots] = keys + _OFFSET[1]
-        self.serving[slots] = True
-        self.n[slots] = 1
-        self.below[slots] = 0.0
-        self.above[slots] = 0.0
-        self.k1[slots] = 0
-        self.k2[slots] = 0
-
-    def take(self, idx, m):
-        """Consume the next m uniforms of the given lanes, one row per draw."""
-        state = self.state[idx]
-        self.state[idx] = state + _OFFSET[m]
-        return _uniforms(state, m)
-
-    def peek(self, idx, m):
-        """The next m uniforms of the given lanes, left unconsumed."""
-        return _uniforms(self.state[idx], m)
-
-    def skip(self, idx, counts):
-        """Consume counts[i] draws of lane idx[i]."""
-        self.state[idx] += _OFFSET[counts]
+        self.cycle[lanes] = cycles
+        self.key[lanes] = keys
+        idle[first:first + len(lanes)] = -np.log(_unit(_mix(keys))) / lam
+        self.slot[lanes] = 0
+        self.n[lanes] = 1
+        self.below[lanes] = 0.0
+        self.above[lanes] = 0.0
+        self.k1[lanes] = 0
+        self.k2[lanes] = 0
 
     def keep(self, mask):
         for name, _ in self._FIELDS:
             setattr(self, name, getattr(self, name)[mask])
+
+
+def _running_sum(rows):
+    """The column sums of `rows`, added row after row as one service at a
+    time adds them.  numpy reduces across rows in that order, but sums one
+    contiguous column pairwise."""
+    if rows.shape[1] == 1:
+        return np.cumsum(rows[:, 0])[-1:]
+    return np.add.reduce(rows, axis=0)
 
 
 def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
@@ -211,58 +302,51 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
     out_nu1 = np.empty(n_cycles, dtype=np.int64)
     out_nu2 = np.empty(n_cycles, dtype=np.int64)
     lanes = _Lanes(min(n_cycles, _LANES))
-    lanes.begin_cycles(np.arange(len(lanes)), 0, seed, lam)
-    started, parked = len(lanes), 0
+    lanes.begin_cycles(np.arange(len(lanes)), 0, seed, out_idle, lam)
+    started = len(lanes)
     while len(lanes):
-        serving = lanes.serving.nonzero()[0]
-        upper = lanes.n[serving] > level
-        for side, law in enumerate((b1, b2)):
-            idx = serving[upper == side]
-            if len(idx):
-                s = law.lane_services(lanes, idx)
-                lanes.s[idx] = s
-                if side:
-                    lanes.above[idx] += s
-                    lanes.k2[idx] += 1
-                else:
-                    lanes.below[idx] += s
-                    lanes.k1[idx] += 1
-        lanes.t[serving] = 0.0
+        width = min(_MAX_SLOTS, max(_MIN_SLOTS, _STEP_SLOTS // len(lanes)))
+        shape = (width, len(lanes))
+        keys = _slot_keys(lanes.key, lanes.slot + np.arange(width)[:, None]).ravel()
+        entries = np.arange(keys.size)
+        # row j of each (width, lanes) array is slot j of the step
+        s1 = b1.lane_services(_Slots(keys + _KIND[_B1]), entries)
+        s2 = b2.lane_services(_Slots(keys + _KIND[_B2]), entries)
+        # both candidates' arrival counts read the slot's arrival draws
+        net = _poisson_counts(lam * np.concatenate((s1, s2)), keys) - 1
+        s1, s2 = s1.reshape(shape), s2.reshape(shape)
+        net1, net2 = net[:keys.size].reshape(shape), net[keys.size:].reshape(shape)
 
-        # arrival times since the service began; they never decrease, so
-        # those before s are the arrivals during the service
-        times = -np.log(_uniforms(lanes.state, _GAP_AHEAD)) / lam
-        times[0] += lanes.t
-        for j in range(1, _GAP_AHEAD):
-            times[j] += times[j - 1]
-        arrived = (times < lanes.s).sum(axis=0)
-        departed = arrived < _GAP_AHEAD
-        # the gaps of the arrivals and, on a departure, of the next arrival
-        lanes.state += _OFFSET[arrived + departed]
-        lanes.t = times[-1]
-        n = lanes.n + arrived - departed
+        # n at the start of each slot; a lane at 0 takes no more slots
+        start = np.empty(shape, dtype=np.int64)
+        n = lanes.n
+        for j in range(width):
+            start[j] = n
+            n = np.where(n > 0, n + np.where(n <= level, net1[j], net2[j]), 0)
+        first = (start > 0) & (start <= level)
+        second = start > level
+        s1 *= first
+        s1[0] += lanes.below
+        lanes.below = _running_sum(s1)
+        s2 *= second
+        s2[0] += lanes.above
+        lanes.above = _running_sum(s2)
+        lanes.k1 += first.sum(axis=0)
+        lanes.k2 += second.sum(axis=0)
         lanes.n = n
-        lanes.serving = departed & (n > 0)
+        lanes.slot += width
 
         done = (n == 0).nonzero()[0]
         if len(done):
             cyc = lanes.cycle[done]
-            out_idle[cyc] = lanes.idle[done]
             out_below[cyc] = lanes.below[done]
             out_above[cyc] = lanes.above[done]
             out_nu1[cyc] = lanes.k1[done]
             out_nu2[cyc] = lanes.k2[done]
             refill = min(len(done), n_cycles - started)
             if refill:
-                lanes.begin_cycles(done[:refill], started, seed, lam)
+                lanes.begin_cycles(done[:refill], started, seed, out_idle, lam)
                 started += refill
             if refill < len(done):
-                # parked: past its last departure, a lane's n only falls
-                # from 0, so it neither serves nor finishes again
-                lanes.cycle[done[refill:]] = -1
-                parked += len(done) - refill
-                if 2 * parked >= len(lanes):
-                    lanes.keep(lanes.cycle >= 0)
-                    parked = 0
+                lanes.keep(lanes.n > 0)
     return out_idle, out_below, out_above, out_nu1, out_nu2
-

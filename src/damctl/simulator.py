@@ -6,9 +6,11 @@ initiation: at most `level` in system selects the normal-regime law,
 otherwise the above-threshold law.  Below/above time is accounted per
 service class, matching the Wald identities used by the exact analytics.
 
-Randomness is a counter-based splittable stream keyed by (seed, cycle
-index), so a run is reproducible cycle by cycle regardless of execution
-order; see `kernels._stream_keys` for the splitting rule.
+The arrivals during a service are drawn as one Poisson count given the
+service's length; no estimate needs their times.  Randomness is
+counter-based and keyed by (seed, cycle, service index, kind of draw), so a
+run is reproducible cycle by cycle regardless of execution order; the
+`kernels` module docstring states the key rule.
 """
 
 import math

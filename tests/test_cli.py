@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import mpmath
@@ -174,6 +175,27 @@ def test_simulate_reproducible_and_close(capsys):
     assert rec["seed"] == 7
     assert all(v > 0 for v in rec["half_widths"].values())
     assert abs(rec["p1_hat"] - rec["exact"]["p1"]) <= 3 * rec["half_widths"]["p1"]
+
+
+def test_simulate_slow_phase_past_exp_underflow(tmp_path):
+    # one b1 service in 1,000 has mean 1000, and about half of those bring a
+    # Poisson mean lam * S past 745, where exp(-lam S) is 0.0; run in a child
+    # process, so that an arrival count that never ends fails at the budget
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    budget = 20.0
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "damctl.cli", "simulate", "--lambda", "1",
+         "--b1", "hyper:0.999:1000:0.001:0.001", "--b2", "exp:2",
+         "--level", "5", "--cycles", "20000"],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+        capture_output=True, text=True, timeout=budget)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < budget
+    rec = json.loads(proc.stdout)
+    assert rec["e_nu2_hat"] > 0 and all(
+        math.isfinite(v) for v in rec["half_widths"].values())
 
 
 def test_sweep_monotone_and_limits(capsys):

@@ -29,37 +29,70 @@ def test_recurrence_numpy_matches_loop_on_rescaled_values():
 
 # --- a scalar reference for the lane simulator ----------------------------
 #
-# One cycle at a time, in the order of the simulator's state machine:
-# splitmix64 on Python ints masked to 64 bits, and numpy's log, cos and
-# power on float64 scalars, which round as its array loops do.
+# One cycle at a time, one service after another: splitmix64 on Python ints
+# masked to 64 bits, the counter layout of the `kernels` docstring, and
+# numpy's log, cos, exp and power on float64 scalars, which round as its
+# array loops do.
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_KIND_STEP = 1 << 62
+_ARRIVALS, _B1, _B2 = 0, 1, 2
 
 
-def _smix(state):
-    """One splitmix64 step: (next state, output)."""
-    state = (state + _GOLDEN) & _MASK
-    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+def _mix(x):
+    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, z ^ (z >> 31)
+    return z ^ (z >> 31)
+
+
+def _at(key, counter):
+    """The 64-bit value of stream `key` at `counter`."""
+    return _mix((key + counter * _GOLDEN) & _MASK)
+
+
+def _unit(z):
+    return np.float64((float(z >> 11) + 1.0) * 1.1102230246251565e-16)
 
 
 def _stream_key(seed, idx):
     """Hash the seed, xor in the golden-ratio multiple of idx, hash again."""
-    return _smix(_smix(seed)[1] ^ ((idx * _GOLDEN) & _MASK))[1]
+    return _at(_at(seed, 1) ^ ((idx * _GOLDEN) & _MASK), 1)
+
+
+def _slot_key(cycle_key, slot):
+    return _at(cycle_key, slot + 1)
 
 
 class _Stream:
-    def __init__(self, seed, idx):
-        self.state = _stream_key(seed, idx)
+    """Draws 1, 2, ... of one kind of a slot: counters kind * 2^62 + d."""
+
+    def __init__(self, slot_key, kind):
+        self.key, self.counter = slot_key, kind * _KIND_STEP
 
     def u01(self):
-        self.state, z = _smix(self.state)
-        return np.float64((float(z >> 11) + 1.0) * 1.1102230246251565e-16)
+        self.counter += 1
+        return _unit(_at(self.key, self.counter))
 
     def gap(self, rate):
         return -np.log(self.u01()) / rate
+
+
+def _scalar_poisson(mean, rng):
+    """Poisson(mean): equal parts of mean below 256, each by inversion."""
+    parts = math.floor(mean / 256.0) + 1
+    each = mean / parts
+    total = 0
+    for _ in range(parts):
+        u = rng.u01()
+        p = np.exp(-each)
+        f, k = p, 0
+        while u > f and p > 0.0:
+            k += 1
+            p = p * (each / k)
+            f = f + p
+        total += k
+    return total
 
 
 def _scalar_gamma(a, rate, rng):
@@ -109,24 +142,21 @@ def _scalar_service(law, rng):
 def _scalar_cycles(n_cycles, seed, lam, level, b1, b2):
     rows = []
     for cyc in range(n_cycles):
-        rng = _Stream(seed, cyc)
-        idle = rng.gap(lam)
-        n, below, above, k1, k2 = 1, 0.0, 0.0, 0, 0
+        key = _stream_key(seed, cyc)
+        idle = -np.log(_unit(_at(key, 0))) / lam
+        n, slot, below, above, k1, k2 = 1, 0, 0.0, 0.0, 0, 0
         while n > 0:
+            slot_key = _slot_key(key, slot)
             if n <= level:
-                s = _scalar_service(b1, rng)
+                s = _scalar_service(b1, _Stream(slot_key, _B1))
                 below += s
                 k1 += 1
             else:
-                s = _scalar_service(b2, rng)
+                s = _scalar_service(b2, _Stream(slot_key, _B2))
                 above += s
                 k2 += 1
-            # arrivals during the service; a tie counts as after it
-            t = rng.gap(lam)
-            while t < s:
-                n += 1
-                t += rng.gap(lam)
-            n -= 1
+            n += _scalar_poisson(lam * s, _Stream(slot_key, _ARRIVALS)) - 1
+            slot += 1
         rows.append((idle, below, above, k1, k2))
     idle, below, above, nu1, nu2 = zip(*rows)
     return (np.array(idle), np.array(below), np.array(above),
@@ -172,7 +202,11 @@ def test_lane_width_does_not_change_cycles(family, monkeypatch):
     _assert_same_bytes(kernels.simulate_cycles(*args), wide)
 
 
-@pytest.mark.parametrize("width", [32, kernels._LANES])
+# 32 lanes, and a pool wider than any run here has cycles
+WIDTHS = [32, 1 << 14]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
 def test_run_prefix_is_shorter_run(width, monkeypatch):
     monkeypatch.setattr(kernels, "_LANES", width)
     b1, b2 = SIM_FAMILIES["gamma-boosted"], SIM_FAMILIES["hyper"].scale_to_mean(0.5)
@@ -181,9 +215,9 @@ def test_run_prefix_is_shorter_run(width, monkeypatch):
     _assert_same_bytes([a[:400] for a in full], part)
 
 
-# Laws that stretch the lookahead: many arrivals per service (a gap block
-# that falls short of the service time, again and again), more draws per
-# service than one block holds, Marsaglia-Tsang boosts and retries.
+# Laws that stretch a step: many arrivals per service (long inversions),
+# more draws per service than one block holds, Marsaglia-Tsang boosts and
+# retries, b1 never used, and one cycle of 229 services in a lone lane.
 LOOKAHEAD_CASES = {
     "exp-rho1-3": (200, 5, 1.0, 3, Exponential(rate=1.0 / 3.0), B2),
     "hyper-slow-phase": (1500, 6, 1.0, 3,
@@ -196,11 +230,13 @@ LOOKAHEAD_CASES = {
     "gamma-b2": (1000, 11, 1.0, 3, Exponential(rate=1.0),
                  Gamma(shape=2.5, rate=5.0)),
     "level-0": (1000, 12, 1.0, 0, Exponential(rate=1.0), B2),
+    "one-long-cycle": (1, 20, 1.0, 2, Gamma(shape=2.5, rate=2.5 / 0.97),
+                       Gamma(shape=0.7, rate=0.7 / 0.97)),
 }
 _SCALAR_RUNS = {}
 
 
-@pytest.mark.parametrize("width", [32, kernels._LANES])
+@pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
 def test_lookahead_matches_scalar_kernel(case, width, monkeypatch):
     args = LOOKAHEAD_CASES[case]
@@ -210,27 +246,92 @@ def test_lookahead_matches_scalar_kernel(case, width, monkeypatch):
     _assert_same_bytes(kernels.simulate_cycles(*args), _SCALAR_RUNS[case])
 
 
-@pytest.mark.parametrize("ahead", [1, 8])
+@pytest.mark.parametrize("slots", [2, kernels._MAX_SLOTS])
 @pytest.mark.parametrize("family", sorted(SIM_FAMILIES))
-def test_gap_lookahead_does_not_change_cycles(family, ahead, monkeypatch):
+def test_slots_per_step_do_not_change_cycles(family, slots, monkeypatch):
     args = (2000, 17, 1.0, 3) + _laws(family, 1.2)
     default = kernels.simulate_cycles(*args)
-    monkeypatch.setattr(kernels, "_GAP_AHEAD", ahead)
+    monkeypatch.setattr(kernels, "_MIN_SLOTS", slots)
+    monkeypatch.setattr(kernels, "_MAX_SLOTS", slots)
     _assert_same_bytes(kernels.simulate_cycles(*args), default)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 40, 2 ** 64 - 1])
 def test_stream_key_matches_splitting_rule(seed):
-    keys = kernels._stream_keys(seed, np.array([0, 1, 999]))
-    assert keys.tolist() == [_stream_key(seed, idx) for idx in (0, 1, 999)]
+    cycles = [0, 1, 999]
+    keys = kernels._stream_keys(seed, np.array(cycles))
+    assert keys.tolist() == [_stream_key(seed, idx) for idx in cycles]
+    # slot keys, and the first draws of each kind, as one array
+    slots = np.array([0, 1, 7, 2 ** 40])
+    got = kernels._slot_keys(keys, slots[:, None])
+    want = [[_slot_key(key, slot) for key in keys.tolist()] for slot in slots.tolist()]
+    assert got.tolist() == want
+    for kind in (_ARRIVALS, _B1, _B2):
+        draws = kernels._Slots(got.ravel() + kernels._KIND[kind])
+        u = draws.take(np.arange(got.size), 3)
+        for col, slot_key in enumerate(got.ravel().tolist()):
+            stream = _Stream(slot_key, kind)
+            assert u[:, col].tolist() == [stream.u01() for _ in range(3)]
 
 
-def test_arrival_at_the_completion_instant_comes_after_it():
-    # departure-first: cycle 0's first draw is its idle period and its second
-    # the first arrival gap; a deterministic service of exactly that gap ties
-    # the arrival with the completion, which then ends the cycle
-    key = kernels._stream_keys(7, np.array([0]))
-    g1 = float(-np.log(kernels._uniforms(key + kernels._OFFSET[1], 1)[0, 0]))
-    args = (1, 7, 1.0, 5, Deterministic(duration=g1), Exponential(rate=2.0))
-    assert kernels.simulate_cycles(*args)[3][0] == 1
-    assert _scalar_cycles(*args)[3][0] == 1
+def test_draw_counters_are_never_shared():
+    # a cycle's counters are 0 for the idle draw and slot + 1 for each slot's
+    # key; a slot's are kind * 2^62 + d (d >= 1) for its draws of each kind,
+    # so however many draws a service takes, each counter has one use
+    ranges = [(kind * _KIND_STEP + 1, (kind + 1) * _KIND_STEP)
+              for kind in (_ARRIVALS, _B1, _B2)]
+    for (lo, hi), (lo2, _) in zip(ranges, ranges[1:]):
+        assert lo < hi <= lo2
+    assert ranges[-1][1] <= 1 << 64
+    # the kernel's kind offsets are those counters' golden multiples
+    assert kernels._KIND.tolist() == [
+        (kind * _KIND_STEP * _GOLDEN) & _MASK for kind in (_ARRIVALS, _B1, _B2)]
+    # an Erlang(100) service (more draws than one block) and Gamma retries
+    # move their own range only: the kernel's slots match the scalar
+    # reference's, which reads each kind from its range
+    args = (200, 4, 1.0, 3, Erlang(shape=100, rate=100 / 1.1),
+            Gamma(shape=0.3, rate=0.6))
+    _assert_same_bytes(kernels.simulate_cycles(*args), _scalar_cycles(*args))
+
+
+def _poisson_pmf(mean, k):
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+
+
+@pytest.mark.parametrize("mean", [1e-3, 1.0, 30.0])
+def test_poisson_inversion_matches_pmf(mean):
+    # one part: the counts of an even grid of uniforms give each pmf term to
+    # within one grid step
+    grid = 1 << 16
+    u = (np.arange(grid) + 1.0) / grid
+    counts = np.bincount(kernels._invert_poisson(np.full(grid, mean), u))
+    for k, got in enumerate(counts):
+        assert abs(got / grid - _poisson_pmf(mean, k)) <= 1.0 / grid
+    assert _poisson_pmf(mean, len(counts)) < 2.0 / grid
+
+
+@pytest.mark.parametrize("mean", [1e-3, 1.0, 30.0, 1000.0])
+def test_poisson_counts_follow_the_pmf(mean):
+    # counts drawn from the streams, split into parts at mean 1000: their
+    # cdf against the Poisson cdf (Kolmogorov's 0.1% bound), mean and variance
+    n = 40000
+    keys = kernels._stream_keys(3, np.arange(n))
+    counts = kernels._poisson_counts(np.full(n, mean), keys)
+    top = int(mean + 12 * math.sqrt(mean) + 12)
+    cdf = np.cumsum([_poisson_pmf(mean, k) for k in range(top)])
+    ecdf = np.cumsum(np.bincount(counts, minlength=top)[:top]) / n
+    assert np.max(np.abs(ecdf - cdf)) < 1.95 / math.sqrt(n)
+    assert abs(counts.mean() - mean) < 4 * math.sqrt(mean / n)
+    # the sample variance's sd is about sqrt((mean + 2 mean^2) / n)
+    assert abs(counts.var() / mean - 1.0) < 4 * math.sqrt((1.0 / mean + 2.0) / n)
+
+
+def test_poisson_counts_past_exp_underflow():
+    # exp(-mean) is 0.0 past a mean of about 745; split into parts, every
+    # count stays finite and near its mean
+    mean = np.array([744.0, 746.0, 1e4, 1e6])
+    keys = kernels._stream_keys(9, np.arange(len(mean)))
+    counts = kernels._poisson_counts(mean, keys)
+    assert np.all(np.abs(counts - mean) < 8 * np.sqrt(mean))
+    assert counts.tolist() == [_scalar_poisson(m, _Stream(int(k), _ARRIVALS))
+                               for m, k in zip(mean.tolist(), keys.tolist())]

@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from damctl import exact, kernels, simulator
+from damctl import control, exact, kernels, simulator
 from damctl.distributions import (Deterministic, Erlang, Exponential, Gamma,
                                   HyperExponential)
 
@@ -58,6 +60,25 @@ def test_wald_consistency(b1):
     assert abs(rep.e_nu2_hat - want) <= slack
 
 
+@pytest.mark.parametrize("j1", [2.0, 0.5])
+@pytest.mark.parametrize("level", [100, 200])
+def test_matches_exact_at_the_exact_optimum(level, j1):
+    # where the control lives: rho1 = 1 +- C/L at the exact optimum, upper-
+    # (j1 = 2) and lower-penalized (j1 = 0.5), where the longest cycles run
+    # to 10^5 services; each run within a 30 s budget
+    b1, costs = Exponential(rate=1.0), exact.CostModel(j1, 1.0)
+    rho1 = control.optimize_exact(1.0, b1, B2, level, costs).rho1_star
+    model = exact.DamModel(lam=1.0, b1=b1.scale_to_mean(rho1), b2=B2, level=level)
+    sol = exact.solve(model)
+    t0 = time.perf_counter()
+    rep = simulator.simulate(simulator.SimulationConfig(model=model,
+                                                        n_cycles=20_000, seed=1))
+    elapsed = time.perf_counter() - t0
+    assert abs(rep.p1_hat - sol.p1) <= 3 * rep.half_widths["p1"]
+    assert abs(rep.p2_hat - sol.p2) <= 3 * rep.half_widths["p2"]
+    assert elapsed < 30.0, "%.2fs over the 30 s budget" % elapsed
+
+
 def test_per_cycle_accounting():
     idle, below, above, nu1, nu2 = kernels.simulate_cycles(
         2000, 3, MM1.lam, MM1.level, MM1.b1, MM1.b2)
@@ -87,23 +108,23 @@ def test_stream_key_splitting_rule():
 
 
 # Reports of 2,000 cycles at seed 7 (rho1 = 0.8, L = 5).  numpy picks its
-# log, cos and power loops by CPU, so these are compared to 1e-12, not to
+# log, cos, exp and power loops by CPU, so these are compared to 1e-12, not to
 # the last bit.
 PINNED = [
     (Exponential(rate=1.25), dict(
-        p1_hat=0.23887701259068045, p2_hat=0.058034607429739815,
-        e_nu1_hat=3.624, e_nu2_hat=0.4875,
-        e_t1_hat=2.857819048371433, e_t2_hat=0.2358912638867474,
-        half_widths=dict(p1=0.02269314769937748, p2=0.01256187431341622,
-                         e_nu1=0.3056195299649324, e_nu2=0.1129996479663968,
-                         e_t1=0.2879589563474402, e_t2=0.06023649910941691))),
+        p1_hat=0.243704501176615, p2_hat=0.06712028677843955,
+        e_nu1_hat=3.6335, e_nu2_hat=0.529,
+        e_t1_hat=2.8863386133894955, e_t2_hat=0.28110685364834626,
+        half_widths=dict(p1=0.022852271951745124, p2=0.013192074162235475,
+                         e_nu1=0.28921708692734177, e_nu2=0.12274786248598855,
+                         e_t1=0.2918286932557305, e_t2=0.07001606091396247))),
     (Gamma(shape=0.6, rate=0.75), dict(
-        p1_hat=0.25730734303651664, p2_hat=0.07982148300909926,
-        e_nu1_hat=3.1655, e_nu2_hat=0.5905,
-        e_t1_hat=2.5013595269987503, e_t2_hat=0.3012081907150773,
-        half_widths=dict(p1=0.020110100152022876, p2=0.016861988674373482,
-                         e_nu1=0.22184950323613903, e_nu2=0.13097286967309524,
-                         e_t1=0.23982321098663062, e_t2=0.07402027551927871))),
+        p1_hat=0.24895184165739861, p2_hat=0.07690457221535396,
+        e_nu1_hat=3.454, e_nu2_hat=0.6325,
+        e_t1_hat=2.76387402903977, e_t2_hat=0.31529566435763695,
+        half_widths=dict(p1=0.02453739930240928, p2=0.013714229558343864,
+                         e_nu1=0.32053713940515777, e_nu2=0.1490651021117729,
+                         e_t1=0.34269908417878964, e_t2=0.07716664595376843))),
 ]
 
 
