@@ -26,9 +26,9 @@ and the numpy solves) and on numpy past it.  It reads sys.modules because
 a caller that loaded numpy (perfbench/launcher.py) then sees every solve
 on the band in the kernels.
 So optimize --mode asymptotic, sweep, --help, a rejected option, and the
-exact commands on phase-type laws and on gamma and det laws up to
-L = 4000 never load numpy; csv is imported by the two commands that write
-it.  The parser holds every command's name and help
+exact commands on phase-type laws and on laws whose L K is within the
+bound, slow gamma tails too, never load numpy; csv is imported by the two
+commands that write it.  The parser holds every command's name and help
 but only the named command's options.
 
 A request also skips the exit's garbage collections.  main registers

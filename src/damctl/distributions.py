@@ -10,19 +10,19 @@ simulator's sampler of its services and the arrival-count weights
 i.e. the probability that exactly j Poisson(lam) arrivals occur during one
 service.  The weights are evaluated in the log domain so that very deep
 tails (or a tiny r_0) do not underflow prematurely.  Each family computes
-them twice, with numpy (`_log_weights`, for large n) and on Python floats
-(`_log_weight_list`, for the small exact problems that run without numpy);
-both follow one of three recipes: negative binomial (exponential, Erlang,
-gamma), Poisson (deterministic) or a mixture of phases (hyperexponential).
+them once, on Python floats (`_log_weights`), by one of three recipes:
+negative binomial (exponential, Erlang, gamma), Poisson (deterministic) or
+a mixture of phases (hyperexponential).
 
 The phase-type families (exponential, Erlang, hyperexponential) also give
 `phases(most)`: an acyclic representation by exponential phases in series
 or in parallel, from which `exact` solves Q_L without the weights.  Gamma
 and deterministic laws give None.
 
-numpy is imported only by the numpy weight code and the samplers, so
-building and describing a distribution does not load it.  The serializers
-read each family's field names and types from its record fields.
+numpy is imported only by the samplers (`lane_services`), so building a
+distribution, describing it and reading its weights do not load it.  The
+serializers read each family's field names and types from its record
+fields.
 """
 
 import math
@@ -47,10 +47,6 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-12
 
-# the log1p terms of numpy's negative-binomial weights taken from math, so
-# that the twins agree; `exact` reads at most this many weights on lists
-_TWIN_TERMS = 1 << 12
-
 
 def _check_finite(name, *values):
     if not all(math.isfinite(v) for v in values):
@@ -62,24 +58,7 @@ def _negbin_log_weights(shape, rate, lam, n):
     # probability p = rate/(lam+rate), so r_j/r_{j-1} = q*(shape+j-1)/j.
     # log r_j = shape*log p + j*log q + log_coef_j, where log_coef_j is the
     # running sum of log1p((shape-1)/i) over i <= j; its terms are small, so
-    # the sum keeps its accuracy out to thousands of terms.  numpy's log1p
-    # can differ from math's in the last bit, which moves every later weight.
-    import numpy as np
-
-    j = np.arange(n + 1, dtype=np.float64)
-    log_p = math.log(rate) - math.log(lam + rate)
-    log_q = math.log(lam) - math.log(lam + rate)
-    x = (shape - 1.0) / j[1:]
-    terms = np.log1p(x)
-    if shape != 1.0:  # else every term is 0
-        terms[:_TWIN_TERMS] = list(map(math.log1p, x[:_TWIN_TERMS].tolist()))
-    log_coef = np.zeros(n + 1)
-    np.cumsum(terms, out=log_coef[1:])
-    return shape * log_p + j * log_q + log_coef
-
-
-def _negbin_log_weight_list(shape, rate, lam, n):
-    """`_negbin_log_weights` on Python floats, term for term."""
+    # the sum keeps its accuracy out to thousands of terms.
     log_p = math.log(rate) - math.log(lam + rate)
     log_q = math.log(lam) - math.log(lam + rate)
     log_coef = accumulate([math.log1p((shape - 1.0) / j)
@@ -88,7 +67,7 @@ def _negbin_log_weight_list(shape, rate, lam, n):
     return [head + j * log_q + c for j, c in enumerate(log_coef)]
 
 
-def _poisson_log_weight_list(mu, n):
+def _poisson_log_weights(mu, n):
     # Poisson(mu) pmf: log r_0 = -mu plus the running sum of
     # log(r_j/r_{j-1}) = log(mu/j); the partial sums are the log weights
     # themselves, so no large intermediate loses digits
@@ -96,21 +75,14 @@ def _poisson_log_weight_list(mu, n):
                            initial=-mu))
 
 
-def _mixture_log_weight_list(weights, rates, lam, n):
-    """Log weights of a mixture of exponential phases, on Python floats."""
+def _mixture_log_weights(weights, rates, lam, n):
+    """Log weights of a mixture of exponential phases."""
     total = [0.0] * (n + 1)
     for w, r in zip(weights, rates):
         if w > 0:
             total = [t + w * math.exp(x) for t, x in
-                     zip(total, _negbin_log_weight_list(1.0, r, lam, n))]
+                     zip(total, _negbin_log_weights(1.0, r, lam, n))]
     return [math.log(t) if t > 0.0 else -math.inf for t in total]
-
-
-def _check_weight_args(lam, n):
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError("arrival rate must be positive and finite, got %r" % (lam,))
-    if n < 0:
-        raise ValueError("weight count must be nonnegative")
 
 
 class ServiceDistribution(Record):
@@ -118,13 +90,13 @@ class ServiceDistribution(Record):
 
     A family annotates its parameters as record fields, checks them in
     _check, and defines _raw_moment(k), _lst(s), _lst_derivative(s),
-    _log_weights(lam, n) (a numpy array), _log_weight_list(lam, n) (the
-    same on Python floats) and _with_mean(b), whose arguments the public
-    methods here check once, and lane_services(lanes, idx), the simulator's
-    sampler: one service time for each draw stream in the index array idx.
-    It reads uniforms on (0, 1] only through lanes.take(idx, m), peek(idx,
-    m) and skip(idx, counts) (kernels._Slots), at most lanes.BLOCK at once,
-    and consumes exactly the draws it used.
+    _log_weights(lam, n) (a list of Python floats) and _with_mean(b), whose
+    arguments the public methods here check once, and lane_services(lanes,
+    idx), the simulator's sampler: one service time for each draw stream in
+    the index array idx.  It reads uniforms on (0, 1] only through
+    lanes.take(idx, m), peek(idx, m) and skip(idx, counts)
+    (kernels._Slots), at most lanes.BLOCK at once, and consumes exactly the
+    draws it used.
 
     A phase-type family overrides phases(most); the rest inherit None.
     """
@@ -156,16 +128,14 @@ class ServiceDistribution(Record):
         return self._lst_derivative(s)
 
     def mixed_poisson_weights(self, lam, n):
-        """Weights (r_0, ..., r_n) for Poisson arrival rate lam."""
-        _check_weight_args(lam, n)
-        import numpy as np
-
-        return np.exp(self._log_weights(float(lam), int(n)))
-
-    def mixed_poisson_weight_list(self, lam, n):
-        """The same weights as a list of Python floats, without numpy."""
-        _check_weight_args(lam, n)
-        return [math.exp(x) for x in self._log_weight_list(float(lam), int(n))]
+        """Weights [r_0, ..., r_n] for Poisson arrival rate lam, a list of
+        Python floats."""
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError("arrival rate must be positive and finite, "
+                             "got %r" % (lam,))
+        if n < 0:
+            raise ValueError("weight count must be nonnegative")
+        return list(map(math.exp, self._log_weights(float(lam), int(n))))
 
     def scale_to_mean(self, b):
         if b <= 0:
@@ -192,9 +162,6 @@ class Exponential(ServiceDistribution):
 
     def _log_weights(self, lam, n):
         return _negbin_log_weights(1.0, self.rate, lam, n)
-
-    def _log_weight_list(self, lam, n):
-        return _negbin_log_weight_list(1.0, self.rate, lam, n)
 
     def _with_mean(self, b):
         return Exponential(rate=1.0 / b)
@@ -232,9 +199,6 @@ class Gamma(ServiceDistribution):
     def _log_weights(self, lam, n):
         return _negbin_log_weights(self.shape, self.rate, lam, n)
 
-    def _log_weight_list(self, lam, n):
-        return _negbin_log_weight_list(self.shape, self.rate, lam, n)
-
     def _with_mean(self, b):
         return type(self)(shape=self.shape, rate=self.shape / b)
 
@@ -267,8 +231,9 @@ class Gamma(ServiceDistribution):
             xs, vs = x[slow], v[slow]
             accept[slow] = log_u[2, slow] < 0.5 * xs * xs + d * (
                 1.0 - vs + np.log(vs))
-            done = pending[accept]
-            s[done] = boost[done] * d * v[accept] / self.rate
+            # every pending lane is written, and a rejected one rewritten
+            # later: cheaper than gathering the accepted ones
+            s[pending] = boost[pending] * d * v / self.rate
             pending = pending[~accept]
         return s
 
@@ -321,17 +286,7 @@ class Deterministic(ServiceDistribution):
         return -self.duration * math.exp(-s * self.duration)
 
     def _log_weights(self, lam, n):
-        # Poisson(mu), mu = lam * duration, as _poisson_log_weight_list
-        import numpy as np
-
-        mu = lam * self.duration
-        steps = np.empty(n + 1)
-        steps[0] = -mu
-        steps[1:] = np.log(mu / np.arange(1, n + 1, dtype=np.float64))
-        return np.cumsum(steps)
-
-    def _log_weight_list(self, lam, n):
-        return _poisson_log_weight_list(lam * self.duration, n)
+        return _poisson_log_weights(lam * self.duration, n)
 
     def _with_mean(self, b):
         return Deterministic(duration=b)
@@ -372,17 +327,7 @@ class HyperExponential(ServiceDistribution):
         return -sum(w * r / (r + s) ** 2 for w, r in zip(self.weights, self.rates))
 
     def _log_weights(self, lam, n):
-        import numpy as np
-
-        total = np.zeros(n + 1)
-        for w, r in zip(self.weights, self.rates):
-            if w > 0:
-                total += w * np.exp(_negbin_log_weights(1.0, r, lam, n))
-        with np.errstate(divide="ignore"):
-            return np.log(total)
-
-    def _log_weight_list(self, lam, n):
-        return _mixture_log_weight_list(self.weights, self.rates, lam, n)
+        return _mixture_log_weights(self.weights, self.rates, lam, n)
 
     def _with_mean(self, b):
         factor = self.mean() / b

@@ -7,9 +7,11 @@ weights of the normal-regime service law.  Since r(z) - z = (1 - z) r_0
 the renewal sequence u of a has U(z) (1 - A(z)) = 1, Q_0 = 1 and Q_n =
 sum_{m<n} u_m / r_0: a partial sum of u, which a renewal loop, in which
 nothing cancels, computes.  The remaining busy-period quantities follow
-from Wald identities, and the stationary probabilities p1 (idle / lower
-passage) and p2 (above-threshold occupation) from the renewal reward
-theorem.
+from Wald identities, and by the renewal reward theorem p1 = E idle /
+(E T + E idle) is the long-run share of time idle and p2 = E T2 / (E T +
+E idle) the share in b2 service.  The paper's p2 is P(L_t > L^upper): on
+exp laws with rho2 = 0.5 a direct solve of the level chain gave that as
+2 p2 at every L from 5 to 120.
 
 Q_L has two routes, chosen in `_q_top` alone.  While numpy is not loaded,
 a law that lists its phases (`phases(MAX_PHASES)`: exp, Erlang and
@@ -37,13 +39,11 @@ the rest of a slow tail enters as one term.  Where the a_k sum to above 1
 which sum to 1 at the root x < 0, and every tilted u_m stays at most 1
 (Feller, An Introduction to Probability Theory, Vol. II, XI.6).  K is
 16-22 for det laws, 28-56 for gamma(1.5-2.5) and about 470-520 for
-gamma(0.1) at L = 4000-64000.  Numpy reads the weights once it is loaded
-or past _PYTHON_MAX_WEIGHTS (a slow tail, which loads it), the families'
-list twins else; for a gamma or Erlang law both sum the same log1p terms,
-where numpy's own would move Q_L by up to 1.2e-12 at L = 4000.  One of two
-loops runs the band in O(L K): numpy's blocked loop in the kernels once
-numpy is loaded or where L K is above _PYTHON_MAX_WORK, else a list loop,
-about 25 ns a multiply-add with every u_m correctly rounded (`math.fsum`).
+gamma(0.1) at L = 4000-64000.  The weights are one list of Python floats
+(about 0.3 s a read of 2^20).  One of two loops runs the band in O(L K):
+numpy's blocked loop in the kernels once numpy is loaded or where L K is
+above _PYTHON_MAX_WORK, else a list loop, about 25 ns a multiply-add with
+every u_m correctly rounded (`math.fsum`).
 On numpy a det, gamma(2.5) or gamma(0.1) law solves in 1.3-2.4 ms at
 L = 4000, 21-26 ms at 64000 and 0.35-0.44 s at 2^20.
 _PYTHON_MAX_WORK sits between the crossovers of the two commands, which
@@ -77,7 +77,6 @@ from itertools import accumulate, islice
 
 from ._record import Record
 from .asymptotics import _exp
-from .distributions import _TWIN_TERMS
 from .errors import NumericDegeneracyError
 from .model import CostModel, DamModel  # re-exported as exact.DamModel etc.
 
@@ -109,9 +108,8 @@ _FIRST_WEIGHTS = 1 << 7
 _MAX_WEIGHTS = 1 << 20
 
 # the most multiply-adds, L K, of the band's loop run on Python floats while
-# numpy is not loaded, and the most weights read on them (see distributions)
+# numpy is not loaded
 _PYTHON_MAX_WORK = 1 << 18
-_PYTHON_MAX_WEIGHTS = _TWIN_TERMS
 
 # the most phases of a law whose Q_L runs by its phases while numpy is not
 # loaded, at any L up to MAX_LEVEL
@@ -158,12 +156,8 @@ def _numpy_loaded():
 
 def _weights(model, n):
     """r_0..r_n of the normal-regime law as a list, refusing an underflowing
-    r_0: numpy's once numpy is loaded or past _PYTHON_MAX_WEIGHTS (a slow
-    tail, which loads it), else the list twins'."""
-    if _numpy_loaded() or n > _PYTHON_MAX_WEIGHTS:
-        r = model.b1.mixed_poisson_weights(model.lam, n).tolist()
-    else:
-        r = model.b1.mixed_poisson_weight_list(model.lam, n)
+    r_0."""
+    r = model.b1.mixed_poisson_weights(model.lam, n)
     _check_r0(r[0], model)
     return r
 

@@ -624,8 +624,9 @@ print(sorted(m for m in sys.modules
 def test_small_problems_do_not_import_numpy(tmp_path):
     """Start-up, the asymptotic commands, config errors and the exact
     commands whose band's work is within exact._PYTHON_MAX_WORK run
-    without numpy; a law past that bound, or a slow tail, needs numpy, and
-    the first command that loads it pins OpenBLAS to one thread."""
+    without numpy, slow tails included, however many weights they read; a
+    law past that bound needs numpy, and the first command that loads it
+    pins OpenBLAS to one thread."""
     script = """
 import contextlib, io, os, sys
 heavy, level = sys.argv[1:]
@@ -660,6 +661,12 @@ runs = [
     (["verify"] + model + ["--regime", "lower", "--c", "2",
       "--levels", "7,100"], 0),
     (["analyze"] + model + ["--level", str(int(top) + 1)], 0),
+    # gamma(0.01): 8,192 weights read; shape 1e-8: weights that fall as
+    # (1 + 1e-8)^-j, a slow tail, 2^20 of them read
+    (["analyze", "--lambda", "1", "--b1", "gamma:0.01:0.01", "--b2", "exp:2",
+      "--level", "200"], 0),
+    (["analyze", "--lambda", "1", "--b1", "gamma:1e-8:1e-8", "--b2", "exp:2",
+      "--level", "10"], 0),
 ]
 for argv, want in runs:
     with contextlib.redirect_stdout(io.StringIO()), \\
@@ -677,9 +684,7 @@ print(os.environ["OPENBLAS_NUM_THREADS"])
     env["PYTHONPATH"] = src
     for heavy, level in [
             # gamma(0.1): a band of about 480 increments, past the bound
-            ("gamma:0.1:0.1", str(exact._PYTHON_MAX_WORK // 100)),
-            # shape 1e-8: weights that fall as (1 + 1e-8)^-j, a slow tail
-            ("gamma:1e-8:1e-8", "10")]:
+            ("gamma:0.1:0.1", str(exact._PYTHON_MAX_WORK // 100))]:
         proc = subprocess.run([sys.executable, "-c", script, heavy, level],
                               env=env, cwd=tmp_path, capture_output=True,
                               text=True, timeout=300)
@@ -871,9 +876,13 @@ def test_verify_leaves_rel_err_empty_where_exact_underflows(capsys):
     assert float(row[8]) == pytest.approx(1.5, rel=1e-12)
 
 
-def test_verify_lower_note_skips_undefined_rel_err(capsys):
-    # at rho1 = 0.8, L = 300 the exact p2 cancels to round-off and is
-    # clamped to 0
+def test_verify_lower_note_skips_undefined_rel_err(capsys, monkeypatch):
+    # an exact p2 of 0 leaves rel_err_p2 undefined.  At rho1 = 0.8, L = 300
+    # the true p2 is about 1.4e-30, but its numerator cancels to round-off
+    # (8.3e-17 here, 2.5e-16 by the phase route), so 0 is forced
+    real = exact.stationary_probs
+    monkeypatch.setattr(exact, "stationary_probs",
+                        lambda model: (real(model)[0], 0.0))
     code, out, err = run(capsys, ["verify", "--lambda", "1", "--b1", "exp:1",
                                   "--b2", "exp:2", "--regime", "lower",
                                   "--c", "60", "--levels", "300"])

@@ -87,28 +87,21 @@ def test_weight_examples():
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_weight_normalization_and_moments(d, lam):
     n = 4000  # far enough out that the tail is < 1e-10 for these laws
-    r = d.mixed_poisson_weights(lam, n)
+    r = np.array(d.mixed_poisson_weights(lam, n))
     assert np.all(r >= 0)
     assert abs(1.0 - r.sum()) < 1e-10
     j = np.arange(n + 1)
     assert float((j * r).sum()) == pytest.approx(lam * d.mean(), rel=1e-8)
     assert float((j * (j - 1) * r).sum()) == pytest.approx(
         lam ** 2 * d.raw_moment(2), rel=1e-8)
-    # the Python-float twin, term for term; a negative-binomial law's log
-    # weights are the same bits, numpy's log1p terms being math's
-    np.testing.assert_allclose(d.mixed_poisson_weight_list(lam, n), r,
-                               rtol=1e-12, atol=0)
-    if isinstance(d, (Exponential, Gamma)):
-        assert d._log_weights(lam, n).tolist() == d._log_weight_list(lam, n)
 
 
 def test_weights_reject_bad_lambda():
     d = Exponential(rate=1.0)
-    for weights in (d.mixed_poisson_weights, d.mixed_poisson_weight_list):
-        with pytest.raises(ValueError):
-            weights(0.0, 5)
-        with pytest.raises(ValueError):
-            weights(-1.0, 5)
+    with pytest.raises(ValueError):
+        d.mixed_poisson_weights(0.0, 5)
+    with pytest.raises(ValueError):
+        d.mixed_poisson_weights(-1.0, 5)
 
 
 def test_weights_survive_deep_tails():
@@ -200,10 +193,8 @@ def test_weights_match_loggamma_reference(d, kind, params):
                    mp_reference.log_weights(kind, params, 1.0, n)])
     normal = want > 1e-300  # compare where the reference is a normal double
     assert normal.sum() > 100
-    for got in (d.mixed_poisson_weights(1.0, n),
-                np.array(d.mixed_poisson_weight_list(1.0, n))):
-        np.testing.assert_allclose(got[normal], want[normal], rtol=2e-11,
-                                   atol=0)
+    got = np.array(d.mixed_poisson_weights(1.0, n))
+    np.testing.assert_allclose(got[normal], want[normal], rtol=2e-11, atol=0)
 
 
 @pytest.mark.parametrize("make", [

@@ -1,8 +1,9 @@
 """The two routes to Q_L agree: a phase-type law's phases (while numpy is
 not loaded) and the band, whose two loops, the list loop on Python floats
 and numpy's in the kernels, agree with the unbanded loop on all of a_1..a_L
-built here.  pytest has numpy loaded, so `python_q_top` runs the band as a
-process without numpy does; tests/test_cli.py checks which route a fresh
+built here.  Every route reads the same weights, a list of Python floats.
+pytest has numpy loaded, so `python_q_top` runs the band as a process
+without numpy does; tests/test_cli.py checks which route a fresh
 interpreter takes."""
 
 import math
@@ -52,12 +53,11 @@ def solve_by(route, m, monkeypatch):
 
 
 def without_numpy(route):
-    """route as a process without numpy runs it: on list weights, however
-    many it reads, and within _PYTHON_MAX_WORK on the list loop."""
+    """route as a process without numpy runs it: within _PYTHON_MAX_WORK on
+    the list loop."""
     def run(m):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exact, "_numpy_loaded", lambda: False)
-            patch.setattr(exact, "_PYTHON_MAX_WEIGHTS", math.inf)
             return route(m)
     return run
 
@@ -286,10 +286,10 @@ def test_python_route_refuses_a_non_finite_q(monkeypatch):
         python_q_top(model("exp", 0.8, 10))
 
 
-def test_slow_tail_is_handed_to_numpy():
-    # shape 1e-8: the weights fall as (1 + 1e-8)^-j, past any list the
-    # Python route sums; a fresh interpreter then loads numpy to read them
-    # and to solve it
+def test_slow_tail_solves_without_numpy():
+    # shape 1e-8: the weights fall as (1 + 1e-8)^-j, so the band reads 2^20
+    # of them and takes the rest as one term; a fresh interpreter reads
+    # them on Python floats and runs the list loop, without numpy
     m = exact.DamModel(lam=1.0, b1=Gamma(shape=1e-8, rate=1e-8), b2=B2,
                        level=10)
     script = """
@@ -306,7 +306,7 @@ print(repr(exact.solve(m).busy.e_nu1), "numpy" in sys.modules)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     q, loaded = proc.stdout.split()
-    assert loaded == "True"
+    assert loaded == "False"
     assert float(q) == exact._band_q_top(m)
 
 
