@@ -57,13 +57,15 @@ def _negbin_log_weights(shape, rate, lam, n):
     # r_j for Gamma(shape, rate) service: negative binomial with success
     # probability p = rate/(lam+rate), so r_j/r_{j-1} = q*(shape+j-1)/j.
     # log r_j = shape*log p + j*log q + log_coef_j, where log_coef_j is the
-    # running sum of log1p((shape-1)/i) over i <= j; its terms are small, so
-    # the sum keeps its accuracy out to thousands of terms.
+    # running sum of log1p((shape-1)/i) over i <= j, 0 at shape 1; its terms
+    # are small, so the sum keeps its accuracy out to thousands of terms.
     log_p = math.log(rate) - math.log(lam + rate)
     log_q = math.log(lam) - math.log(lam + rate)
+    head = shape * log_p
+    if shape == 1.0:
+        return [head + j * log_q for j in range(n + 1)]
     log_coef = accumulate([math.log1p((shape - 1.0) / j)
                            for j in range(1, n + 1)], initial=0.0)
-    head = shape * log_p
     return [head + j * log_q + c for j, c in enumerate(log_coef)]
 
 
@@ -91,12 +93,11 @@ class ServiceDistribution(Record):
     A family annotates its parameters as record fields, checks them in
     _check, and defines _raw_moment(k), _lst(s), _lst_derivative(s),
     _log_weights(lam, n) (a list of Python floats) and _with_mean(b), whose
-    arguments the public methods here check once, and lane_services(lanes,
-    idx), the simulator's sampler: one service time for each draw stream in
-    the index array idx.  It reads uniforms on (0, 1] only through
-    lanes.take(idx, m), peek(idx, m) and skip(idx, counts)
-    (kernels._Slots), at most lanes.BLOCK at once, and consumes exactly the
-    draws it used.
+    arguments the public methods here check once, and lane_services(slots),
+    the simulator's sampler: one service time per stream of slots.  It reads
+    uniforms on (0, 1] only through slots.take(m) (every stream), peek(idx,
+    m) and skip(idx, counts) (the streams in index array idx), at most
+    slots.BLOCK at once (kernels._Slots), and consumes just the draws used.
 
     A phase-type family overrides phases(most); the rest inherit None.
     """
@@ -169,10 +170,10 @@ class Exponential(ServiceDistribution):
     def phases(self, most):
         return ((1.0,), (self.rate,), (0.0,)) if most >= 1 else None
 
-    def lane_services(self, lanes, idx):
+    def lane_services(self, slots):
         import numpy as np
 
-        return -np.log(lanes.take(idx, 1)[0]) / self.rate
+        return -np.log(slots.take(1)[0]) / self.rate
 
 
 class Gamma(ServiceDistribution):
@@ -202,29 +203,28 @@ class Gamma(ServiceDistribution):
     def _with_mean(self, b):
         return type(self)(shape=self.shape, rate=self.shape / b)
 
-    def lane_services(self, lanes, idx):
+    def lane_services(self, slots):
         """Marsaglia-Tsang; shape < 1 boosted via u^(1/shape).  An attempt
         reads three draws and consumes two when 1 + c x <= 0, three
         otherwise."""
         import numpy as np
 
         a = self.shape
-        boost = np.ones(len(idx))
+        boost = np.ones(len(slots))
         if a < 1.0:
-            boost = np.power(lanes.take(idx, 1)[0], 1.0 / a)
+            boost = np.power(slots.take(1)[0], 1.0 / a)
             a += 1.0
         d = a - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        s = np.empty(len(idx))
-        pending = np.arange(len(idx))
+        s = np.empty(len(slots))
+        pending = np.arange(len(slots))
         while len(pending):
-            lane = idx[pending]
-            u = lanes.peek(lane, 3)
+            u = slots.peek(pending, 3)
             log_u = np.log(u)
             x = np.sqrt(-2.0 * log_u[0]) * np.cos(2.0 * math.pi * u[1])
             t = 1.0 + c * x
             ok = t > 0.0
-            lanes.skip(lane, 2 + ok)
+            slots.skip(pending, 2 + ok)
             v = t * t * t
             accept = ok & (u[2] < 1.0 - 0.0331 * x * x * x * x)
             slow = (ok & ~accept).nonzero()[0]
@@ -256,14 +256,14 @@ class Erlang(Gamma):
         return ((1.0,) + (0.0,) * (k - 1), (self.rate,) * k,
                 (1.0,) * (k - 1) + (0.0,))
 
-    def lane_services(self, lanes, idx):
+    def lane_services(self, slots):
         import numpy as np
 
         # the sum runs left to right, as one draw at a time would add it
         k = int(self.shape)
-        total = np.zeros(len(idx))
-        for first in range(0, k, lanes.BLOCK):
-            for term in -np.log(lanes.take(idx, min(lanes.BLOCK, k - first))):
+        total = np.zeros(len(slots))
+        for first in range(0, k, slots.BLOCK):
+            for term in -np.log(slots.take(min(slots.BLOCK, k - first))):
                 total += term
         return total / self.rate
 
@@ -291,10 +291,10 @@ class Deterministic(ServiceDistribution):
     def _with_mean(self, b):
         return Deterministic(duration=b)
 
-    def lane_services(self, lanes, idx):
+    def lane_services(self, slots):
         import numpy as np
 
-        return np.full(len(idx), self.duration)
+        return np.full(len(slots), self.duration)
 
 
 class HyperExponential(ServiceDistribution):
@@ -339,12 +339,12 @@ class HyperExponential(ServiceDistribution):
             return None
         return self.weights, self.rates, (0.0,) * len(self.rates)
 
-    def lane_services(self, lanes, idx):
+    def lane_services(self, slots):
         """Pick a phase with the first uniform, draw its exponential with the
         second."""
         import numpy as np
 
-        u = lanes.take(idx, 2)
+        u = slots.take(2)
         phase = np.searchsorted(np.cumsum(self.weights)[:-1], u[0], side="left")
         return -np.log(u[1]) / np.array(self.rates)[phase]
 

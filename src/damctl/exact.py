@@ -34,11 +34,14 @@ about 0.3 a step for gamma(2.5), faster for det's Poisson tail), so the
 renewal loop reads only a_1..a_K: K is the least index past which the
 tilted increments sum to at most 2^-60 / L of all of them, and weights
 are read, from 128 on, only as far as that cut needs; past _MAX_WEIGHTS
-the rest of a slow tail enters as one term.  Where the a_k sum to above 1
-(rho1 > 1) u grows geometrically, so the band is tilted to a_k e^{kx},
-which sum to 1 at the root x < 0, and every tilted u_m stays at most 1
-(Feller, An Introduction to Probability Theory, Vol. II, XI.6).  K is
-16-22 for det laws, 28-56 for gamma(1.5-2.5) and about 470-520 for
+the rest of a slow tail enters as one term.  Where rho1 > 1 u grows
+geometrically, so the band is tilted to a_k e^{kx}, x = log phi with phi
+from `asymptotics.root_phi`: A(phi) = 1 as r(phi) = phi, so the tilted u
+tends to a constant (Feller, An Introduction to Probability Theory, Vol.
+II, XI.6).  Q_L is exact for any x; root_phi's x is within 7e-14 relative
+of a 40-digit root from rho1 = 1.05 on and 1.2e-8 absolute just above 1,
+so up to MAX_LEVEL the tilted u stays within a few percent of its limit.
+K is 16-22 for det laws, 28-56 for gamma(1.5-2.5) and about 470-520 for
 gamma(0.1) at L = 4000-64000.  The weights are one list of Python floats
 (about 0.3 s a read of 2^20).  One of two loops runs the band in O(L K):
 numpy's blocked loop in the kernels once numpy is loaded or where L K is
@@ -76,7 +79,7 @@ from collections import deque
 from itertools import accumulate, islice
 
 from ._record import Record
-from .asymptotics import _exp
+from .asymptotics import _exp, root_phi as _root_phi
 from .errors import NumericDegeneracyError
 from .model import CostModel, DamModel  # re-exported as exact.DamModel etc.
 
@@ -216,57 +219,33 @@ def _cut(a, budget):
 
 
 def _band(model, L):
-    """(a, x, r_0): the increments a_1..a_K, tilted by x.
-
-    K is the least index for which the increments past it, read or not,
-    sum to at most _TAIL / L of all of them, each tilted by e^{kx}; and the
-    weights read give a_1..a_K to _TAIL relative (`_enough`), or end, past
-    _MAX_WEIGHTS, in one term for the rest of the tail.  x is the tilt of
-    the increments kept untilted by the same rule, and the tilted
-    increments past that first cut are bounded by their untilted sum times
-    the largest e^{kx} among them.
-    """
+    """(a, x, r_0): the increments a_1..a_K, tilted by x = log phi where
+    rho1 > 1 and by x = 0 else.  K is the least index for which the tilted
+    increments past it, read or not, sum to at most _TAIL / L of all of
+    them; and the weights read give a_1..a_K to _TAIL relative (`_enough`),
+    or end, past _MAX_WEIGHTS, in one term for the rest of the tail."""
     n = _FIRST_WEIGHTS
+    r = _weights(model, n)
+    # after the first read, which refuses an r_0 that would leave phi at 0
+    x = math.log(_root_phi(model.lam, model.b1)) if model.rho1 > 1.0 else 0.0
     while True:
-        r = _weights(model, n)
         whole = n >= _MAX_WEIGHTS
         if whole:
             # a tail too long to sum: the weights past r_n enter as one
             # term, 1 - sum(r), good to about 1e-16 / T_L relative
             r.append(max(1.0 - math.fsum(r), 0.0))
         a, unseen = _increments(r, L)
-        total = sum(a)
-        # where the untilted sum is above 1, the tilted one is 1
-        budget = _TAIL / L * min(total, 1.0) - unseen
+        if x:
+            a = [v * math.exp(k * x) for k, v in enumerate(a, 1)]
+            # each unread a_k, k > len(a), is tilted by at most this
+            if unseen < math.inf:
+                unseen *= math.exp((len(a) + 1) * x)
+        budget = _TAIL / L * sum(a) - unseen
         K = _cut(a, budget)
         if whole or budget >= 0.0 and _enough(r, K):
-            break
+            return a[:K], x, r[0]
         n = min(2 * n, _MAX_WEIGHTS)
-    if total <= 1.0:
-        return a[:K], 0.0, r[0]
-    x = _tilt(a[:K])
-    past = (sum(a[K:]) + unseen) * math.exp((K + 1) * x)
-    a = [v * math.exp(k * x) for k, v in enumerate(a[:K], 1)]
-    return a[:_cut(a, _TAIL / L * sum(a) - past)], x, r[0]
-
-
-def _tilt(a):
-    """The x < 0 with sum_k a_k e^{kx} = 1, given increments a_1..a_K that
-    sum to above 1: Newton's method on the log of the sum, which is convex
-    and increasing in x (the iterates fall to the root without passing it),
-    and finite where a_k reaches 1e300 and e^{kx} underflows."""
-    log_a = [math.log(v) if v > 0.0 else -math.inf for v in a]
-    k = range(1, len(a) + 1)
-    x = 0.0
-    while True:
-        e = [v + i * x for i, v in zip(k, log_a)]
-        top = max(e)
-        w = [math.exp(v - top) for v in e]
-        total = sum(w)
-        step = (top + math.log(total)) * total / sum(map(operator.mul, k, w))
-        if not x - step < x:
-            return x
-        x -= step
+        r = _weights(model, n)
 
 
 def _renewal(a, L):

@@ -5,7 +5,9 @@ The recurrence is a renewal loop on the band of increments a_1..a_K that
 Its terms are all nonnegative, and it runs in blocks that double from 1
 entry to _RENEWAL_BLOCK, each block two C-level convolutions whose history
 reaches back K entries: O(L K).  ``busy_period_recurrence`` runs the band
-wherever numpy is loaded; `exact` runs it on Python floats where it is not.
+wherever numpy is loaded, and in a process without numpy where its L K
+multiply-adds are above `exact._PYTHON_MAX_WORK`; `exact` runs the rest on
+Python floats.
 
 The simulator runs many regeneration cycles at once as lanes of numpy
 arrays, and each step advances every lane by a block of service slots (see
@@ -41,7 +43,7 @@ import numpy as np
 # and u_m = sum_{k=1..min(m, K)} a_k u_{m-k}, with generating function U(z) =
 # 1 / (1 - A(z)); `exact` sums it to the counts Q.  Every term is
 # nonnegative, so nothing cancels, and `exact` has tilted the band so that
-# every u_m stays at most 1.
+# u tends to a constant: every u_m stays within a few percent of its limit.
 #
 # The loop runs in blocks.  Within a block [s, s + nb), u_{s+i} = h_i +
 # sum_{k=1..i} a_k u_{s+i-k}, where the history h_i = sum_{j<s} a_{s+i-j}
@@ -231,10 +233,13 @@ class _Slots:
     def __init__(self, state):
         self.state = state
 
-    def take(self, idx, m):
-        """Consume the next m uniforms of the given streams, one row per draw."""
-        state = self.state[idx]
-        self.state[idx] = state + _OFFSET[m]
+    def __len__(self):
+        return len(self.state)
+
+    def take(self, m):
+        """Consume the next m uniforms of every stream, one row per draw."""
+        state = self.state
+        self.state = state + _OFFSET[m]
         return _uniforms(state, m)
 
     def peek(self, idx, m):
@@ -308,10 +313,9 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
         width = min(_MAX_SLOTS, max(_MIN_SLOTS, _STEP_SLOTS // len(lanes)))
         shape = (width, len(lanes))
         keys = _slot_keys(lanes.key, lanes.slot + np.arange(width)[:, None]).ravel()
-        entries = np.arange(keys.size)
         # row j of each (width, lanes) array is slot j of the step
-        s1 = b1.lane_services(_Slots(keys + _KIND[_B1]), entries)
-        s2 = b2.lane_services(_Slots(keys + _KIND[_B2]), entries)
+        s1 = b1.lane_services(_Slots(keys + _KIND[_B1]))
+        s2 = b2.lane_services(_Slots(keys + _KIND[_B2]))
         # both candidates' arrival counts read the slot's arrival draws
         net = _poisson_counts(lam * np.concatenate((s1, s2)), keys) - 1
         s1, s2 = s1.reshape(shape), s2.reshape(shape)

@@ -268,7 +268,7 @@ def test_stream_key_matches_splitting_rule(seed):
     assert got.tolist() == want
     for kind in (_ARRIVALS, _B1, _B2):
         draws = kernels._Slots(got.ravel() + kernels._KIND[kind])
-        u = draws.take(np.arange(got.size), 3)
+        u = draws.take(3)
         for col, slot_key in enumerate(got.ravel().tolist()):
             stream = _Stream(slot_key, kind)
             assert u[:, col].tolist() == [stream.u01() for _ in range(3)]

@@ -75,12 +75,19 @@ def full_increments(m):
     return np.where(head >= 0.5, head, tail) / r[0], r[0]
 
 
+def log_phi(m):
+    """log of the 40-digit root phi where rho1 > 1, else 0."""
+    if m.rho1 <= 1.0:
+        return 0.0
+    return float(mpmath.log(mp_reference.root_phi(m.lam, m.b1)))
+
+
 def unbanded_q_top(m):
     """Q_L by the kernels' loop on all of a_1..a_L (K = L), tilted by the
-    root on all of them: O(L^2), the reference for the band."""
+    40-digit log phi: O(L^2), the reference for the band."""
     L = int(m.level)
     a, r0 = full_increments(m)
-    x = exact._tilt(a.tolist()) if a.sum() > 1.0 else 0.0
+    x = log_phi(m)
     u, scales = kernels.busy_period_recurrence(
         a * np.exp(np.arange(1, L + 1) * x), L, x)
     q = exact._finite_q(float(np.dot(u[:-1], np.exp(-scales[:0:-1]))) / r0)
@@ -184,11 +191,22 @@ def test_band_drops_at_most_its_share(tag, rho1, level):
 @pytest.mark.parametrize("tag, rho1, level",
                          [case for case in BAND_CASES if case[1] > 1.0])
 def test_band_tilt_is_the_kernels_tilt(tag, rho1, level):
-    # the root on the band's K increments, against the one on all L
+    # the tilt the kernels run the band at is the log of the law's root phi
     m = model(tag, rho1, level)
     x = exact._band(m, level)[1]
-    want = exact._tilt(full_increments(m)[0].tolist())
-    assert x == pytest.approx(want, rel=1e-15, abs=1e-15)
+    assert x == pytest.approx(log_phi(m), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("tag", ["det", "gamma2.5", "exp"])
+@pytest.mark.parametrize("rho1", [1.0 + 1e-12, 1.0 + 1e-9, 1.05])
+def test_tilted_renewal_stays_in_range(tag, rho1):
+    # root_phi's error near rho1 = 1 leaves the tilted u near its limit
+    L = 64000
+    m = model(tag, rho1, L)
+    a, x, _ = exact._band(m, L)
+    u = kernels.busy_period_recurrence(a, L, x)[0]
+    assert 0.5 <= u[L - 1] / u[L // 2] <= 2.0
+    assert u.max() <= 2.0
 
 
 def test_band_renewal_is_the_kernels_loop_on_the_band():
