@@ -28,8 +28,17 @@ on the band in the kernels.
 So optimize --mode asymptotic, sweep, --help, a rejected option, and the
 exact commands on phase-type laws and on laws whose L K is within the
 bound, slow gamma tails too, never load numpy; csv is imported by the two
-commands that write it.  The parser holds every command's name and help
-but only the named command's options.
+commands that write it.
+
+A well-formed request, `CMD (--flag VALUE)*` with each flag one the command
+takes, given once, and no VALUE starting with "-", is read straight from
+COMMANDS and OPTIONS, and its JSON record is written by _json; so it
+imports neither argparse (with gettext and locale) nor json, 8-10 ms a
+process.  Any other argv (--help, a refused or abbreviated flag,
+--flag=value, a repeated flag, a value starting with "-", a --format other
+than json or text) goes to argparse, which writes every usage, help and
+error message; its parser holds every command's name and help but only the
+named command's options.  json is imported only to read --config.
 
 A request also skips the exit's garbage collections.  main registers
 gc.freeze with atexit, once per process, so the collections run while the
@@ -43,10 +52,8 @@ damctl or damctl.cli registers nothing, and an in-process caller collects
 as before until its own exit.
 """
 
-import argparse
 import atexit
 import gc
-import json
 import math
 import os
 import sys
@@ -88,10 +95,39 @@ def _text_lines(rec, prefix=""):
             yield "%s%s = %s" % (prefix, key, _fmt(val))
 
 
+def _json(obj):
+    """obj as json.dumps(obj) writes it, Infinity and NaN included.  What
+    the records do not hold (a string that needs escaping, a key that is
+    not a string, None, a bool, another type) is left to json.dumps."""
+    kind = type(obj)
+    if kind is float:
+        if math.isfinite(obj):
+            return repr(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if kind is int:
+        return repr(obj)
+    if kind is str and _plain(obj):
+        return '"%s"' % obj
+    if kind is dict and all(type(k) is str and _plain(k) for k in obj):
+        return "{%s}" % ", ".join('"%s": %s' % (k, _json(v))
+                                  for k, v in obj.items())
+    if kind is list:
+        return "[%s]" % ", ".join(map(_json, obj))
+    import json
+
+    return json.dumps(obj)
+
+
+def _plain(text):
+    """Whether json.dumps writes text unescaped, between quotes."""
+    return (text.isascii() and text.isprintable() and '"' not in text
+            and "\\" not in text)
+
+
 def _emit_record(rec, fmt):
     rec = _round12(rec)
     if fmt == "json":
-        print(json.dumps(rec))
+        print(_json(rec))
     else:
         for line in _text_lines(rec):
             print(line)
@@ -217,12 +253,15 @@ OPTIONS = {
 
 
 def _read_options(args, names):
-    """The named options, each from its flag, else the config file, else its
-    default, and converted.  A required option given nowhere, or given as
-    null, is missing."""
+    """The named options, each from its flag (args maps each flag's dest to
+    its string, or None), else the config file, else its default, and
+    converted.  A required option given nowhere, or given as null, is
+    missing."""
     cfg = {}
-    if args.config:
-        with open(args.config) as fh:
+    if args["config"]:
+        import json
+
+        with open(args["config"]) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
@@ -233,7 +272,7 @@ def _read_options(args, names):
     opts = {}
     for name in names:
         convert, default, _ = OPTIONS[name]
-        val = getattr(args, name)
+        val = args[name]
         if val is None:
             val = cfg.get(name, default)
         if default is REQUIRED and (val is None or val is REQUIRED):
@@ -415,10 +454,38 @@ COMMANDS = {
 }
 
 
+def _read_argv(argv):
+    """The namespace argparse builds for a plain argv, `CMD (--flag VALUE)*`,
+    as a dict without its parser: each flag one CMD takes, given once, and
+    no VALUE starting with "-".  None for any other argv, which only
+    argparse reads."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    cmd = argv[0]
+    _, _, names, output = COMMANDS[cmd]
+    flags = {"--" + name.replace("_", "-"): name
+             for name in ["config"] + names + [output]}
+    args = dict.fromkeys(flags.values())
+    args["cmd"] = cmd
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        dest = flags.get(flag)
+        if dest is None or args[dest] is not None or value.startswith("-"):
+            return None
+        args[dest] = value
+    if "format" in args:
+        if args["format"] is None:
+            args["format"] = "json"
+        elif args["format"] not in ("json", "text"):
+            return None
+    return args
+
+
 def build_parser(cmd):
     """The parser of every command, with the options of `cmd` alone: argparse
     hands the arguments after a command's name to that command's parser, so
     the others need only their name and help."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="damctl", allow_abbrev=False,
         description="Exact/asymptotic analysis and optimal release-rate "
@@ -458,21 +525,27 @@ def main(argv=None):
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     if argv is None:
         argv = sys.argv[1:]
-    # the command is the first argument that is not a flag, as argparse reads it
-    cmd = next((a for a in argv if not a.startswith("-")), None)
-    try:
-        # a flag the command does not take is refused with its own usage line
-        args, extra = build_parser(cmd).parse_known_args(argv)
-        if extra:
-            args.parser.error("unrecognized arguments: " + " ".join(extra))
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
-    func, _, names, output = COMMANDS[args.cmd]
+    args = _read_argv(argv)
+    if args is None:
+        # the command is the first argument that is not a flag, as argparse
+        # reads it
+        cmd = next((a for a in argv if not a.startswith("-")), None)
+        try:
+            # a flag the command does not take is refused with its own usage
+            # line
+            parsed, extra = build_parser(cmd).parse_known_args(argv)
+            if extra:
+                parsed.parser.error("unrecognized arguments: "
+                                    + " ".join(extra))
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else 2
+        args = vars(parsed)
+    func, _, names, output = COMMANDS[args["cmd"]]
     try:
         opts = _read_options(args, names)
-        opts[output] = getattr(args, output)
+        opts[output] = args[output]
         return func(opts)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except (DamctlError, ArithmeticError) as exc:

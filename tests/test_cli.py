@@ -6,9 +6,11 @@ import subprocess
 import sys
 import time
 import warnings
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from damctl import asymptotics, cli, exact, kernels, simulator
 from damctl.distributions import dist_from_dict
@@ -649,6 +651,9 @@ runs = [
     (["optimize"] + model + ["--level", "5", "--mode", "exact",
       "--rho1-max", "inf"], 2),
     (["--help"], 0),
+    (["sweep", "--help"], 0),
+    ([], 2),
+    (["frobnicate"], 2),
     (["analyze"] + model + ["--level", "5"], 0),
     (["analyze", "--lambda", "1", "--b1", "gamma:2.5:2", "--b2", "exp:2",
       "--level", top], 0),
@@ -797,47 +802,60 @@ def test_banded_laws_solve_without_numpy(tmp_path, capsys):
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    """Importing the CLI loads none of dataclasses, inspect, csv or numpy;
-    the commands that need no numpy (the exact ones at small L included)
-    load none of dataclasses, inspect or numpy, and no command loads
-    dataclasses."""
+    """Importing the CLI loads none of dataclasses, inspect, csv, numpy or
+    the argv and JSON tooling (argparse, gettext, locale, json); the
+    commands that need no numpy (the exact ones at small L included) load
+    none of dataclasses, inspect or numpy, no well-formed request loads the
+    tooling, --config loads json alone, --help and a refused flag load
+    argparse, and no command loads dataclasses."""
     script = """
 import contextlib, io, sys
 def loaded(*names):
     return [m for m in names if m in sys.modules]
+TOOLING = ("argparse", "gettext", "locale", "json")
 import damctl.cli
 from damctl import cli
-assert not loaded("dataclasses", "inspect", "csv", "numpy"), loaded(
-    "dataclasses", "inspect", "csv", "numpy")
+assert not loaded("dataclasses", "inspect", "csv", "numpy", *TOOLING), loaded(
+    "dataclasses", "inspect", "csv", "numpy", *TOOLING)
 model = ["--lambda", "1", "--b1", "exp:1", "--b2", "exp:2"]
 light = [
     (["optimize"] + model + ["--level", "1000", "--j1", "2"], 0),
     (["optimize"] + model + ["--level", "1000", "--j1", "0.5"], 0),
     (["sweep"] + model + ["--c-grid", "0:4:0.25"], 0),
-    (["--help"], 0),
-    (["sweep", "--help"], 0),
-    ([], 2),
-    (["frobnicate"], 2),
-    (["simulate"] + model + ["--level", "5", "--j1", "2"], 2),
     (["analyze", "--lambda", "nan", "--b1", "exp:1", "--b2", "exp:2",
       "--level", "5"], 2),
     (["optimize"] + model + ["--level", "5", "--mode", "exact",
       "--rho1-max", "inf"], 2),
     (["analyze"] + model + ["--level", "50"], 0),
+    (["analyze"] + model + ["--level", "50", "--format", "text"], 0),
     (["optimize"] + model + ["--level", "20", "--mode", "exact"], 0),
     (["verify"] + model + ["--regime", "upper", "--levels", "50,100"], 0),
 ]
 heavy = [
     (["simulate"] + model + ["--level", "5", "--cycles", "256"], 0),
 ]
-for argv, want in light + heavy:
+with open("run.json", "w") as fh:
+    fh.write('{"lambda": 1, "b1": "exp:1", "b2": "exp:2", "level": 50}')
+config = [(["analyze", "--config", "run.json"], 0)]
+parsed = [
+    (["--help"], 0),
+    (["sweep", "--help"], 0),
+    ([], 2),
+    (["frobnicate"], 2),
+    (["simulate"] + model + ["--level", "5", "--j1", "2"], 2),
+]
+for argv, want in light + heavy + config + parsed:
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == want, argv
     if (argv, want) in light:
         assert not loaded("dataclasses", "inspect", "numpy"), (argv, loaded(
             "dataclasses", "inspect", "numpy"))
-assert loaded("numpy", "csv") == ["numpy", "csv"]
+    if (argv, want) in light + heavy:
+        assert not loaded(*TOOLING), (argv, loaded(*TOOLING))
+    if (argv, want) in config:
+        assert loaded(*TOOLING) == ["json"], (argv, loaded(*TOOLING))
+assert loaded("numpy", "csv", "argparse") == ["numpy", "csv", "argparse"]
 print(loaded("dataclasses"))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -1154,3 +1172,99 @@ print(atexit._ncallbacks() - before)
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+# every flag some command takes, so that each command meets flags it does
+# not take; the values include ones that start with "-", the empty string
+# and --format values argparse refuses
+EVERY_FLAG = sorted({"--" + n.replace("_", "-") for n in cli.OPTIONS}
+                    | {"--config", "--format", "--out"})
+PLAIN_VALUES = ["1", "exp:1.25", "json", "text", "JSON", "csv", "", "a b",
+                "x=1", "analyze"]
+FLAG_VALUES = ["-1", "-h", "--help", "--lambda", "-"]
+
+
+@st.composite
+def argvs(draw):
+    """A command with some of its flags, each once and most with a value
+    that does not start with "-", and at one place among them a few of:
+    pairs of any flag and value, --flag=value, -h, --help and stray
+    values."""
+    cmd = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, names, output = cli.COMMANDS[cmd]
+    own = ["--" + n.replace("_", "-") for n in ["config"] + names + [output]]
+    plain = st.one_of(st.sampled_from(PLAIN_VALUES), st.text(max_size=3).filter(
+        lambda v: not v.startswith("-")))
+    value = st.one_of(plain, st.sampled_from(FLAG_VALUES))
+    flag = st.one_of(st.sampled_from(own), st.sampled_from(EVERY_FLAG))
+    part = st.one_of(
+        st.tuples(flag, value),
+        st.builds(lambda f, v: (f + "=" + v,), flag, value),
+        st.sampled_from([("-h",), ("--help",), ("",), ("1",)]))
+    argv = [cmd]
+    for name in draw(st.lists(st.sampled_from(own), unique=True)):
+        argv += [name, draw(st.one_of(plain, plain, plain, value))]
+    at = 1 + 2 * draw(st.integers(0, (len(argv) - 1) // 2))
+    argv[at:at] = [token for p in draw(st.lists(part, max_size=3))
+                   for token in p]
+    return argv
+
+
+class ReachedArgparse(Exception):
+    pass
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400,
+          print_blob=True)
+@given(argvs())
+def test_plain_argv_reads_as_argparse_does(argv):
+    """An argv that the table reader accepts gives argparse's namespace, with
+    no extras; every other argv reaches argparse."""
+    args = cli._read_argv(argv)
+    if args is None:
+        with mock.patch.object(cli, "build_parser",
+                               side_effect=ReachedArgparse), \
+                pytest.raises(ReachedArgparse):
+            cli.main(argv)
+        return
+    try:
+        parsed, extra = cli.build_parser(argv[0]).parse_known_args(argv)
+    except SystemExit:
+        pytest.fail("argparse refuses %r" % (argv,))
+    assert extra == []
+    want = vars(parsed)
+    del want["parser"]
+    assert args == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"] + MM1_FLAGS,
+    # today's Infinity case: e_nu1 and the fields after it overflow
+    ["analyze", "--lambda", "1", "--b1", "exp:0.5", "--b2", "exp:2",
+     "--level", "2000"],
+    ["optimize"] + MM1_FLAGS,
+    ["optimize"] + MM1_FLAGS + ["--mode", "exact"],
+    ["simulate"] + MM1_FLAGS[:8] + ["--cycles", "256"],
+])
+def test_records_are_written_as_json_dumps_writes_them(capsys, monkeypatch,
+                                                         argv):
+    records = []
+    emit = cli._emit_record
+    monkeypatch.setattr(cli, "_emit_record",
+                        lambda rec, fmt: records.append(rec) or emit(rec, fmt))
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    [rec] = records
+    rec = cli._round12(rec)
+    assert out == cli._json(rec) + "\n" == json.dumps(rec) + "\n"
+    # only the second record overflows
+    assert ("Infinity" in out) == (argv[4] == "exp:0.5")
+
+
+def test_json_writer_on_every_kind_of_value():
+    rec = {"none": None, "yes": True, "no": False, "int": -3, "big": 10 ** 30,
+           "zero": -0.0, "tiny": 5e-324, "inf": -math.inf, "nan": math.nan,
+           "list": [1, 2.5, [], {}, {"deep": {"x": math.inf}}],
+           "text": "exp", "quote": 'a "b" \\ c', "tab": "a\tb", "ascii": "é",
+           "keys": {1: "one"}, "tuple": (1, 2)}
+    assert cli._json(rec) == json.dumps(rec)

@@ -12,8 +12,13 @@ column name.  Each numeric field that differs is printed with its largest
 relative difference, |a - b| / max(|a|, |b|), and its largest difference
 in units of the last digit printed, over the requests.
 
-Exits 1 if any exit code, any stderr or any non-numeric text differs, else
-0.
+Then each argv of PARSED_ARGV, which only argparse reads (help, a missing
+or unknown command, a refused or abbreviated flag, --flag=value, a value
+starting with "-"), runs once under each tree, and its exit code, stdout
+and stderr must be the same bytes.
+
+Exits 1 if any exit code, any stderr or any non-numeric text differs, or
+any PARSED_ARGV output differs at all, else 0.
 """
 
 import argparse
@@ -26,6 +31,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALL_MAIN = "import sys; from damctl.cli import main; sys.exit(main(sys.argv[1:]))"
+MODEL = ["--lambda", "1", "--b1", "exp:1.25", "--b2", "exp:2"]
+PARSED_ARGV = [
+    ["--help"],
+    ["sweep", "--help"],
+    [],
+    ["frobnicate"],
+    ["simulate"] + MODEL + ["--level", "5", "--j1", "2"],
+    ["analyze", "--c", "3"] + MODEL + ["--level", "5"],
+    ["analyze", "--lambda=1", "--b1", "exp:1.25", "--b2", "exp:2",
+     "--level", "5"],
+    ["verify"] + MODEL + ["--regime", "upper", "--c", "-1", "--levels", "50"],
+]
 
 
 def load_workloads():
@@ -174,6 +191,16 @@ def main(argv=None):
             print("  %-16s %-12s max rel diff %.2g, %.3g last-digit units"
                   " (%d request%s)" % (command, name, rel, units, count,
                                        "" if count == 1 else "s"))
+    same = 0
+    for argv in PARSED_ARGV:
+        old, new = run(args.parent_src, argv), run(args.change_src, argv)
+        if old == new:
+            same += 1
+        else:
+            print("DIFFER  %r\n  parent %r\n  change %r" % (argv, old, new))
+            failed = True
+    print("argparse: %d of %d argv print the same bytes"
+          % (same, len(PARSED_ARGV)))
     return 1 if failed else 0
 
 
