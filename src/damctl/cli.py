@@ -439,6 +439,9 @@ def cmd_sweep(o):
 # --- the commands: name -> (function, help, options read, output flag:
 # "format" for a JSON record, "out" for CSV) ---
 
+# the --format values, the first the default
+FORMATS = ("json", "text")
+
 COMMANDS = {
     "analyze": (cmd_analyze, "exact busy-period and stationary metrics",
                 "lambda b1 b2 level j1 j2".split(), "format"),
@@ -454,6 +457,11 @@ COMMANDS = {
 }
 
 
+def _flag(name):
+    """The flag of an option or output name: c_max -> --c-max."""
+    return "--" + name.replace("_", "-")
+
+
 def _read_argv(argv):
     """The namespace argparse builds for a plain argv, `CMD (--flag VALUE)*`,
     as a dict without its parser: each flag one CMD takes, given once, and
@@ -463,8 +471,7 @@ def _read_argv(argv):
         return None
     cmd = argv[0]
     _, _, names, output = COMMANDS[cmd]
-    flags = {"--" + name.replace("_", "-"): name
-             for name in ["config"] + names + [output]}
+    flags = {_flag(name): name for name in ["config"] + names + [output]}
     args = dict.fromkeys(flags.values())
     args["cmd"] = cmd
     for flag, value in zip(argv[1::2], argv[2::2]):
@@ -474,8 +481,8 @@ def _read_argv(argv):
         args[dest] = value
     if "format" in args:
         if args["format"] is None:
-            args["format"] = "json"
-        elif args["format"] not in ("json", "text"):
+            args["format"] = FORMATS[0]
+        elif args["format"] not in FORMATS:
             return None
     return args
 
@@ -496,16 +503,14 @@ def build_parser(cmd):
         p.set_defaults(parser=p)
         if name != cmd:
             continue
-        p.add_argument("--config",
+        p.add_argument(_flag("config"),
                        help="JSON config file; flags override its values")
         for opt in names:
-            p.add_argument("--" + opt.replace("_", "-"), dest=opt,
-                           help=OPTIONS[opt][2])
+            p.add_argument(_flag(opt), dest=opt, help=OPTIONS[opt][2])
         if output == "format":
-            p.add_argument("--format", choices=("json", "text"),
-                           default="json")
+            p.add_argument(_flag(output), choices=FORMATS, default=FORMATS[0])
         else:
-            p.add_argument("--out", help="write CSV output to this path")
+            p.add_argument(_flag(output), help="write CSV output to this path")
     return parser
 
 

@@ -624,16 +624,19 @@ print(sorted(m for m in sys.modules
 
 
 def test_small_problems_do_not_import_numpy(tmp_path):
-    """Start-up, the asymptotic commands, config errors and the exact
-    commands whose band's work is within exact._PYTHON_MAX_WORK run
-    without numpy, slow tails included, however many weights they read; a
-    law past that bound needs numpy, and the first command that loads it
-    pins OpenBLAS to one thread."""
+    """Start-up, the asymptotic commands, config errors, the argv argparse
+    reads (--help, a missing or unknown command, a refused flag) and the
+    exact commands whose band's work is within exact._PYTHON_MAX_WORK run
+    without numpy, dataclasses or inspect, slow tails included, however
+    many weights they read; a law past that bound needs numpy, and the
+    first command that loads it pins OpenBLAS to one thread."""
     script = """
 import contextlib, io, os, sys
 heavy, level = sys.argv[1:]
 def numpy_loaded():
     return any(m.split(".")[0] == "numpy" for m in sys.modules)
+def loaded(*names):
+    return [m for m in names if m in sys.modules]
 import damctl.cli
 from damctl import cli, exact, CostModel, DamModel, optimize_asymptotic
 assert not numpy_loaded(), "import"
@@ -678,6 +681,8 @@ for argv, want in runs:
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == want, argv
     assert not numpy_loaded(), argv
+    assert not loaded("dataclasses", "inspect"), (argv, loaded(
+        "dataclasses", "inspect"))
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["analyze", "--lambda", "1", "--b1", heavy, "--b2", "exp:2",
                      "--level", level]) == 0
@@ -807,7 +812,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     commands that need no numpy (the exact ones at small L included) load
     none of dataclasses, inspect or numpy, no well-formed request loads the
     tooling, --config loads json alone, --help and a refused flag load
-    argparse, and no command loads dataclasses."""
+    argparse, and no command loads dataclasses.  The argv argparse reads
+    run last, after numpy is loaded; test_small_problems_do_not_import_numpy
+    checks that they load none of dataclasses, inspect or numpy."""
     script = """
 import contextlib, io, sys
 def loaded(*names):
@@ -1177,8 +1184,8 @@ print(atexit._ncallbacks() - before)
 # every flag some command takes, so that each command meets flags it does
 # not take; the values include ones that start with "-", the empty string
 # and --format values argparse refuses
-EVERY_FLAG = sorted({"--" + n.replace("_", "-") for n in cli.OPTIONS}
-                    | {"--config", "--format", "--out"})
+EVERY_FLAG = sorted(cli._flag(n)
+                    for n in ["config", *cli.OPTIONS, "format", "out"])
 PLAIN_VALUES = ["1", "exp:1.25", "json", "text", "JSON", "csv", "", "a b",
                 "x=1", "analyze"]
 FLAG_VALUES = ["-1", "-h", "--help", "--lambda", "-"]
@@ -1192,11 +1199,14 @@ def argvs(draw):
     values."""
     cmd = draw(st.sampled_from(list(cli.COMMANDS)))
     _, _, names, output = cli.COMMANDS[cmd]
-    own = ["--" + n.replace("_", "-") for n in ["config"] + names + [output]]
+    own = [cli._flag(n) for n in ["config"] + names + [output]]
+    # a flag cut short by one letter, which argparse refuses unabbreviated
+    cut = [f[:-1] for f in own if len(f) > 3]
     plain = st.one_of(st.sampled_from(PLAIN_VALUES), st.text(max_size=3).filter(
         lambda v: not v.startswith("-")))
     value = st.one_of(plain, st.sampled_from(FLAG_VALUES))
-    flag = st.one_of(st.sampled_from(own), st.sampled_from(EVERY_FLAG))
+    flag = st.one_of(st.sampled_from(own), st.sampled_from(EVERY_FLAG),
+                     st.sampled_from(cut))
     part = st.one_of(
         st.tuples(flag, value),
         st.builds(lambda f, v: (f + "=" + v,), flag, value),

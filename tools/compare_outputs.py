@@ -38,7 +38,8 @@ PARSED_ARGV = [
     [],
     ["frobnicate"],
     ["simulate"] + MODEL + ["--level", "5", "--j1", "2"],
-    ["analyze", "--c", "3"] + MODEL + ["--level", "5"],
+    ["analyze", "--lam", "1", "--b1", "exp:1.25", "--b2", "exp:2",
+     "--level", "5"],
     ["analyze", "--lambda=1", "--b1", "exp:1.25", "--b2", "exp:2",
      "--level", "5"],
     ["verify"] + MODEL + ["--regime", "upper", "--c", "-1", "--levels", "50"],
