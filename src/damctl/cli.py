@@ -16,19 +16,17 @@ Exit codes: 0 success, 2 configuration error, 3 numeric error.
 A request imports and builds only what it runs.  The exact commands
 (analyze, verify, simulate, optimize --mode exact) import `exact` when they
 run, after checking their options, and simulate imports `simulator`, and
-with it numpy.  While numpy is not loaded, `exact` solves an exp, Erlang or
-hyper law of at most exact.MAX_PHASES (8) phases on Python floats at any
-level, by its phases in O(L d), and any other law by its band of K
-increments in O(L K), on Python floats while L K is at most
-exact._PYTHON_MAX_WORK (2^18, between where one `analyze` and the 17 or so
-solves of one `optimize --mode exact` stop paying against `import numpy`
-and the numpy solves) and on numpy past it.  It reads sys.modules because
-a caller that loaded numpy (perfbench/launcher.py) then sees every solve
-on the band in the kernels.
-So optimize --mode asymptotic, sweep, --help, a rejected option, and the
-exact commands on phase-type laws and on laws whose L K is within the
-bound, slow gamma tails too, never load numpy; csv is imported by the two
-commands that write it.
+with it numpy, only after its exact solve and its size check.  While numpy
+is not loaded, `exact` solves every law by its band of K increments on
+Python floats, in a loop that stops once the renewal sequence settles to a
+geometric one, and on numpy only where that loop would pass
+exact._PYTHON_MAX_WORK (2^18) multiply-adds first: slow tails such as
+gamma(0.1) past L of about 550.  A caller that loaded numpy
+(perfbench/launcher.py) sees every solve on numpy's loop.  So optimize
+--mode asymptotic, sweep, --help, a rejected option, a refused simulate and
+the exact commands on every other law, slow gamma tails too, never load
+numpy, and simulate prints the exact numbers analyze prints; csv is
+imported by the two commands that write it.
 
 A well-formed request, `CMD (--flag VALUE)*` with each flag one the command
 takes, given once, and no VALUE starting with "-", is read straight from
@@ -404,9 +402,11 @@ def cmd_simulate(o):
     model = DamModel(lam=o["lambda"], b1=o["b1"], b2=o["b2"], level=o["level"])
     sim_cfg = SimulationConfig(model=model, n_cycles=o["cycles"],
                                seed=o["seed"], batch_count=o["batches"])
-    from . import exact, simulator
+    from . import exact
 
-    # the exact solution predicts the work before any cycle is drawn
+    # the exact solution predicts the work before any cycle is drawn; numpy,
+    # which the simulator loads, is not loaded yet, so its numbers are
+    # analyze's
     sol = exact.solve(model)
     bp = sol.busy
     services = sim_cfg.n_cycles * (bp.e_nu1 + bp.e_nu2)
@@ -416,6 +416,8 @@ def cmd_simulate(o):
             "expected services each), more than the limit of %.0e"
             % (services, sim_cfg.n_cycles, bp.e_nu1 + bp.e_nu2,
                MAX_SIM_SERVICES))
+    from . import simulator
+
     report = simulator.simulate(sim_cfg)
     rec = {"command": "simulate", "model": _model_dict(model)}
     rec.update(report.to_dict())

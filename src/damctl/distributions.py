@@ -14,11 +14,6 @@ them once, on Python floats (`_log_weights`), by one of three recipes:
 negative binomial (exponential, Erlang, gamma), Poisson (deterministic) or
 a mixture of phases (hyperexponential).
 
-The phase-type families (exponential, Erlang, hyperexponential) also give
-`phases(most)`: an acyclic representation by exponential phases in series
-or in parallel, from which `exact` solves Q_L without the weights.  Gamma
-and deterministic laws give None.
-
 numpy is imported only by the samplers (`lane_services`), so building a
 distribution, describing it and reading its weights do not load it.  The
 serializers read each family's field names and types from its record
@@ -98,17 +93,7 @@ class ServiceDistribution(Record):
     uniforms on (0, 1] only through slots.take(m) (every stream), peek(idx,
     m) and skip(idx, counts) (the streams in index array idx), at most
     slots.BLOCK at once (kernels._Slots), and consumes just the draws used.
-
-    A phase-type family overrides phases(most); the rest inherit None.
     """
-
-    def phases(self, most):
-        """(alpha, rates, onward): a service starts in phase i with
-        probability alpha[i], which ends at rate rates[i] and then passes
-        to phase i + 1 with probability onward[i], else ends the service.
-        None for a law that is not phase-type or needs more than `most`
-        phases (an Erlang shape can be far too large to list)."""
-        return None
 
     def mean(self):
         return self.raw_moment(1)
@@ -166,9 +151,6 @@ class Exponential(ServiceDistribution):
 
     def _with_mean(self, b):
         return Exponential(rate=1.0 / b)
-
-    def phases(self, most):
-        return ((1.0,), (self.rate,), (0.0,)) if most >= 1 else None
 
     def lane_services(self, slots):
         import numpy as np
@@ -249,13 +231,6 @@ class Erlang(Gamma):
         if self.rate <= 0:
             raise ValueError("Erlang rate must be positive")
 
-    def phases(self, most):
-        k = int(self.shape)
-        if k > most:
-            return None
-        return ((1.0,) + (0.0,) * (k - 1), (self.rate,) * k,
-                (1.0,) * (k - 1) + (0.0,))
-
     def lane_services(self, slots):
         import numpy as np
 
@@ -333,11 +308,6 @@ class HyperExponential(ServiceDistribution):
         factor = self.mean() / b
         return HyperExponential(weights=self.weights,
                                 rates=tuple(r * factor for r in self.rates))
-
-    def phases(self, most):
-        if len(self.rates) > most:
-            return None
-        return self.weights, self.rates, (0.0,) * len(self.rates)
 
     def lane_services(self, slots):
         """Pick a phase with the first uniform, draw its exponential with the

@@ -13,22 +13,6 @@ E idle) the share in b2 service.  The paper's p2 is P(L_t > L^upper): on
 exp laws with rho2 = 0.5 a direct solve of the level chain gave that as
 2 p2 at every L from 5 to 120.
 
-Q_L has two routes, chosen in `_q_top` alone.  While numpy is not loaded,
-a law that lists its phases (`phases(MAX_PHASES)`: exp, Erlang and
-hyperexponential laws of at most MAX_PHASES phases) runs the phase route
-at any L up to MAX_LEVEL; every other solve runs the band.
-
-The phase route.  A phase-type law's renewal sequence u also follows a
-d-dimensional linear filter with nonnegative coefficients (Neuts,
-Matrix-Geometric Solutions in Stochastic Models, 1981; Latouche and
-Ramaswami, 1999, ch. 2), so Q_L costs O(L d) on Python floats, with no
-weights, truncation or tilt: about (0.45 + 0.12 d) us a step, 2-3 ms at
-L = 4000 for d <= 3.  At d = MAX_PHASES the whole `optimize --mode
-exact` process (about 17 solves, the command that solves most often) on
-an Erlang(8) law, fresh, medians of 5 against numpy imported first and
-its banded loop, took 0.17 against 0.20 s at L = 2000, 0.19 against 0.16
-s at 4000 and 0.59 against 0.26 s at 16000.
-
 The band.  The increments a_k fall geometrically past their mode (by
 about 0.3 a step for gamma(2.5), faster for det's Poisson tail), so the
 renewal loop reads only a_1..a_K: K is the least index past which the
@@ -43,32 +27,41 @@ of a 40-digit root from rho1 = 1.05 on and 1.2e-8 absolute just above 1,
 so up to MAX_LEVEL the tilted u stays within a few percent of its limit.
 K is 16-22 for det laws, 28-56 for gamma(1.5-2.5) and about 470-520 for
 gamma(0.1) at L = 4000-64000.  The weights are one list of Python floats
-(about 0.3 s a read of 2^20).  One of two loops runs the band in O(L K):
-numpy's blocked loop in the kernels once numpy is loaded or where L K is
-above _PYTHON_MAX_WORK, else a list loop, about 25 ns a multiply-add with
-every u_m correctly rounded (`math.fsum`).
-On numpy a det, gamma(2.5) or gamma(0.1) law solves in 1.3-2.4 ms at
-L = 4000, 21-26 ms at 64000 and 0.35-0.44 s at 2^20.
-_PYTHON_MAX_WORK sits between the crossovers of the two commands, which
-`import numpy` sets: fresh processes on a 2-vCPU x86_64 VM, Python 3.11,
-gamma(0.1) laws, medians of 11 of the list loop against numpy imported
-first.  A single `analyze` took 68 against 127 ms at L = 1000 (K L =
-0.45M), 87 against 116 ms at 2000 (0.95M), 102 against 117 ms at 3000 and
-129 against 130 ms at 4000 (1.9M): it pays up to about 2M.  The ~17
-solves of `optimize --mode exact` took 127 against 170 ms at L = 250
-(K = L, 62k a solve), 151 against 170 ms at 350 (0.12M), 212 against 171
-ms at 500 (0.22M) and 308 against 173 ms at 700 (0.31M): they pay up to
-about 0.17M.  At 2^18 the slower choice costs either command at most
-about 1.4-1.8 times the faster, and every gamma law of shape 1.5 or more
-(K L <= 0.23M) and every det law takes the list loop up to L = 4000.
+(about 0.3 s a read of 2^20).
 
-The rule reads sys.modules (`_numpy_loaded`) for two reasons.  Once numpy
-is loaded its loop is the faster per solve (0.1-0.2 ms against 0.25-0.5
-ms on the list loop at L = 200, for det and gamma(1.5-2.5) laws).  And a
-caller that loaded numpy, as perfbench/launcher.py does to wrap
-kernels.busy_period_recurrence, sees every solve go through it.  The phase
-route and both loops agree to 1e-12 relative in Q_L (tests/test_routes.py);
-a change to the exact numerics must land on both routes.
+The settled tail.  The tilted u is a sum of geometric terms, one for each
+root of 1 - A(z).  The dominant one is 1 after the tilt, or the decay
+g < 1 where rho1 < 1, and the others lie far from it (Feller, Vol. I,
+ch. XIII; Takacs, Combinatorial Methods in the Theory of Stochastic
+Processes, 1967), so u_m / u_{m-1} is constant to the last bits after
+M = 25-215 steps for exp, Erlang, det, gamma(0.5-2.5) and hyper laws at
+any L, and about 800 for gamma(0.1).  The list loop (`_renewal`), about
+25 ns a multiply-add with every u_m correctly rounded (`math.fsum`),
+stops once that ratio has held to 4 ulps for K + 1 steps: the K newest
+entries, all that the loop reads, are then geometric, and so is the rest
+of u.  Its ratio g is the root of sum a_k g^-k = 1 (`_log_root`), and the
+rest of Q_L's sum is one geometric series in closed form (`_rest`), so a
+solve costs O((M + K) K) at any L: 0.1-1.3 ms for those laws at L = 4000
+and at 64000, in process on a 2-vCPU x86_64 VM, Python 3.11.
+
+_PYTHON_MAX_WORK bounds the multiply-adds, K a step, that the list loop
+runs before it settles or reaches L.  A band past it (gamma(0.1) from L
+of about 550 on) goes to numpy's blocked loop in the kernels, which runs
+to L in O(L K): 1.3-2.4 ms for a det, gamma(2.5) or gamma(0.1) law at
+L = 4000, 21-26 ms at 64000 and 0.35-0.44 s at 2^20.  Its value, 2^18,
+lies between where one `analyze` and the 17 or so solves of one
+`optimize --mode exact` stop paying for `import numpy` against the list
+loop run to L, in fresh processes; a settled band does less work than
+that loop, so every light-tailed law stays on Python floats.
+
+The rule also reads sys.modules (`_numpy_loaded`): a process that has
+loaded numpy runs every solve on numpy's loop, to L.  perfbench's
+launcher loads numpy to wrap kernels.busy_period_recurrence, and its
+tests read that kernel's span from an analyze, so the kernel and the
+rule stay until that benchmark changes.  The settled tail agrees with
+numpy's loop to 1e-12 relative in Q_L at L up to 64000, and with the list
+loop run to L to 1e-12 up to L = 4000 (tests/test_routes.py); a change
+to the exact numerics must land on both loops.
 """
 
 import math
@@ -110,14 +103,9 @@ _TAIL = 2.0 ** -60
 _FIRST_WEIGHTS = 1 << 7
 _MAX_WEIGHTS = 1 << 20
 
-# the most multiply-adds, L K, of the band's loop run on Python floats while
-# numpy is not loaded
+# the most multiply-adds, K a step, that the band's loop runs on Python
+# floats before it settles, while numpy is not loaded
 _PYTHON_MAX_WORK = 1 << 18
-
-# the most phases of a law whose Q_L runs by its phases while numpy is not
-# loaded, at any L up to MAX_LEVEL
-MAX_PHASES = 8
-
 
 class BusyPeriodMetrics(Record):
     e_nu1: float
@@ -248,35 +236,76 @@ def _band(model, L):
         r = _weights(model, n)
 
 
+def _log_root(a, s):
+    """log g, g the root of sum_k a_k g^-k = 1, by two Newton steps from
+    log g ~ s.  F(s) = sum_k a_k e^{-ks} - 1 is summed as one fsum of a, -1
+    and the a_k expm1(-ks), each to full relative precision, so a log g
+    near 0, where rho1 is near 1 and the settled tail is longest, keeps
+    its own."""
+    ks = range(1, len(a) + 1)
+    for _ in range(2):
+        d = [v * math.expm1(-k * s) for k, v in zip(ks, a)]
+        slope = math.fsum(k * (v + e) for k, v, e in zip(ks, a, d))
+        s += math.fsum(d + a + [-1.0]) / slope
+    return s
+
+
 def _renewal(a, L):
-    """u_0, ..., u_{L-1} of the band a_1..a_K on Python floats: u_m =
-    sum_{k<=min(m, K)} a_k u_{m-k}, from a history of the K newest entries.
+    """(u, log g): u_0, ..., u_{M-1} of the band a_1..a_K on Python floats,
+    u_m = sum_{k<=min(m, K)} a_k u_{m-k} from a history of the K newest
+    entries, and the log ratio of the rest; None where the loop would pass
+    _PYTHON_MAX_WORK multiply-adds, K a step, before it ends.
+
     Each u_m is its sum correctly rounded: near rho1 = 1 u settles to a
     constant, and a plain sum's rounding then recurs at every step, 1.3e-12
-    in Q_L at L = 4000."""
-    history = deque([1.0], maxlen=len(a))
+    in Q_L at L = 4000.  The loop ends at M = L, with log g None, or once
+    u_m / u_{m-1} has held to 4 ulps for K + 1 steps: the history is then
+    geometric, so the rest of u is too, u_m = u_{M-1} g^{m-M+1}."""
+    K = len(a)
+    history = deque([1.0], maxlen=K)
     u = [1.0]
-    for _ in range(L - 1):
-        history.appendleft(math.fsum(map(operator.mul, a, history)))
-        u.append(history[0])
-    return u
+    ratio, tol, held = math.nan, 0.0, 0
+    for _ in range(1, min(L, _PYTHON_MAX_WORK // K)):
+        prev = history[0]
+        v = math.fsum(map(operator.mul, a, history))
+        history.appendleft(v)
+        u.append(v)
+        r = v / prev if prev else math.nan
+        if abs(r - ratio) <= tol:
+            held += 1
+            if held > K:
+                return u, _log_root(a, math.log(r))
+        else:
+            ratio, tol, held = r, 4.0 * math.ulp(r), 0
+    return (u, None) if len(u) == L else None
 
 
-def _band_q_top(model):
-    """Q_L by the band; inf beyond double range.  The kernels' blocked loop
-    runs it once numpy is loaded or past _PYTHON_MAX_WORK multiply-adds,
-    and the list loop else."""
+def _rest(last, n, lg, x):
+    """sum_{j=1..n} last g^j e^{(n+1-j)x}, lg = log g: Q_L's tilted sum
+    past a settled u_{M-1} = last, n = L - M terms of ratio e^{lg - x},
+    summed in closed form from its largest term."""
+    w = abs(lg - x)
+    big = last * _exp(max(lg + n * x, n * lg + x))
+    return big * (math.expm1(-n * w) / math.expm1(-w) if w else n)
+
+
+def _q_top(model):
+    """Q_L by the band; inf beyond double range.  The list loop runs it
+    while numpy is not loaded, and the kernels' blocked loop, to L, once
+    numpy is loaded or where the list loop would not end within
+    _PYTHON_MAX_WORK multiply-adds."""
     L = _solvable_level(model)
     a, x, r0 = _band(model, L)
-    if _numpy_loaded() or L * len(a) > _PYTHON_MAX_WORK:
+    run = None if _numpy_loaded() else _renewal(a, L)
+    if run is None:
         from . import kernels
-        u = kernels.busy_period_recurrence(a, L, x)[0][:L].tolist()
-    else:
-        u = _renewal(a, L)
+        run = kernels.busy_period_recurrence(a, L, x)[0][:L].tolist(), None
+    u, lg = run
     # with u the tilted sequence, Q_L e^{Lx} = sum_{m<L} u_m e^{(L-m)x} / r_0
-    if x:
-        u = map(operator.mul, u, [math.exp(k * x) for k in range(L, 0, -1)])
-    q = _finite_q(math.fsum(u) / r0)
+    terms = [v * math.exp((L - m) * x) for m, v in enumerate(u)] if x else u
+    if lg is not None:
+        terms.append(_rest(u[-1], L - len(u), lg, x))
+    q = _finite_q(math.fsum(terms) / r0)
     return q * _exp(-L * x)
 
 
@@ -290,81 +319,6 @@ def busy_period_counts(model):
     u, scales = kernels.busy_period_recurrence(a, L, x)
     with np.errstate(over="ignore"):
         return np.append(1.0, np.cumsum(u[:-1] * np.exp(scales[:-1])) / r0)
-
-
-# --- Q_L of a phase-type law by its d-dimensional filter, O(L d) ---
-
-def _substitute(terms, move):
-    """y_i = terms_i + move_i y_{i+1}, lists from the last phase to the
-    first: the back substitution that solves (lam I - T) y = D terms, with
-    T the law's upper-bidiagonal sub-generator and D = diag(lam + mu_i)."""
-    y, out = 0.0, []
-    for t, b in zip(terms, move):
-        y = t + b * y
-        out.append(y)
-    return out
-
-
-def _phase_q_top(model):
-    """Q_L from the law's phases, or None for a law that is not phase-type
-    or has more than MAX_PHASES; inf beyond double range.
-
-    With T the sub-generator, t = -T 1 its exit rates and R = lam (lam I -
-    T)^-1, the weights are r_j = alpha R^j h, h = (lam I - T)^-1 t, and
-    R 1 + h = 1, so a_k = alpha R^k v with v = R 1 / r_0.  The renewal
-    sequence is then u_0 = 1 and u_m = alpha s_m, s_1 = R v, s_{m+1} =
-    R (s_m + v u_m): the same u as the renewal loop, from nonnegative terms
-    alone, without weights, truncation or tilt.
-    """
-    phases = model.b1.phases(MAX_PHASES)
-    if phases is None:
-        return None
-    L = _solvable_level(model)
-    lam = model.lam
-    alpha, rates, onward = (p[::-1] for p in phases)
-    keep = [lam / (lam + mu) for mu in rates]
-    move = [c * mu / (lam + mu) for c, mu in zip(onward, rates)]
-    h = _substitute([(1.0 - c) * mu / (lam + mu)
-                     for c, mu in zip(onward, rates)], move)
-    r0 = sum(map(operator.mul, alpha, h))
-    _check_r0(r0, model)
-    v = [w / r0 for w in _substitute(keep, move)]
-    s = _substitute(list(map(operator.mul, keep, v)), move)
-    u = sum(map(operator.mul, alpha, s))
-    # total = u_0 + ... + u_{m-1}, and s_m <= max(v) total since R 1 <= 1;
-    # so while total <= limit no step leaves double range.  Past it, total,
-    # s and u are scaled by 2^-e, exactly, and e is added to shift.
-    limit = math.ldexp(1.0, 1020 - 2 * math.frexp(1.0 + max(v))[1])
-    total, shift = 1.0, 0
-    for _ in range(L - 1):
-        if total > limit:
-            e = math.frexp(total / limit)[1]
-            total, u = math.ldexp(total, -e), math.ldexp(u, -e)
-            s = [math.ldexp(x, -e) for x in s]
-            shift += e
-        total += u
-        # s = R (s + v u) by the substitution, and u = alpha s beside it
-        y = u_next = 0.0
-        s_next = []
-        for k, b, x, w, a in zip(keep, move, s, v, alpha):
-            y = k * (x + w * u) + b * y
-            u_next += a * y
-            s_next.append(y)
-        s, u = s_next, u_next
-    frac, e = math.frexp(total)
-    q = _finite_q(frac / r0)
-    try:
-        return math.ldexp(q, e + shift)
-    except OverflowError:
-        return math.inf
-
-
-def _q_top(model):
-    """Q_L; inf beyond double range.  The one choice of route: a law of at
-    most MAX_PHASES phases by its phases while numpy is not loaded, else
-    the band."""
-    q = None if _numpy_loaded() else _phase_q_top(model)
-    return _band_q_top(model) if q is None else q
 
 
 def _probs(model, inv_q):

@@ -626,10 +626,11 @@ print(sorted(m for m in sys.modules
 def test_small_problems_do_not_import_numpy(tmp_path):
     """Start-up, the asymptotic commands, config errors, the argv argparse
     reads (--help, a missing or unknown command, a refused flag) and the
-    exact commands whose band's work is within exact._PYTHON_MAX_WORK run
-    without numpy, dataclasses or inspect, slow tails included, however
-    many weights they read; a law past that bound needs numpy, and the
-    first command that loads it pins OpenBLAS to one thread."""
+    exact commands whose band settles, or reaches L, within
+    exact._PYTHON_MAX_WORK multiply-adds run without numpy, dataclasses or
+    inspect, slow tails included, however many weights they read; a law
+    past that bound needs numpy, and the first command that loads it pins
+    OpenBLAS to one thread."""
     script = """
 import contextlib, io, os, sys
 heavy, level = sys.argv[1:]
@@ -693,7 +694,8 @@ print(os.environ["OPENBLAS_NUM_THREADS"])
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = src
     for heavy, level in [
-            # gamma(0.1): a band of about 480 increments, past the bound
+            # gamma(0.1): a band of about 480 increments that settles after
+            # about 800 steps, past the bound
             ("gamma:0.1:0.1", str(exact._PYTHON_MAX_WORK // 100))]:
         proc = subprocess.run([sys.executable, "-c", script, heavy, level],
                               env=env, cwd=tmp_path, capture_output=True,
@@ -754,15 +756,14 @@ def assert_probs_are_the_numpy_routes(out):
 
 
 def test_phase_type_laws_solve_without_numpy(tmp_path):
-    """exp, Erlang and hyper laws of at most exact.MAX_PHASES phases solve
-    on their phases at any level, numpy unloaded: analyze at L = 4000 and
-    at exact.MAX_LEVEL, verify and optimize --mode exact.  The M/M/1 p1 and
-    p2 are the closed form's, the others those of the numpy route.  One
-    more phase than the bound takes the band, still without numpy."""
-    top = "erlang:%d:%d" % ((exact.MAX_PHASES,) * 2)
-    over = "erlang:%d:%d" % ((exact.MAX_PHASES + 1,) * 2)
+    """exp, Erlang and hyper laws, Erlang(8) and Erlang(9) among them,
+    solve on the settled band at any level, numpy unloaded: analyze at
+    L = 4000 and at exact.MAX_LEVEL, verify and optimize --mode exact.  The
+    M/M/1 p1 and p2 are the closed form's, the others those of the numpy
+    route."""
     analyses = [(b1, 4000) for b1 in ("exp:0.9995", "erlang:2:2.001",
-                                      "hyper:0.3:0.5:0.7:2.6", top, over)]
+                                      "hyper:0.3:0.5:0.7:2.6", "erlang:8:8",
+                                      "erlang:9:9")]
     analyses.append(("exp:0.9995", exact.MAX_LEVEL))
     runs = analyze_runs(analyses) + [
         ["verify", "--lambda", "1", "--b1", "erlang:2:2", "--b2", "exp:2",
@@ -781,6 +782,29 @@ def test_phase_type_laws_solve_without_numpy(tmp_path):
     assert json.loads(optimize)["mode"] == "exact"
     tiny = json.loads(tiny)
     assert (tiny["p1"], tiny["p2"], tiny["cost"]) == (0.0, 0.5, 25.0)
+
+
+def test_simulate_prints_the_exact_numbers_analyze_prints(tmp_path):
+    """simulate solves before it imports the simulator, and with it numpy,
+    so its exact block is analyze's to the byte; each command runs in its
+    own fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    call = "import sys; from damctl.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-c", call] + argv,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    for b1 in ("erlang:3:3.15", "exp:1.02", "gamma:2.5:2.48"):
+        model = ["--lambda", "1", "--b1", b1, "--b2", "exp:2", "--level", "200"]
+        want = fresh(["analyze"] + model)
+        got = fresh(["simulate"] + model + ["--cycles", "2000"])["exact"]
+        for key in ("p1", "p2", "e_nu1", "e_nu2"):
+            assert repr(got[key]) == repr(want[key]), (b1, key)
 
 
 def test_banded_laws_solve_without_numpy(tmp_path, capsys):

@@ -287,10 +287,8 @@ def test_optimize_exact_matches_dense_scan(family, j1):
     assert sol.predicted_cost <= vals[i] * (1.0 + 1e-8)
 
 
-# the ids keep the names the two loops' routes had before `_band_q_top`
-# took both, so that the test names stay stable
 @pytest.mark.parametrize("numpy_loaded", [False, True],
-                         ids=["_python_q_top", "_numpy_q_top"])
+                         ids=["list_loop", "numpy_loop"])
 @pytest.mark.parametrize("j1", [2.0, 0.5])  # upper- and lower-penalized
 @pytest.mark.parametrize("family", sorted(EXACT_SHAPES))
 def test_optimize_exact_matches_golden_section(family, j1, numpy_loaded,
@@ -298,7 +296,6 @@ def test_optimize_exact_matches_golden_section(family, j1, numpy_loaded,
     # golden section's optimum, which took 39 solves, in at most 22, and
     # never costlier beyond round-off, on the band's loop on Python floats
     # and on numpy's
-    monkeypatch.setattr(exact, "_q_top", exact._band_q_top)
     monkeypatch.setattr(exact, "_numpy_loaded", lambda: numpy_loaded)
     costs = exact.CostModel(j1, 1.0)
 

@@ -1,15 +1,18 @@
-"""The two routes to Q_L agree: a phase-type law's phases (while numpy is
-not loaded) and the band, whose two loops, the list loop on Python floats
-and numpy's in the kernels, agree with the unbanded loop on all of a_1..a_L
-built here.  Every route reads the same weights, a list of Python floats.
-pytest has numpy loaded, so `python_q_top` runs the band as a process
-without numpy does; tests/test_cli.py checks which route a fresh
-interpreter takes."""
+"""Q_L has one route, the band, and two loops run it: the list loop on
+Python floats, which stops once the renewal sequence settles and sums the
+rest in closed form, and numpy's loop in the kernels, which runs to L.
+Both agree with the unbanded loop on all of a_1..a_L built here, with the
+list loop run to L, with 40-digit references and with closed forms.  Every
+loop reads the same weights, a list of Python floats.  pytest has numpy
+loaded, so `python_q_top` runs the band as a process without numpy does;
+tests/test_cli.py checks which loop a fresh interpreter takes."""
 
 import math
+import operator
 import os
 import subprocess
 import sys
+from collections import deque
 
 import mpmath
 import numpy as np
@@ -31,6 +34,7 @@ SHAPES = {
     "gamma2.5": Gamma(shape=2.5, rate=2.5),
     "det": Deterministic(duration=1.0),
     "hyper": HyperExponential(weights=(0.4, 0.6), rates=(0.5, 3.0)),
+    "erlang40": Erlang(shape=40, rate=40.0),
 }
 LEVELS = [1, 2, 7, 50, 200, 256, 384]
 LOADS = [0.5, 0.95, 1.0, 1.05, 1.5, 3.0]
@@ -95,11 +99,25 @@ def unbanded_q_top(m):
         return q * float(np.exp(scales[-1]))
 
 
-python_q_top = without_numpy(exact._band_q_top)
+python_q_top = without_numpy(exact._q_top)
+
+
+def list_loop_q_top(m):
+    """Q_L by the list loop run to L, the settle step left out: u_m, each
+    correctly rounded, from the K newest entries."""
+    L = int(m.level)
+    a, x, r0 = exact._band(m, L)
+    history = deque([1.0], maxlen=len(a))
+    u = [1.0]
+    for _ in range(L - 1):
+        history.appendleft(math.fsum(map(operator.mul, a, history)))
+        u.append(history[0])
+    u = [v * math.exp((L - k) * x) for k, v in enumerate(u)]
+    return exact._finite_q(math.fsum(u) / r0) * exact._exp(-L * x)
 
 
 def assert_agrees_with_numpy(route, tag, level, monkeypatch,
-                             reference=exact._band_q_top):
+                             reference=exact._q_top):
     """route against reference, by default the band on numpy's weights and
     loop: the route of a process with numpy loaded."""
     for rho1 in LOADS:
@@ -136,8 +154,24 @@ def test_routes_agree(tag, level, monkeypatch, unbounded_band):
     assert_agrees_with_numpy(python_q_top, tag, level, monkeypatch)
     assert_agrees_with_numpy(python_q_top, tag, level, monkeypatch,
                              without_numpy(unbanded_q_top))
-    assert_agrees_with_numpy(exact._band_q_top, tag, level, monkeypatch,
+    assert_agrees_with_numpy(exact._q_top, tag, level, monkeypatch,
                              unbanded_q_top)
+
+
+@pytest.mark.parametrize("level", [200, 4000, 64000])
+@pytest.mark.parametrize("tag", sorted(SHAPES))
+def test_settled_tail_matches_the_loops_run_to_level(tag, level):
+    # the list loop stops once u settles and sums the rest in closed form;
+    # numpy's loop, and the list loop without that step, run to L.  At
+    # 64000 the two loops run to L differ by up to 1.6e-12 (gamma(0.5) at
+    # rho1 = 1): each has its own rounding drift, which the closed form's
+    # bound, 4e-16 L, allows
+    for rho1 in LOADS:
+        m = model(tag, rho1, level)
+        q = python_q_top(m)
+        assert q == pytest.approx(exact._q_top(m), rel=1e-12), rho1
+        assert q == pytest.approx(list_loop_q_top(m),
+                                  rel=max(1e-12, 4e-16 * level)), rho1
 
 
 @pytest.mark.parametrize("level", [7, 50])
@@ -211,12 +245,18 @@ def test_tilted_renewal_stays_in_range(tag, rho1):
 
 def test_band_renewal_is_the_kernels_loop_on_the_band():
     # u of a_1..a_K alone, by either loop, is the full loop's u on a_1..a_K
-    # and then zeros
+    # and then zeros; the list loop stops once u settles, and the rest of u
+    # is geometric with the ratio it returns
     a = [0.3, 0.25, 0.2, 0.15, 0.05]
-    u, scales = kernels.busy_period_recurrence(a + [0.0] * 15, 20, 0.0)
+    u, scales = kernels.busy_period_recurrence(a + [0.0] * 95, 100, 0.0)
     assert not scales.any()
-    assert exact._renewal(a, 20) == pytest.approx(list(u[:20]), rel=1e-15)
-    band = kernels.busy_period_recurrence(a, 20, 0.0)[0]
+    head, log_g = exact._renewal(a, 100)
+    M = len(head)
+    assert M < 100
+    assert head == pytest.approx(list(u[:M]), rel=1e-15)
+    rest = [head[-1] * math.exp(j * log_g) for j in range(1, 101 - M)]
+    assert rest == pytest.approx(list(u[M:100]), rel=1e-14)
+    band = kernels.busy_period_recurrence(a, 100, 0.0)[0]
     assert band.tolist() == pytest.approx(list(u), rel=1e-15)
 
 
@@ -235,18 +275,15 @@ def test_routes_meet_the_closed_form_at_rho1_one(tag, lam, level,
                                                  unbounded_band):
     m = exact.DamModel(lam=lam, b1=SHAPES[tag].scale_to_mean(1.0 / lam),
                        b2=B2, level=level)
-    routes = [python_q_top, exact._band_q_top]
-    if exact._phase_q_top(model(tag, 1.0, 1)) is not None:
-        routes.append(exact._phase_q_top)
-    for route in routes:
+    for route in (python_q_top, exact._q_top):
         assert route(m) == pytest.approx(critical_q(m), rel=4e-16 * level)
 
 
 def test_numpy_loop_meets_the_closed_form_at_max_level():
     m = exact.DamModel(lam=1.0, b1=Deterministic(duration=1.0), b2=B2,
                        level=exact.MAX_LEVEL)
-    assert exact._band_q_top(m) == pytest.approx(critical_q(m),
-                                                 rel=4e-16 * exact.MAX_LEVEL)
+    assert exact._q_top(m) == pytest.approx(critical_q(m),
+                                            rel=4e-16 * exact.MAX_LEVEL)
 
 
 def test_band_cuts_a_light_tail_far_below_the_level():
@@ -263,7 +300,7 @@ def test_band_of_zero_increments_solves():
     m = exact.DamModel(lam=1.0, b1=Deterministic(duration=1e-300), b2=B2,
                        level=5)
     assert exact._band(m, 5)[0] == [0.0]
-    for route in (python_q_top, exact._band_q_top):
+    for route in (python_q_top, exact._q_top):
         assert route(m) == 1.0 / exact._weights(m, 0)[0]
 
 
@@ -280,24 +317,29 @@ def test_python_route_refuses_a_level_above_max_level():
 
 
 def test_python_route_hands_work_past_its_bound_to_numpy(monkeypatch):
-    # L K multiply-adds run on the list loop, and one more on numpy's
+    # a gamma(2.5) band at L = 4000 settles after M steps of K multiply-adds
+    # and never calls the kernels; with a bound one below M K it has not
+    # settled when it stops, and numpy's loop runs all of L
     m = model("gamma2.5", 1.0, 4000)
-    K = len(exact._band(m, 4000)[0])
+    a = exact._band(m, 4000)[0]
+    M = len(exact._renewal(a, 4000)[0])
+    assert M < 4000
     want = unbanded_q_top(m)
     calls, real = [], kernels.busy_period_recurrence
     monkeypatch.setattr(kernels, "busy_period_recurrence",
                         lambda *args: calls.append(args[1]) or real(*args))
-    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", 4000 * K)
+    assert python_q_top(m) == pytest.approx(want, rel=1e-12)
+    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", M * len(a))
     assert python_q_top(m) == pytest.approx(want, rel=1e-12)
     assert calls == []
-    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", 4000 * K - 1)
+    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", M * len(a) - 1)
     assert python_q_top(m) == pytest.approx(want, rel=1e-12)
     assert calls == [4000]
 
 
 def test_python_route_refuses_a_non_finite_q(monkeypatch):
     def nan_renewal(a, L):
-        return [math.nan] * L
+        return [math.nan] * L, None
 
     monkeypatch.setattr(exact, "_renewal", nan_renewal)
     with pytest.raises(NumericDegeneracyError, match="non-finite"):
@@ -325,96 +367,66 @@ print(repr(exact.solve(m).busy.e_nu1), "numpy" in sys.modules)
     assert proc.returncode == 0, proc.stderr
     q, loaded = proc.stdout.split()
     assert loaded == "False"
-    assert float(q) == exact._band_q_top(m)
+    assert float(q) == exact._q_top(m)
 
 
-# --- the phase route: exp, Erlang and hyper laws by their phases ---
-
-PHASE_TAGS = ["exp", "erlang", "erlang40", "hyper"]
-
-
-@pytest.fixture
-def phases_up_to_40(monkeypatch):
-    """The phase route for Erlang(40) too, past MAX_PHASES."""
-    monkeypatch.setitem(SHAPES, "erlang40", Erlang(shape=40, rate=40.0))
-    monkeypatch.setattr(exact, "MAX_PHASES", 40)
-
-
-@pytest.mark.parametrize("level", LEVELS)
-@pytest.mark.parametrize("tag", PHASE_TAGS)
-def test_phase_route_agrees_with_numpy(tag, level, monkeypatch,
-                                       phases_up_to_40):
-    for reference in (exact._band_q_top, unbanded_q_top):
-        assert_agrees_with_numpy(exact._phase_q_top, tag, level, monkeypatch,
-                                 reference)
-
+# --- phase-type laws (exp, Erlang, hyper), which had a route of their own
+# through their phases, on the band ---
 
 @pytest.mark.parametrize("tag, level, rho1", [
     ("erlang", 1000, 1.0), ("erlang40", 1000, 0.999), ("hyper", 1000, 1.001),
     ("hyper", 2000, 0.9995)])
-def test_phase_route_matches_40_digit_reference(tag, level, rho1,
-                                                phases_up_to_40):
+def test_phase_type_band_matches_40_digit_reference(tag, level, rho1):
     m = model(tag, rho1, level)
     log_want = mp_reference.log_counts(m)[-1]
     with mpmath.workdps(40):
-        err = abs(mpmath.log(exact._phase_q_top(m)) - log_want)
+        err = abs(mpmath.log(python_q_top(m)) - log_want)
     assert float(err) < 1e-12
 
 
 @pytest.mark.parametrize("level", [4000, 16000, 32000])
 @pytest.mark.parametrize("rho1", [0.8, 0.9995, 1.0, 1.0001, 1.5])
-def test_phase_route_matches_mm1_closed_form(level, rho1):
+def test_band_matches_mm1_closed_form(level, rho1):
     m = model("exp", rho1, level)
     with mpmath.workdps(40):
         rho = 1 / mpmath.mpf(m.b1.rate)
         want = (rho ** (level + 1) - 1) / (rho - 1) if rho != 1 else level + 1
         log_want = float(mpmath.log(want))
-    q = exact._phase_q_top(m)
+    q = python_q_top(m)
     if log_want > 709.0:
         assert q == math.inf
     else:
         assert q == pytest.approx(math.exp(log_want), rel=1e-11)
 
 
-def test_phase_route_keeps_a_tiny_r0_finite(monkeypatch):
-    # r_0 = 2e-300: v = R 1 / r_0 is 5e299, so each step multiplies the
-    # state by about that; Q_L is beyond double range, p1 = 0, p2 = rho2
+def test_band_keeps_a_tiny_r0_finite(monkeypatch):
+    # r_0 = 2e-300: Q_L is beyond double range, p1 = 0, p2 = rho2
     m = exact.DamModel(lam=1.0, b1=Exponential(rate=2e-300), b2=B2, level=50)
-    sol = solve_by(exact._phase_q_top, m, monkeypatch)
+    sol = solve_by(python_q_top, m, monkeypatch)
     assert (sol.busy.e_nu1, sol.p1, sol.p2, sol.cost) == (math.inf, 0.0, 0.5,
                                                            25.0)
-    # r_0 = 1e-10: Q_30 = 1.0006e300 is finite, but the state is rescaled
+    # r_0 = 1e-10: Q_30 = 1.0006e300 is finite
     m = exact.DamModel(lam=1.0, b1=Erlang(shape=2, rate=1e-5), b2=B2,
                        level=30)
-    assert exact._phase_q_top(m) == pytest.approx(exact._band_q_top(m),
-                                                  rel=1e-12)
+    assert python_q_top(m) == pytest.approx(exact._q_top(m), rel=1e-12)
+    assert python_q_top(m) < math.inf
 
 
-def test_phase_route_overflows_to_inf():
-    assert exact._phase_q_top(model("exp", 10.0, 320)) == math.inf
-    assert exact._band_q_top(model("exp", 10.0, 320)) == math.inf
+def test_band_overflows_to_inf():
+    assert python_q_top(model("exp", 10.0, 320)) == math.inf
+    assert exact._q_top(model("exp", 10.0, 320)) == math.inf
 
 
-def test_phase_route_raises_what_the_other_routes_raise(monkeypatch):
+def test_band_raises_on_phase_type_laws(monkeypatch):
     # r_0 = (1e-160 / (1 + 1e-160))^2 underflows the floor
     m = exact.DamModel(lam=1.0, b1=Erlang(shape=2, rate=1e-160), b2=B2,
                        level=5)
-    with pytest.raises(NumericDegeneracyError, match="r_0"):
-        exact._phase_q_top(m)
-    with pytest.raises(NumericDegeneracyError, match="r_0"):
-        exact._band_q_top(m)
-    m = model("exp", 0.8, exact.MAX_LEVEL + 1)
+    for route in (python_q_top, exact._q_top):
+        with pytest.raises(NumericDegeneracyError, match="r_0"):
+            route(m)
     with pytest.raises(ValueError, match="above the largest"):
-        exact._phase_q_top(m)
-    monkeypatch.setattr(Exponential, "phases",
-                        lambda self, most: ((1.0,), (math.nan,), (0.0,)))
+        python_q_top(model("exp", 0.8, exact.MAX_LEVEL + 1))
+    # a settled run whose ratio is not finite
+    monkeypatch.setattr(exact, "_renewal", lambda a, L: ([1.0], math.nan))
     with pytest.raises(NumericDegeneracyError, match="non-finite"):
-        exact._phase_q_top(model("exp", 0.8, 10))
-
-
-def test_phase_route_leaves_other_laws_to_the_others():
-    for tag in ("gamma0.5", "gamma2.5", "det"):
-        assert exact._phase_q_top(model(tag, 1.0, 50)) is None
-    over = Erlang(shape=exact.MAX_PHASES + 1, rate=1.0)
-    m = exact.DamModel(lam=1.0, b1=over, b2=B2, level=50)
-    assert exact._phase_q_top(m) is None
+        python_q_top(model("exp", 0.8, 10))

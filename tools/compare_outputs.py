@@ -12,6 +12,11 @@ column name.  Each numeric field that differs is printed with its largest
 relative difference, |a - b| / max(|a|, |b|), and its largest difference
 in units of the last digit printed, over the requests.
 
+Then each argv of ROUTE_ARGV, exact requests outside the benchmark that
+reach the slow tails, the largest level, a tiny r_0, phase-type laws and
+simulate's exact block, runs once under each tree and is compared the same
+way.
+
 Then each argv of PARSED_ARGV, which only argparse reads (help, a missing
 or unknown command, a refused or abbreviated flag, --flag=value, a value
 starting with "-"), runs once under each tree, and its exit code, stdout
@@ -32,6 +37,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CALL_MAIN = "import sys; from damctl.cli import main; sys.exit(main(sys.argv[1:]))"
 MODEL = ["--lambda", "1", "--b1", "exp:1.25", "--b2", "exp:2"]
+ROUTE_ARGV = [
+    ["analyze", "--lambda", "1", "--b1", "exp:0.9995", "--b2", "exp:2",
+     "--level", "1048576"],
+    ["analyze", "--lambda", "1", "--b1", "erlang:8:8", "--b2", "exp:2",
+     "--level", "16000"],
+    ["optimize", "--mode", "exact", "--lambda", "1", "--b1",
+     "hyper:0.3:0.5:0.7:2.6", "--b2", "exp:2", "--level", "4000"],
+    ["analyze", "--lambda", "1", "--b1", "gamma:0.1:0.1", "--b2", "exp:2",
+     "--level", "2621"],
+    ["analyze", "--lambda", "1", "--b1", "exp:1e-300", "--b2", "exp:2",
+     "--level", "50"],
+    ["simulate", "--lambda", "1", "--b1", "erlang:3:3.15", "--b2", "exp:2",
+     "--level", "200"],
+]
 PARSED_ARGV = [
     ["--help"],
     ["sweep", "--help"],
@@ -152,6 +171,41 @@ def compare_stdout(old, new):
     return diffs, text
 
 
+def compare_requests(name, requests, parent_src, change_src):
+    """Run each (label, command, argv) of requests under both trees, print
+    what differs and a summary of the numeric fields that moved; whether
+    any exit code, stderr or non-numeric text differs."""
+    failed = False
+    same = 0
+    worst = {}
+    for label, command, argv in requests:
+        old = run(parent_src, argv)
+        new = run(change_src, argv)
+        if old == new:
+            same += 1
+            continue
+        label = "%s: %s" % (label, " ".join(argv))
+        if old[0] != new[0] or old[2] != new[2]:
+            print("EXIT/STDERR DIFFER  %s\n  parent %r %r\n  change %r %r"
+                  % (label, old[0], old[2], new[0], new[2]))
+            failed = True
+        diffs, text = compare_stdout(old[1], new[1])
+        if text:
+            print("TEXT DIFFERS  %s" % label)
+            failed = True
+        for field, (rel, units) in diffs.items():
+            key = (command, field)
+            count, most_rel, most_units = worst.get(key, (0, 0.0, 0.0))
+            worst[key] = (count + 1, max(most_rel, rel), max(most_units, units))
+    print("%s: %d of %d requests print the same bytes"
+          % (name, same, len(requests)))
+    for (command, field), (count, rel, units) in sorted(worst.items()):
+        print("  %-16s %-12s max rel diff %.2g, %.3g last-digit units"
+              " (%d request%s)" % (command, field, rel, units, count,
+                                   "" if count == 1 else "s"))
+    return failed
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src", type=Path)
@@ -162,36 +216,14 @@ def main(argv=None):
 
     failed = False
     for workload in workloads.WORKLOADS:
-        same = total = 0
-        worst = {}
-        for seed in parse_seeds(args.seeds):
-            for req in workloads.Generator(workload, seed).round():
-                total += 1
-                old = run(args.parent_src, req.argv)
-                new = run(args.change_src, req.argv)
-                if old == new:
-                    same += 1
-                    continue
-                label = "%s seed %d: %s" % (workload, seed, " ".join(req.argv))
-                if old[0] != new[0] or old[2] != new[2]:
-                    print("EXIT/STDERR DIFFER  %s\n  parent %r %r\n  change %r %r"
-                          % (label, old[0], old[2], new[0], new[2]))
-                    failed = True
-                diffs, text = compare_stdout(old[1], new[1])
-                if text:
-                    print("TEXT DIFFERS  %s" % label)
-                    failed = True
-                for name, (rel, units) in diffs.items():
-                    key = (req.command, name)
-                    count, most_rel, most_units = worst.get(key, (0, 0.0, 0.0))
-                    worst[key] = (count + 1, max(most_rel, rel),
-                                  max(most_units, units))
-        print("%s: %d of %d requests print the same bytes"
-              % (workload, same, total))
-        for (command, name), (count, rel, units) in sorted(worst.items()):
-            print("  %-16s %-12s max rel diff %.2g, %.3g last-digit units"
-                  " (%d request%s)" % (command, name, rel, units, count,
-                                       "" if count == 1 else "s"))
+        requests = [("%s seed %d" % (workload, seed), req.command, req.argv)
+                    for seed in parse_seeds(args.seeds)
+                    for req in workloads.Generator(workload, seed).round()]
+        failed |= compare_requests(workload, requests, args.parent_src,
+                                   args.change_src)
+    requests = [("route", argv[0], argv) for argv in ROUTE_ARGV]
+    failed |= compare_requests("route", requests, args.parent_src,
+                               args.change_src)
     same = 0
     for argv in PARSED_ARGV:
         old, new = run(args.parent_src, argv), run(args.change_src, argv)
