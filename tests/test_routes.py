@@ -373,6 +373,24 @@ print(repr(exact.solve(m).busy.e_nu1), "numpy" in sys.modules)
 # --- phase-type laws (exp, Erlang, hyper), which had a route of their own
 # through their phases, on the band ---
 
+PHASE_TAGS = ["exp", "erlang", "erlang40", "hyper"]
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("tag", PHASE_TAGS)
+def test_phase_route_agrees_with_numpy(tag, level, monkeypatch):
+    # a process without numpy solves a phase-type law on the list loop
+    # within the default _PYTHON_MAX_WORK, never calling the kernels, and
+    # agrees with numpy's loop and with the unbanded one
+    def list_loop_only(m):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delattr(kernels, "busy_period_recurrence")
+            return python_q_top(m)
+
+    assert_agrees_with_numpy(list_loop_only, tag, level, monkeypatch)
+    assert_agrees_with_numpy(list_loop_only, tag, level, monkeypatch,
+                             without_numpy(unbanded_q_top))
+
 @pytest.mark.parametrize("tag, level, rho1", [
     ("erlang", 1000, 1.0), ("erlang40", 1000, 0.999), ("hyper", 1000, 1.001),
     ("hyper", 2000, 0.9995)])
