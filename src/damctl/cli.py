@@ -19,14 +19,12 @@ run, after checking their options, and simulate imports `simulator`, and
 with it numpy, only after its exact solve and its size check.  While numpy
 is not loaded, `exact` solves every law by its band of K increments on
 Python floats, in a loop that stops once the renewal sequence settles to a
-geometric one, and on numpy only where that loop would pass
-exact._PYTHON_MAX_WORK (2^18) multiply-adds first: slow tails such as
-gamma(0.1) past L of about 550.  A caller that loaded numpy
-(perfbench/launcher.py) sees every solve on numpy's loop.  So optimize
---mode asymptotic, sweep, --help, a rejected option, a refused simulate and
-the exact commands on every other law, slow gamma tails too, never load
-numpy, and simulate prints the exact numbers analyze prints; csv is
-imported by the two commands that write it.
+geometric one, or at L.  A caller that loaded numpy (perfbench/launcher.py)
+sees every solve on numpy's loop.  So optimize --mode asymptotic, sweep,
+--help, a rejected option, a refused simulate and the exact commands on
+every law, slow gamma tails too, never load numpy, and simulate prints the
+exact numbers analyze prints; csv is imported by the two commands that
+write it.
 
 A well-formed request, `CMD (--flag VALUE)*` with each flag one the command
 takes, given once, and no VALUE starting with "-", is read straight from

@@ -54,13 +54,16 @@ def _negbin_log_weights(shape, rate, lam, n):
     # log r_j = shape*log p + j*log q + log_coef_j, where log_coef_j is the
     # running sum of log1p((shape-1)/i) over i <= j, 0 at shape 1; its terms
     # are small, so the sum keeps its accuracy out to thousands of terms.
+    # Below shape 1/2, shape - 1 rounds (to -1 below 5.6e-17), so the first
+    # term is log(shape) itself.
     log_p = math.log(rate) - math.log(lam + rate)
     log_q = math.log(lam) - math.log(lam + rate)
     head = shape * log_p
     if shape == 1.0:
         return [head + j * log_q for j in range(n + 1)]
-    log_coef = accumulate([math.log1p((shape - 1.0) / j)
-                           for j in range(1, n + 1)], initial=0.0)
+    terms = [math.log(shape) if shape < 0.5 else math.log1p(shape - 1.0)]
+    terms += [math.log1p((shape - 1.0) / j) for j in range(2, n + 1)]
+    log_coef = accumulate(terms[:n], initial=0.0)
     return [head + j * log_q + c for j, c in enumerate(log_coef)]
 
 

@@ -25,9 +25,9 @@ tends to a constant (Feller, An Introduction to Probability Theory, Vol.
 II, XI.6).  Q_L is exact for any x; root_phi's x is within 7e-14 relative
 of a 40-digit root from rho1 = 1.05 on and 1.2e-8 absolute just above 1,
 so up to MAX_LEVEL the tilted u stays within a few percent of its limit.
-K is 16-22 for det laws, 28-56 for gamma(1.5-2.5) and about 470-520 for
-gamma(0.1) at L = 4000-64000.  The weights are one list of Python floats
-(about 0.3 s a read of 2^20).
+K is 16-22 for det laws, 38-56 for gamma(1.5-3) at L = 4000 (41-59 at
+64000) and about 470-520 for gamma(0.1) at L = 4000-64000.  The weights
+are one list of Python floats (about 0.3 s a read of 2^20).
 
 The settled tail.  The tilted u is a sum of geometric terms, one for each
 root of 1 - A(z).  The dominant one is 1 after the tilt, or the decay
@@ -42,26 +42,22 @@ entries, all that the loop reads, are then geometric, and so is the rest
 of u.  Its ratio g is the root of sum a_k g^-k = 1 (`_log_root`), and the
 rest of Q_L's sum is one geometric series in closed form (`_rest`), so a
 solve costs O((M + K) K) at any L: 0.1-1.3 ms for those laws at L = 4000
-and at 64000, in process on a 2-vCPU x86_64 VM, Python 3.11.
+and at 64000, and about 10 ms for gamma(0.1), in process on a 2-vCPU
+x86_64 VM, Python 3.11.  A band as long as L (gamma(0.01) at L = 4000,
+gamma(1e-3) at 16384) reaches L unsettled, in about L^2 / 2
+multiply-adds: 4.5 s at L = 16384, against 0.65 s on numpy's loop.
 
-_PYTHON_MAX_WORK bounds the multiply-adds, K a step, that the list loop
-runs before it settles or reaches L.  A band past it (gamma(0.1) from L
-of about 550 on) goes to numpy's blocked loop in the kernels, which runs
-to L in O(L K): 1.3-2.4 ms for a det, gamma(2.5) or gamma(0.1) law at
-L = 4000, 21-26 ms at 64000 and 0.35-0.44 s at 2^20.  Its value, 2^18,
-lies between where one `analyze` and the 17 or so solves of one
-`optimize --mode exact` stop paying for `import numpy` against the list
-loop run to L, in fresh processes; a settled band does less work than
-that loop, so every light-tailed law stays on Python floats.
-
-The rule also reads sys.modules (`_numpy_loaded`): a process that has
-loaded numpy runs every solve on numpy's loop, to L.  perfbench's
-launcher loads numpy to wrap kernels.busy_period_recurrence, and its
-tests read that kernel's span from an analyze, so the kernel and the
-rule stay until that benchmark changes.  The settled tail agrees with
-numpy's loop to 1e-12 relative in Q_L at L up to 64000, and with the list
-loop run to L to 1e-12 up to L = 4000 (tests/test_routes.py); a change
-to the exact numerics must land on both loops.
+The rule reads sys.modules (`_numpy_loaded`): a process that has loaded
+numpy runs every solve on numpy's blocked loop in the kernels, to L in
+O(L K), 1.3-2.4 ms for a det, gamma(2.5) or gamma(0.1) law at L = 4000
+and 0.35-0.44 s at 2^20, and a process without numpy never loads it to
+solve.  perfbench's launcher loads numpy to wrap
+kernels.busy_period_recurrence, and its tests read that kernel's span
+from an analyze, so the kernel and the rule stay until that benchmark
+changes.  The settled tail agrees with numpy's loop to 1e-12 relative in
+Q_L at L up to 64000, and with the list loop run to L to 1e-12 up to
+L = 4000 (tests/test_routes.py); a change to the exact numerics must land
+on both loops.
 """
 
 import math
@@ -90,7 +86,9 @@ __all__ = [
 
 _R0_FLOOR = 1e-300
 
-# the largest L solved: numpy's loop on a det or gamma band takes 0.4 s there
+# the largest L solved: a settled band takes under a millisecond there and
+# numpy's loop 0.4 s on a det or gamma band; a band as long as L would take
+# the list loop hours
 MAX_LEVEL = 1 << 20
 
 # the weights left out past r_N, relative to T_K; and, over L, the
@@ -102,10 +100,6 @@ _TAIL = 2.0 ** -60
 # billions of them
 _FIRST_WEIGHTS = 1 << 7
 _MAX_WEIGHTS = 1 << 20
-
-# the most multiply-adds, K a step, that the band's loop runs on Python
-# floats before it settles, while numpy is not loaded
-_PYTHON_MAX_WORK = 1 << 18
 
 class BusyPeriodMetrics(Record):
     e_nu1: float
@@ -253,8 +247,7 @@ def _log_root(a, s):
 def _renewal(a, L):
     """(u, log g): u_0, ..., u_{M-1} of the band a_1..a_K on Python floats,
     u_m = sum_{k<=min(m, K)} a_k u_{m-k} from a history of the K newest
-    entries, and the log ratio of the rest; None where the loop would pass
-    _PYTHON_MAX_WORK multiply-adds, K a step, before it ends.
+    entries, and the log ratio of the rest.
 
     Each u_m is its sum correctly rounded: near rho1 = 1 u settles to a
     constant, and a plain sum's rounding then recurs at every step, 1.3e-12
@@ -265,7 +258,7 @@ def _renewal(a, L):
     history = deque([1.0], maxlen=K)
     u = [1.0]
     ratio, tol, held = math.nan, 0.0, 0
-    for _ in range(1, min(L, _PYTHON_MAX_WORK // K)):
+    for _ in range(1, L):
         prev = history[0]
         v = math.fsum(map(operator.mul, a, history))
         history.appendleft(v)
@@ -277,7 +270,7 @@ def _renewal(a, L):
                 return u, _log_root(a, math.log(r))
         else:
             ratio, tol, held = r, 4.0 * math.ulp(r), 0
-    return (u, None) if len(u) == L else None
+    return u, None
 
 
 def _rest(last, n, lg, x):
@@ -292,15 +285,14 @@ def _rest(last, n, lg, x):
 def _q_top(model):
     """Q_L by the band; inf beyond double range.  The list loop runs it
     while numpy is not loaded, and the kernels' blocked loop, to L, once
-    numpy is loaded or where the list loop would not end within
-    _PYTHON_MAX_WORK multiply-adds."""
+    numpy is loaded."""
     L = _solvable_level(model)
     a, x, r0 = _band(model, L)
-    run = None if _numpy_loaded() else _renewal(a, L)
-    if run is None:
+    if _numpy_loaded():
         from . import kernels
-        run = kernels.busy_period_recurrence(a, L, x)[0][:L].tolist(), None
-    u, lg = run
+        u, lg = kernels.busy_period_recurrence(a, L, x)[0][:L].tolist(), None
+    else:
+        u, lg = _renewal(a, L)
     # with u the tilted sequence, Q_L e^{Lx} = sum_{m<L} u_m e^{(L-m)x} / r_0
     terms = [v * math.exp((L - m) * x) for m, v in enumerate(u)] if x else u
     if lg is not None:

@@ -5,9 +5,7 @@ The recurrence is a renewal loop on the band of increments a_1..a_K that
 Its terms are all nonnegative, and it runs in blocks that double from 1
 entry to _RENEWAL_BLOCK, each block two C-level convolutions whose history
 reaches back K entries: O(L K).  ``busy_period_recurrence`` runs the band
-to L wherever numpy is loaded, and in a process without numpy where the
-list loop in `exact`, which stops once the sequence settles, would pass
-`exact._PYTHON_MAX_WORK` multiply-adds first; `exact` runs the rest on
+to L in a process that has loaded numpy; without numpy, `exact` runs it on
 Python floats.
 
 The simulator runs many regeneration cycles at once as lanes of numpy

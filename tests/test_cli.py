@@ -626,14 +626,13 @@ print(sorted(m for m in sys.modules
 def test_small_problems_do_not_import_numpy(tmp_path):
     """Start-up, the asymptotic commands, config errors, the argv argparse
     reads (--help, a missing or unknown command, a refused flag) and the
-    exact commands whose band settles, or reaches L, within
-    exact._PYTHON_MAX_WORK multiply-adds run without numpy, dataclasses or
-    inspect, slow tails included, however many weights they read; a law
-    past that bound needs numpy, and the first command that loads it pins
-    OpenBLAS to one thread."""
+    exact commands on every law run without numpy, dataclasses or inspect,
+    slow tails included, however many weights they read and whether or not
+    their band settles before L; simulate loads numpy after its exact
+    solve, and the first command that loads it pins OpenBLAS to one
+    thread."""
     script = """
 import contextlib, io, os, sys
-heavy, level = sys.argv[1:]
 def numpy_loaded():
     return any(m.split(".")[0] == "numpy" for m in sys.modules)
 def loaded(*names):
@@ -670,12 +669,21 @@ runs = [
     (["verify"] + model + ["--regime", "lower", "--c", "2",
       "--levels", "7,100"], 0),
     (["analyze"] + model + ["--level", str(int(top) + 1)], 0),
-    # gamma(0.01): 8,192 weights read; shape 1e-8: weights that fall as
-    # (1 + 1e-8)^-j, a slow tail, 2^20 of them read
+    # gamma(0.1): a band of about 480 increments that settles after about
+    # 800 steps; gamma(0.01): 8,192 weights read, and at L = 1000 a band as
+    # long as L, which reaches L unsettled; shape 1e-8: weights that fall
+    # as (1 + 1e-8)^-j, a slow tail, 2^20 of them read; shape 5e-17, where
+    # shape - 1 rounds to -1
+    (["analyze", "--lambda", "1", "--b1", "gamma:0.1:0.1", "--b2", "exp:2",
+      "--level", "2621"], 0),
     (["analyze", "--lambda", "1", "--b1", "gamma:0.01:0.01", "--b2", "exp:2",
       "--level", "200"], 0),
+    (["analyze", "--lambda", "1", "--b1", "gamma:0.01:0.01", "--b2", "exp:2",
+      "--level", "1000"], 0),
     (["analyze", "--lambda", "1", "--b1", "gamma:1e-8:1e-8", "--b2", "exp:2",
       "--level", "10"], 0),
+    (["analyze", "--lambda", "1", "--b1", "gamma:5e-17:5e-17", "--b2",
+      "exp:2", "--level", "5"], 0),
 ]
 for argv, want in runs:
     with contextlib.redirect_stdout(io.StringIO()), \\
@@ -685,23 +693,19 @@ for argv, want in runs:
     assert not loaded("dataclasses", "inspect"), (argv, loaded(
         "dataclasses", "inspect"))
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["analyze", "--lambda", "1", "--b1", heavy, "--b2", "exp:2",
-                     "--level", level]) == 0
+    assert cli.main(["simulate"] + model + ["--level", "5", "--cycles",
+                                            "256"]) == 0
 assert numpy_loaded()
 print(os.environ["OPENBLAS_NUM_THREADS"])
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = src
-    for heavy, level in [
-            # gamma(0.1): a band of about 480 increments that settles after
-            # about 800 steps, past the bound
-            ("gamma:0.1:0.1", str(exact._PYTHON_MAX_WORK // 100))]:
-        proc = subprocess.run([sys.executable, "-c", script, heavy, level],
-                              env=env, cwd=tmp_path, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, (heavy, proc.stderr)
-        assert proc.stdout.strip() == "1"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 # runs each argv of the JSON list in argv[1] through main in one fresh

@@ -186,6 +186,9 @@ def test_parse_dist_spec():
     (Deterministic(duration=0.9995), "poisson", (0.9995,)),
     (Deterministic(duration=25.0), "poisson", (25.0,)),
     (Deterministic(duration=600.0), "poisson", (600.0,)),
+    # below shape 1/2, shape - 1 rounds: r_1 needs log(shape) itself
+    (Gamma(shape=1e-8, rate=1e-8), "negbin", (1e-8, 1e-8)),
+    (Gamma(shape=1e-12, rate=1e-12), "negbin", (1e-12, 1e-12)),
 ])
 def test_weights_match_loggamma_reference(d, kind, params):
     n = 4000

@@ -57,8 +57,7 @@ def solve_by(route, m, monkeypatch):
 
 
 def without_numpy(route):
-    """route as a process without numpy runs it: within _PYTHON_MAX_WORK on
-    the list loop."""
+    """route as a process without numpy runs it: on the list loop."""
     def run(m):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exact, "_numpy_loaded", lambda: False)
@@ -102,6 +101,14 @@ def unbanded_q_top(m):
 python_q_top = without_numpy(exact._q_top)
 
 
+def list_loop_only(m):
+    """Q_L as a process without numpy solves it, with the kernels' loop
+    deleted, so that a call to it fails."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(kernels, "busy_period_recurrence")
+        return python_q_top(m)
+
+
 def list_loop_q_top(m):
     """Q_L by the list loop run to L, the settle step left out: u_m, each
     correctly rounded, from the K newest entries."""
@@ -140,15 +147,9 @@ def assert_agrees_with_numpy(route, tag, level, monkeypatch,
                     1e-12 * nu2_terms * B2.mean()), rho1
 
 
-@pytest.fixture
-def unbounded_band(monkeypatch):
-    """The list loop for every law, however much work its band takes."""
-    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", math.inf)
-
-
 @pytest.mark.parametrize("level", LEVELS + [1000, 4000])
 @pytest.mark.parametrize("tag", sorted(SHAPES))
-def test_routes_agree(tag, level, monkeypatch, unbounded_band):
+def test_routes_agree(tag, level, monkeypatch):
     # a process without numpy against one with it: list weights and loop
     # against numpy's; then each loop against the unbanded one on its weights
     assert_agrees_with_numpy(python_q_top, tag, level, monkeypatch)
@@ -187,7 +188,7 @@ def test_python_route_matches_40_digit_reference(tag, level, rho1):
 
 @pytest.mark.parametrize("tag", ["gamma0.5", "gamma2.5", "det"])
 @pytest.mark.parametrize("rho1", [0.95, 1.0, 1.0015, 1.05])  # 1 + 1.5/L
-def test_band_matches_40_digit_reference(tag, rho1, unbounded_band):
+def test_band_matches_40_digit_reference(tag, rho1):
     m = model(tag, rho1, 1000)
     log_want = mp_reference.log_counts(m)[-1]
     with mpmath.workdps(40):
@@ -271,8 +272,7 @@ def critical_q(m):
 @pytest.mark.parametrize("level", [200, 4000, 64000])
 @pytest.mark.parametrize("lam", [1.0, 0.7])
 @pytest.mark.parametrize("tag", sorted(SHAPES))
-def test_routes_meet_the_closed_form_at_rho1_one(tag, lam, level,
-                                                 unbounded_band):
+def test_routes_meet_the_closed_form_at_rho1_one(tag, lam, level):
     m = exact.DamModel(lam=lam, b1=SHAPES[tag].scale_to_mean(1.0 / lam),
                        b2=B2, level=level)
     for route in (python_q_top, exact._q_top):
@@ -316,25 +316,20 @@ def test_python_route_refuses_a_level_above_max_level():
         python_q_top(model("gamma2.5", 1.0, exact.MAX_LEVEL + 1))
 
 
-def test_python_route_hands_work_past_its_bound_to_numpy(monkeypatch):
-    # a gamma(2.5) band at L = 4000 settles after M steps of K multiply-adds
-    # and never calls the kernels; with a bound one below M K it has not
-    # settled when it stops, and numpy's loop runs all of L
-    m = model("gamma2.5", 1.0, 4000)
-    a = exact._band(m, 4000)[0]
-    M = len(exact._renewal(a, 4000)[0])
-    assert M < 4000
-    want = unbanded_q_top(m)
-    calls, real = [], kernels.busy_period_recurrence
-    monkeypatch.setattr(kernels, "busy_period_recurrence",
-                        lambda *args: calls.append(args[1]) or real(*args))
-    assert python_q_top(m) == pytest.approx(want, rel=1e-12)
-    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", M * len(a))
-    assert python_q_top(m) == pytest.approx(want, rel=1e-12)
-    assert calls == []
-    monkeypatch.setattr(exact, "_PYTHON_MAX_WORK", M * len(a) - 1)
-    assert python_q_top(m) == pytest.approx(want, rel=1e-12)
-    assert calls == [4000]
+@pytest.mark.parametrize("shape, level, settles", [
+    (2.5, 4000, True), (0.1, 4000, True), (0.05, 4000, True),
+    (0.01, 1000, False)])
+def test_slow_tails_stay_on_the_list_loop(shape, level, settles):
+    # gamma(2.5) settles after some 40-75 steps of K = 23-43; gamma(0.1) and
+    # gamma(0.05), bands of K = 230-950, after some 360-1,700; gamma(0.01)'s
+    # band is as long as L, and reaches L unsettled.  None calls the kernels
+    for rho1 in LOADS:
+        m = exact.DamModel(lam=1.0, b1=Gamma(shape=shape, rate=shape)
+                           .scale_to_mean(rho1), b2=B2, level=level)
+        a = exact._band(m, level)[0]
+        assert (len(exact._renewal(a, level)[0]) < level) == settles, rho1
+        assert list_loop_only(m) == pytest.approx(exact._q_top(m),
+                                                  rel=1e-12), rho1
 
 
 def test_python_route_refuses_a_non_finite_q(monkeypatch):
@@ -379,14 +374,9 @@ PHASE_TAGS = ["exp", "erlang", "erlang40", "hyper"]
 @pytest.mark.parametrize("level", LEVELS)
 @pytest.mark.parametrize("tag", PHASE_TAGS)
 def test_phase_route_agrees_with_numpy(tag, level, monkeypatch):
-    # a process without numpy solves a phase-type law on the list loop
-    # within the default _PYTHON_MAX_WORK, never calling the kernels, and
-    # agrees with numpy's loop and with the unbanded one
-    def list_loop_only(m):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.delattr(kernels, "busy_period_recurrence")
-            return python_q_top(m)
-
+    # a process without numpy solves a phase-type law on the list loop,
+    # never calling the kernels, and agrees with numpy's loop and with the
+    # unbanded one
     assert_agrees_with_numpy(list_loop_only, tag, level, monkeypatch)
     assert_agrees_with_numpy(list_loop_only, tag, level, monkeypatch,
                              without_numpy(unbanded_q_top))

@@ -15,7 +15,11 @@ in units of the last digit printed, over the requests.
 Then each argv of ROUTE_ARGV, exact requests outside the benchmark that
 reach the slow tails, the largest level, a tiny r_0, phase-type laws and
 simulate's exact block, runs once under each tree and is compared the same
-way.
+way.  The slow tails are gamma(0.1), whose band of about 490 increments
+settles after about 800 steps, in an analyze and in the 17 or so solves of
+an optimize --mode exact, and gamma(0.01) at L = 4000, whose band is as
+long as L and never settles: the requests that numpy's loop ran before the
+list loop took every law.
 
 Then each argv of PARSED_ARGV, which only argparse reads (help, a missing
 or unknown command, a refused or abbreviated flag, --flag=value, a value
@@ -46,6 +50,10 @@ ROUTE_ARGV = [
      "hyper:0.3:0.5:0.7:2.6", "--b2", "exp:2", "--level", "4000"],
     ["analyze", "--lambda", "1", "--b1", "gamma:0.1:0.1", "--b2", "exp:2",
      "--level", "2621"],
+    ["optimize", "--mode", "exact", "--lambda", "1", "--b1", "gamma:0.1:0.1",
+     "--b2", "exp:2", "--level", "4000"],
+    ["analyze", "--lambda", "1", "--b1", "gamma:0.01:0.01", "--b2", "exp:2",
+     "--level", "4000"],
     ["analyze", "--lambda", "1", "--b1", "exp:1e-300", "--b2", "exp:2",
      "--level", "50"],
     ["simulate", "--lambda", "1", "--b1", "erlang:3:3.15", "--b2", "exp:2",
