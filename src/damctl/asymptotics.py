@@ -84,10 +84,7 @@ def _check_heavy_args(delta, c, rho12t, rho2):
         raise RegimeError("heavy-traffic formulas need delta > 0")
     if c <= 0:
         raise RegimeError("C must be positive; use critical_decay for C = 0")
-    if rho12t <= 0:
-        raise ValueError("rho12_tilde must be positive")
-    if not 0 <= rho2 < 1:
-        raise ValueError("rho2 must lie in [0, 1)")
+    _check_cost_args(rho12t, rho2)
 
 
 def heavy_upper(delta, c, rho12t, rho2):
@@ -110,10 +107,6 @@ def heavy_lower(delta, c, rho12t, rho2):
     p1 = delta * e
     p2 = delta * rho2 / (1.0 - rho2) * (math.expm1(x) if e < math.inf else e)
     return p1, p2
-
-
-def _critical_cost(rho12t, rho2, costs):
-    return rho12t / 2.0 * (costs.j1 + costs.j2 * rho2 / (1.0 - rho2))
 
 
 def _check_cost_args(rho12t, rho2):
@@ -159,12 +152,12 @@ def j_lower(c, rho12t, rho2, costs):
     """Limiting cost in the lower regime (literal formula).
 
     At C = 0 the literal expression diverges; the continuous extension
-    (the critical-regime cost) is returned instead.
+    (the critical-regime cost, J_upper at C = 0) is returned instead.
     """
     _check_cost_args(rho12t, rho2)
     c = float(c)
     if c == 0.0:
-        return _critical_cost(rho12t, rho2, costs)
+        return j_upper(0.0, rho12t, rho2, costs)
     x = rho12t / 2.0 / c
     k = costs.j2 * rho2 / (1.0 - rho2)
     e = _exp(x)

@@ -23,8 +23,7 @@ geometric one, or at L.  A caller that loaded numpy (perfbench/launcher.py)
 sees every solve on numpy's loop.  So optimize --mode asymptotic, sweep,
 --help, a rejected option, a refused simulate and the exact commands on
 every law, slow gamma tails too, never load numpy, and simulate prints the
-exact numbers analyze prints; csv is imported by the two commands that
-write it.
+exact numbers analyze prints.
 
 A well-formed request, `CMD (--flag VALUE)*` with each flag one the command
 takes, given once, and no VALUE starting with "-", is read straight from
@@ -33,8 +32,7 @@ imports neither argparse (with gettext and locale) nor json, 8-10 ms a
 process.  Any other argv (--help, a refused or abbreviated flag,
 --flag=value, a repeated flag, a value starting with "-", a --format other
 than json or text) goes to argparse, which writes every usage, help and
-error message; its parser holds every command's name and help but only the
-named command's options.  json is imported only to read --config.
+error message.  json is imported only to read --config.
 
 A request also skips the exit's garbage collections.  main registers
 gc.freeze with atexit, once per process, so the collections run while the
@@ -134,17 +132,12 @@ def _fmt(v):
 
 
 def _emit_csv(header, rows, path):
-    import csv
-
-    if path:
-        fh = open(path, "w", newline="")
-    else:
-        fh = sys.stdout
+    """One line per row, its cells joined by commas: names, %.12g numbers,
+    inf and empty cells, none of which CSV quotes."""
+    fh = open(path, "w", newline="") if path else sys.stdout
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(_round12(v)) for v in row])
+        for cells in [header, *rows]:
+            fh.write(",".join(map(_fmt, cells)) + "\n")
     finally:
         if path:
             fh.close()
@@ -487,10 +480,8 @@ def _read_argv(argv):
     return args
 
 
-def build_parser(cmd):
-    """The parser of every command, with the options of `cmd` alone: argparse
-    hands the arguments after a command's name to that command's parser, so
-    the others need only their name and help."""
+def build_parser():
+    """The parser of every command and its options."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -501,8 +492,6 @@ def build_parser(cmd):
     for name, (_, help_, names, output) in COMMANDS.items():
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.set_defaults(parser=p)
-        if name != cmd:
-            continue
         p.add_argument(_flag("config"),
                        help="JSON config file; flags override its values")
         for opt in names:
@@ -532,13 +521,10 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        # the command is the first argument that is not a flag, as argparse
-        # reads it
-        cmd = next((a for a in argv if not a.startswith("-")), None)
         try:
             # a flag the command does not take is refused with its own usage
             # line
-            parsed, extra = build_parser(cmd).parse_known_args(argv)
+            parsed, extra = build_parser().parse_known_args(argv)
             if extra:
                 parsed.parser.error("unrecognized arguments: "
                                     + " ".join(extra))

@@ -115,12 +115,11 @@ def busy_period_recurrence(a, L, x):
 # lanes in flight at once
 _LANES = 1 << 12
 
-# service slots per step: about _STEP_SLOTS in all, and at least _MIN_SLOTS
-# and at most _MAX_SLOTS per live lane.  A step's arrays then hold about
-# 8,192 entries (64 KiB of float64) whether 4,096 lanes take 2 slots each
-# or a run's last long cycles take 256.
+# service slots per step: about _STEP_SLOTS in all, and at least
+# _STEP_SLOTS // _LANES and at most _MAX_SLOTS per live lane.  A step's
+# arrays then hold about 8,192 entries (64 KiB of float64) whether 4,096
+# lanes take 2 slots each or a run's last long cycles take 256.
 _STEP_SLOTS = 1 << 13
-_MIN_SLOTS = 2
 _MAX_SLOTS = 256
 
 # the means drawn by inverting one uniform are those below _POISSON_PART.  A
@@ -309,7 +308,7 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
     lanes.begin_cycles(np.arange(len(lanes)), 0, seed, out_idle, lam)
     started = len(lanes)
     while len(lanes):
-        width = min(_MAX_SLOTS, max(_MIN_SLOTS, _STEP_SLOTS // len(lanes)))
+        width = min(_MAX_SLOTS, _STEP_SLOTS // len(lanes))
         shape = (width, len(lanes))
         keys = _slot_keys(lanes.key, lanes.slot + np.arange(width)[:, None]).ravel()
         # row j of each (width, lanes) array is slot j of the step

@@ -216,6 +216,49 @@ def test_j_lower_values():
     zero = exact.CostModel(j1=0.0, j2=1.0)
     for c in (0.5, 1.0, 5.0):
         assert asymptotics.j_lower(c, 2.0, 0.0, zero) == 0.0
+    # at C = 0 both costs are the critical-regime cost
+    # rho12_tilde/2 (j1 + j2 rho2/(1 - rho2)), to the bit
+    for rho12t, rho2, j1, j2 in [(2.0, 0.5, 1.0, 1.0), (1.37, 0.8, 3.0, 0.25),
+                                 (0.3, 0.1, 0.7, 0.0), (5.0, 0.0, 2.0, 1.5),
+                                 (1e-3, 0.999, 0.0, 4.0), (2.0, 0.0, 1.0, 0.0)]:
+        costs = exact.CostModel(j1=j1, j2=j2)
+        critical = rho12t / 2.0 * (j1 + j2 * rho2 / (1.0 - rho2))
+        assert asymptotics.j_upper(0.0, rho12t, rho2, costs) == critical
+        assert asymptotics.j_lower(0.0, rho12t, rho2, costs) == critical
+
+
+LIMITS = {
+    "heavy_upper": lambda rho12t, rho2: asymptotics.heavy_upper(
+        0.01, 1.0, rho12t, rho2),
+    "heavy_lower": lambda rho12t, rho2: asymptotics.heavy_lower(
+        0.01, 1.0, rho12t, rho2),
+    "j_upper": lambda rho12t, rho2: asymptotics.j_upper(
+        1.0, rho12t, rho2, exact.CostModel(j1=1.0, j2=1.0)),
+    "j_lower": lambda rho12t, rho2: asymptotics.j_lower(
+        1.0, rho12t, rho2, exact.CostModel(j1=1.0, j2=1.0)),
+}
+
+
+@pytest.mark.parametrize("rho12t, rho2, message", [
+    (0.0, 0.5, "rho12_tilde must be positive"),
+    (-2.0, 0.5, "rho12_tilde must be positive"),
+    (2.0, -0.1, "rho2 must lie in [0, 1)"),
+    (2.0, 1.0, "rho2 must lie in [0, 1)"),
+    (2.0, 1.5, "rho2 must lie in [0, 1)"),
+    (2.0, math.nan, "rho2 must lie in [0, 1)"),
+])
+@pytest.mark.parametrize("name", sorted(LIMITS))
+def test_limits_refuse_bad_loads(name, rho12t, rho2, message):
+    with pytest.raises(ValueError) as err:
+        LIMITS[name](rho12t, rho2)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fn", [asymptotics.heavy_upper, asymptotics.heavy_lower])
+def test_heavy_limits_check_delta_and_c_first(fn):
+    for delta, c in [(0.0, 1.0), (0.01, 0.0)]:
+        with pytest.raises(RegimeError):
+            fn(delta, c, -2.0, 1.5)
 
 
 @pytest.mark.parametrize("c", [1e4, 6.8e7, 1e12, 1e300, 1e308])

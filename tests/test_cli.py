@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -146,6 +148,28 @@ def test_verify_upper_csv(capsys, tmp_path):
     errs = [float(r[5]) for r in rows]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 0.05
+
+
+@pytest.mark.parametrize("argv", [
+    # J_lower's exponential overflows at C = 0.001: an inf cell
+    ["sweep", "--lambda", "1", "--b1", "exp:1.25", "--b2", "exp:2",
+     "--c-grid", "0,0.001,1e308"],
+    # p1_exact is 0: an empty rel_err_p1 cell
+    ["verify", "--lambda", "1", "--b1", "exp:0.5", "--b2", "exp:2",
+     "--regime", "upper", "--c", "1500", "--levels", "2000"],
+])
+def test_csv_is_written_as_csv_writer_writes_it(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert any("inf" in row or "" in row for row in rows[1:]), rows
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == out
+    table = tmp_path / "table.csv"
+    code, written, _ = run(capsys, argv + ["--out", str(table)])
+    assert (code, written) == (0, "")
+    assert table.read_bytes() == out.encode()
 
 
 def test_verify_critical(capsys):
@@ -840,9 +864,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     commands that need no numpy (the exact ones at small L included) load
     none of dataclasses, inspect or numpy, no well-formed request loads the
     tooling, --config loads json alone, --help and a refused flag load
-    argparse, and no command loads dataclasses.  The argv argparse reads
-    run last, after numpy is loaded; test_small_problems_do_not_import_numpy
-    checks that they load none of dataclasses, inspect or numpy."""
+    argparse, and no command loads dataclasses or csv.  The argv argparse
+    reads run last, after numpy is loaded;
+    test_small_problems_do_not_import_numpy checks that they load none of
+    dataclasses, inspect or numpy."""
     script = """
 import contextlib, io, sys
 def loaded(*names):
@@ -883,6 +908,7 @@ for argv, want in light + heavy + config + parsed:
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == want, argv
+    assert not loaded("csv"), argv
     if (argv, want) in light:
         assert not loaded("dataclasses", "inspect", "numpy"), (argv, loaded(
             "dataclasses", "inspect", "numpy"))
@@ -890,7 +916,7 @@ for argv, want in light + heavy + config + parsed:
         assert not loaded(*TOOLING), (argv, loaded(*TOOLING))
     if (argv, want) in config:
         assert loaded(*TOOLING) == ["json"], (argv, loaded(*TOOLING))
-assert loaded("numpy", "csv", "argparse") == ["numpy", "csv", "argparse"]
+assert loaded("numpy", "argparse") == ["numpy", "argparse"]
 print(loaded("dataclasses"))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -1266,7 +1292,7 @@ def test_plain_argv_reads_as_argparse_does(argv):
             cli.main(argv)
         return
     try:
-        parsed, extra = cli.build_parser(argv[0]).parse_known_args(argv)
+        parsed, extra = cli.build_parser().parse_known_args(argv)
     except SystemExit:
         pytest.fail("argparse refuses %r" % (argv,))
     assert extra == []

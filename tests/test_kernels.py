@@ -251,8 +251,8 @@ def test_lookahead_matches_scalar_kernel(case, width, monkeypatch):
 def test_slots_per_step_do_not_change_cycles(family, slots, monkeypatch):
     args = (2000, 17, 1.0, 3) + _laws(family, 1.2)
     default = kernels.simulate_cycles(*args)
-    monkeypatch.setattr(kernels, "_MIN_SLOTS", slots)
     monkeypatch.setattr(kernels, "_MAX_SLOTS", slots)
+    monkeypatch.setattr(kernels, "_STEP_SLOTS", slots * kernels._LANES)
     _assert_same_bytes(kernels.simulate_cycles(*args), default)
 
 

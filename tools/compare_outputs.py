@@ -19,11 +19,13 @@ way.  The slow tails are gamma(0.1), whose band of about 490 increments
 settles after about 800 steps, in an analyze and in the 17 or so solves of
 an optimize --mode exact, and gamma(0.01) at L = 4000, whose band is as
 long as L and never settles: the requests that numpy's loop ran before the
-list loop took every law.
+list loop took every law.  The two CSV requests hold the cells CSV could
+quote or leave empty: a sweep with an inf J_lower, and a verify whose
+p1_exact is 0, with an empty rel_err_p1.
 
 Then each argv of PARSED_ARGV, which only argparse reads (help, a missing
-or unknown command, a refused or abbreviated flag, --flag=value, a value
-starting with "-"), runs once under each tree, and its exit code, stdout
+or unknown command, a flag before the command, a refused, abbreviated or
+other command's flag, --flag=value, a value starting with "-"), runs once under each tree, and its exit code, stdout
 and stderr must be the same bytes.
 
 Exits 1 if any exit code, any stderr or any non-numeric text differs, or
@@ -58,6 +60,9 @@ ROUTE_ARGV = [
      "--level", "50"],
     ["simulate", "--lambda", "1", "--b1", "erlang:3:3.15", "--b2", "exp:2",
      "--level", "200"],
+    ["sweep"] + MODEL + ["--c-grid", "0,0.001,1e308"],
+    ["verify", "--lambda", "1", "--b1", "exp:0.5", "--b2", "exp:2",
+     "--regime", "upper", "--c", "1500", "--levels", "2000"],
 ]
 PARSED_ARGV = [
     ["--help"],
@@ -70,6 +75,10 @@ PARSED_ARGV = [
     ["analyze", "--lambda=1", "--b1", "exp:1.25", "--b2", "exp:2",
      "--level", "5"],
     ["verify"] + MODEL + ["--regime", "upper", "--c", "-1", "--levels", "50"],
+    ["--lambda", "1", "analyze"],
+    ["analyze", "--cycles", "5"] + MODEL + ["--level", "5"],
+    ["optimize", "--help"],
+    ["verify", "--help"],
 ]
 
 
