@@ -195,7 +195,7 @@ class Gamma(ServiceDistribution):
         import numpy as np
 
         a = self.shape
-        boost = np.ones(len(slots))
+        boost = None
         if a < 1.0:
             boost = np.power(slots.take(1)[0], 1.0 / a)
             a += 1.0
@@ -205,8 +205,7 @@ class Gamma(ServiceDistribution):
         pending = np.arange(len(slots))
         while len(pending):
             u = slots.peek(pending, 3)
-            log_u = np.log(u)
-            x = np.sqrt(-2.0 * log_u[0]) * np.cos(2.0 * math.pi * u[1])
+            x = np.sqrt(-2.0 * np.log(u[0])) * np.cos(2.0 * math.pi * u[1])
             t = 1.0 + c * x
             ok = t > 0.0
             slots.skip(pending, 2 + ok)
@@ -214,11 +213,12 @@ class Gamma(ServiceDistribution):
             accept = ok & (u[2] < 1.0 - 0.0331 * x * x * x * x)
             slow = (ok & ~accept).nonzero()[0]
             xs, vs = x[slow], v[slow]
-            accept[slow] = log_u[2, slow] < 0.5 * xs * xs + d * (
+            accept[slow] = np.log(u[2, slow]) < 0.5 * xs * xs + d * (
                 1.0 - vs + np.log(vs))
             # every pending lane is written, and a rejected one rewritten
             # later: cheaper than gathering the accepted ones
-            s[pending] = boost[pending] * d * v / self.rate
+            dv = d * v if boost is None else boost[pending] * d * v
+            s[pending] = dv / self.rate
             pending = pending[~accept]
         return s
 
@@ -237,11 +237,15 @@ class Erlang(Gamma):
     def lane_services(self, slots):
         import numpy as np
 
-        # the sum runs left to right, as one draw at a time would add it
+        # the sum runs left to right from the first term, as one draw at a
+        # time would add it
         k = int(self.shape)
-        total = np.zeros(len(slots))
+        total = None
         for first in range(0, k, slots.BLOCK):
-            for term in -np.log(slots.take(min(slots.BLOCK, k - first))):
+            terms = -np.log(slots.take(min(slots.BLOCK, k - first)))
+            if total is None:
+                total, terms = terms[0], terms[1:]
+            for term in terms:
                 total += term
         return total / self.rate
 

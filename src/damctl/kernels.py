@@ -96,16 +96,21 @@ def busy_period_recurrence(a, L, x):
 # the key rule of the module docstring.
 #
 # Each lane carries one cycle, and each step gives every live lane
-# `width` slots, about _STEP_SLOTS in all.  Every slot gets both candidates,
-# a b1 service and a b2 service, each with its arrival count, drawn as one
-# array per law through the law's lane_services.  Then a loop over the
-# slots takes each lane's slot under b1 while n <= level and under b2 above
-# it, and moves n by the count minus one; a lane whose n reaches 0 takes no
-# more slots.  After the step a finished lane's place goes to the next cycle
-# index, or, once every cycle has started, is dropped.  A cycle's draws, and
-# the arithmetic on them, depend neither on the lane that carries it nor on
-# `width`, so the per-cycle arrays depend on neither the lane width nor the
-# slots per step.
+# `width` slots, about _STEP_SLOTS in all.  A step of one slot, which the
+# full lane pool takes, knows each lane's law from its n before any draw:
+# it draws one service per lane, b1 at n <= level and b2 above it, as one
+# array per law through the law's lane_services, and one arrival count per
+# slot.  A wider step cannot know the law of a lane's later slots, so every
+# slot gets both candidates, a b1 service and a b2 service, each with its
+# arrival count.  Then a loop over the slots takes each lane's slot under
+# b1 while n <= level and under b2 above it, and moves n by the count minus
+# one; a lane whose n reaches 0 takes no more slots.  (Drawing there the
+# law n predicts, and the other law from each lane's first crossing, was
+# measured slower.)  After the step a finished lane's place goes to the
+# next cycle index, or, once every cycle has started, is dropped.  A
+# cycle's draws, and the arithmetic on them, depend neither on the lane
+# that carries it nor on `width`, so the per-cycle arrays depend on neither
+# the lane width nor the slots per step.
 #
 # log, cos, exp and power are numpy's.  Their last bit can differ from the
 # C library's and, since numpy picks a SIMD loop by CPU, between machines,
@@ -113,12 +118,13 @@ def busy_period_recurrence(a, L, x):
 # ---------------------------------------------------------------------------
 
 # lanes in flight at once
-_LANES = 1 << 12
+_LANES = 1 << 13
 
 # service slots per step: about _STEP_SLOTS in all, and at least
 # _STEP_SLOTS // _LANES and at most _MAX_SLOTS per live lane.  A step's
-# arrays then hold about 8,192 entries (64 KiB of float64) whether 4,096
-# lanes take 2 slots each or a run's last long cycles take 256.
+# arrays then hold about 8,192 entries (64 KiB of float64) whether 8,192
+# lanes take one slot each or a run's last long cycles take 256.  The full
+# pool, and its drain down to 4,097 live lanes, takes one-slot steps.
 _STEP_SLOTS = 1 << 13
 _MAX_SLOTS = 256
 
@@ -146,12 +152,17 @@ _KIND = (np.arange(3, dtype=np.uint64) << np.uint64(62)) * _GOLDEN_U64
 
 
 def _mix(x):
-    """splitmix64's output function of the states x."""
-    z = x ^ (x >> np.uint64(30))
+    """splitmix64's output function of the states x, worked in place on
+    one temporary."""
+    z = x >> np.uint64(30)
+    z ^= x
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    t = z >> np.uint64(27)
+    z ^= t
     z *= _MIX2
-    return z ^ (z >> np.uint64(31))
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _unit(z):
@@ -294,6 +305,53 @@ def _running_sum(rows):
     return np.add.reduce(rows, axis=0)
 
 
+def _one_slot_step(lanes, lam, level, b1, b2):
+    """Give every lane one slot: its service is drawn under the law its n
+    gives, b1 at or below the level and b2 above it."""
+    keys = _slot_keys(lanes.key, lanes.slot)
+    first = lanes.n <= level
+    lo, hi = first.nonzero()[0], (~first).nonzero()[0]
+    s = np.empty(len(lanes))
+    s[lo] = b1.lane_services(_Slots(keys.take(lo) + _KIND[_B1]))
+    s[hi] = b2.lane_services(_Slots(keys.take(hi) + _KIND[_B2]))
+    lanes.n += _poisson_counts(lam * s, keys) - 1
+    lanes.below = np.where(first, lanes.below + s, lanes.below)
+    lanes.above = np.where(first, lanes.above, lanes.above + s)
+    lanes.k1 += first
+    lanes.k2 += ~first
+
+
+def _block_step(lanes, width, lam, level, b1, b2):
+    """Give every lane `width` slots, each drawn under both laws."""
+    shape = (width, len(lanes))
+    keys = _slot_keys(lanes.key, lanes.slot + np.arange(width)[:, None]).ravel()
+    # row j of each (width, lanes) array is slot j of the step
+    s1 = b1.lane_services(_Slots(keys + _KIND[_B1]))
+    s2 = b2.lane_services(_Slots(keys + _KIND[_B2]))
+    # both candidates' arrival counts read the slot's arrival draws
+    net = _poisson_counts(lam * np.concatenate((s1, s2)), keys) - 1
+    s1, s2 = s1.reshape(shape), s2.reshape(shape)
+    net1, net2 = net[:keys.size].reshape(shape), net[keys.size:].reshape(shape)
+
+    # n at the start of each slot; a lane at 0 takes no more slots
+    start = np.empty(shape, dtype=np.int64)
+    n = lanes.n
+    for j in range(width):
+        start[j] = n
+        n = np.where(n > 0, n + np.where(n <= level, net1[j], net2[j]), 0)
+    first = (start > 0) & (start <= level)
+    second = start > level
+    s1 *= first
+    s1[0] += lanes.below
+    lanes.below = _running_sum(s1)
+    s2 *= second
+    s2[0] += lanes.above
+    lanes.above = _running_sum(s2)
+    lanes.k1 += first.sum(axis=0)
+    lanes.k2 += second.sum(axis=0)
+    lanes.n = n
+
+
 def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
     """Simulate regeneration cycles with service laws b1 (at most `level` in
     system at service initiation) and b2 (above it); returns per-cycle
@@ -309,36 +367,13 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
     started = len(lanes)
     while len(lanes):
         width = min(_MAX_SLOTS, _STEP_SLOTS // len(lanes))
-        shape = (width, len(lanes))
-        keys = _slot_keys(lanes.key, lanes.slot + np.arange(width)[:, None]).ravel()
-        # row j of each (width, lanes) array is slot j of the step
-        s1 = b1.lane_services(_Slots(keys + _KIND[_B1]))
-        s2 = b2.lane_services(_Slots(keys + _KIND[_B2]))
-        # both candidates' arrival counts read the slot's arrival draws
-        net = _poisson_counts(lam * np.concatenate((s1, s2)), keys) - 1
-        s1, s2 = s1.reshape(shape), s2.reshape(shape)
-        net1, net2 = net[:keys.size].reshape(shape), net[keys.size:].reshape(shape)
-
-        # n at the start of each slot; a lane at 0 takes no more slots
-        start = np.empty(shape, dtype=np.int64)
-        n = lanes.n
-        for j in range(width):
-            start[j] = n
-            n = np.where(n > 0, n + np.where(n <= level, net1[j], net2[j]), 0)
-        first = (start > 0) & (start <= level)
-        second = start > level
-        s1 *= first
-        s1[0] += lanes.below
-        lanes.below = _running_sum(s1)
-        s2 *= second
-        s2[0] += lanes.above
-        lanes.above = _running_sum(s2)
-        lanes.k1 += first.sum(axis=0)
-        lanes.k2 += second.sum(axis=0)
-        lanes.n = n
+        if width == 1:
+            _one_slot_step(lanes, lam, level, b1, b2)
+        else:
+            _block_step(lanes, width, lam, level, b1, b2)
         lanes.slot += width
 
-        done = (n == 0).nonzero()[0]
+        done = (lanes.n == 0).nonzero()[0]
         if len(done):
             cyc = lanes.cycle[done]
             out_below[cyc] = lanes.below[done]

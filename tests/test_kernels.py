@@ -236,17 +236,24 @@ LOOKAHEAD_CASES = {
 _SCALAR_RUNS = {}
 
 
-@pytest.mark.parametrize("width", WIDTHS)
+# "one-slot": the default lane pool with one slot a step, so every step is
+# the one that draws one law per lane; level-0 leaves b1 no lanes,
+# gamma-0.05 retries and hyper-slow-phase splits Poisson means
+@pytest.mark.parametrize("width", WIDTHS + ["one-slot"])
 @pytest.mark.parametrize("case", sorted(LOOKAHEAD_CASES))
 def test_lookahead_matches_scalar_kernel(case, width, monkeypatch):
     args = LOOKAHEAD_CASES[case]
     if case not in _SCALAR_RUNS:
         _SCALAR_RUNS[case] = _scalar_cycles(*args)
-    monkeypatch.setattr(kernels, "_LANES", width)
+    if width == "one-slot":
+        monkeypatch.setattr(kernels, "_MAX_SLOTS", 1)
+        monkeypatch.setattr(kernels, "_STEP_SLOTS", kernels._LANES)
+    else:
+        monkeypatch.setattr(kernels, "_LANES", width)
     _assert_same_bytes(kernels.simulate_cycles(*args), _SCALAR_RUNS[case])
 
 
-@pytest.mark.parametrize("slots", [2, kernels._MAX_SLOTS])
+@pytest.mark.parametrize("slots", [1, 2, kernels._MAX_SLOTS])
 @pytest.mark.parametrize("family", sorted(SIM_FAMILIES))
 def test_slots_per_step_do_not_change_cycles(family, slots, monkeypatch):
     args = (2000, 17, 1.0, 3) + _laws(family, 1.2)

@@ -21,7 +21,11 @@ an optimize --mode exact, and gamma(0.01) at L = 4000, whose band is as
 long as L and never settles: the requests that numpy's loop ran before the
 list loop took every law.  The two CSV requests hold the cells CSV could
 quote or leave empty: a sweep with an inf J_lower, and a verify whose
-p1_exact is 0, with an empty rel_err_p1.
+p1_exact is 0, with an empty rel_err_p1.  The simulate of 2,000 cycles
+at L = 200 and rho1 just below 1 is the regime of the simulator's check
+at the exact optimum (tests/test_simulator.py), which the benchmark's
+simulate requests at L = 5 never reach: cycles of hundreds of services,
+each step giving every lane several slots drawn under both laws.
 
 Then each argv of PARSED_ARGV, which only argparse reads (help, a missing
 or unknown command, a flag before the command, a refused, abbreviated or
@@ -60,6 +64,8 @@ ROUTE_ARGV = [
      "--level", "50"],
     ["simulate", "--lambda", "1", "--b1", "erlang:3:3.15", "--b2", "exp:2",
      "--level", "200"],
+    ["simulate", "--lambda", "1", "--b1", "exp:1.005", "--b2", "exp:2",
+     "--level", "200", "--cycles", "2000"],
     ["sweep"] + MODEL + ["--c-grid", "0,0.001,1e308"],
     ["verify", "--lambda", "1", "--b1", "exp:0.5", "--b2", "exp:2",
      "--regime", "upper", "--c", "1500", "--levels", "2000"],
