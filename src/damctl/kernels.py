@@ -96,8 +96,8 @@ def busy_period_recurrence(a, L, x):
 # the key rule of the module docstring.
 #
 # Each lane carries one cycle, and each step gives every live lane
-# `width` slots, about _STEP_SLOTS in all.  A step of one slot, which the
-# full lane pool takes, knows each lane's law from its n before any draw:
+# `width` slots, about _LANES in all.  A step of one slot, which the full
+# lane pool takes, knows each lane's law from its n before any draw:
 # it draws one service per lane, b1 at n <= level and b2 above it, as one
 # array per law through the law's lane_services, and one arrival count per
 # slot.  A wider step cannot know the law of a lane's later slots, so every
@@ -117,15 +117,14 @@ def busy_period_recurrence(a, L, x):
 # so a run is byte-reproducible on one machine and numpy build.
 # ---------------------------------------------------------------------------
 
-# lanes in flight at once
-_LANES = 1 << 13
-
-# service slots per step: about _STEP_SLOTS in all, and at least
-# _STEP_SLOTS // _LANES and at most _MAX_SLOTS per live lane.  A step's
+# lanes in flight at once, and service slots per step: each live lane gets
+# _LANES // lanes of them, at least 1 and at most _MAX_SLOTS.  A step's
 # arrays then hold about 8,192 entries (64 KiB of float64) whether 8,192
-# lanes take one slot each or a run's last long cycles take 256.  The full
-# pool, and its drain down to 4,097 live lanes, takes one-slot steps.
-_STEP_SLOTS = 1 << 13
+# lanes take one slot each or a run's last long cycles take 256.  A pool of
+# _LANES lanes takes one-slot steps, and lanes drop out only once every
+# cycle has started, so a wider step, which needs at most _LANES // 2 live
+# lanes, runs only in that drain, never beside a refill.
+_LANES = 1 << 13
 _MAX_SLOTS = 256
 
 # the means drawn by inverting one uniform are those below _POISSON_PART.  A
@@ -263,9 +262,10 @@ class _Slots:
 class _Lanes:
     """State of the cycles in flight, one array entry per lane."""
 
+    # a live lane took every slot its steps gave it: its next slot is k1 + k2
     _FIELDS = (
-        ("cycle", np.int64), ("key", np.uint64), ("slot", np.int64),
-        ("n", np.int64), ("below", np.float64), ("above", np.float64),
+        ("cycle", np.int64), ("key", np.uint64), ("n", np.int64),
+        ("below", np.float64), ("above", np.float64),
         ("k1", np.int64), ("k2", np.int64),
     )
 
@@ -284,7 +284,6 @@ class _Lanes:
         self.cycle[lanes] = cycles
         self.key[lanes] = keys
         idle[first:first + len(lanes)] = -np.log(_unit(_mix(keys))) / lam
-        self.slot[lanes] = 0
         self.n[lanes] = 1
         self.below[lanes] = 0.0
         self.above[lanes] = 0.0
@@ -308,7 +307,7 @@ def _running_sum(rows):
 def _one_slot_step(lanes, lam, level, b1, b2):
     """Give every lane one slot: its service is drawn under the law its n
     gives, b1 at or below the level and b2 above it."""
-    keys = _slot_keys(lanes.key, lanes.slot)
+    keys = _slot_keys(lanes.key, lanes.k1 + lanes.k2)
     first = lanes.n <= level
     lo, hi = first.nonzero()[0], (~first).nonzero()[0]
     s = np.empty(len(lanes))
@@ -324,7 +323,8 @@ def _one_slot_step(lanes, lam, level, b1, b2):
 def _block_step(lanes, width, lam, level, b1, b2):
     """Give every lane `width` slots, each drawn under both laws."""
     shape = (width, len(lanes))
-    keys = _slot_keys(lanes.key, lanes.slot + np.arange(width)[:, None]).ravel()
+    keys = _slot_keys(lanes.key,
+                      lanes.k1 + lanes.k2 + np.arange(width)[:, None]).ravel()
     # row j of each (width, lanes) array is slot j of the step
     s1 = b1.lane_services(_Slots(keys + _KIND[_B1]))
     s2 = b2.lane_services(_Slots(keys + _KIND[_B2]))
@@ -366,12 +366,11 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
     lanes.begin_cycles(np.arange(len(lanes)), 0, seed, out_idle, lam)
     started = len(lanes)
     while len(lanes):
-        width = min(_MAX_SLOTS, _STEP_SLOTS // len(lanes))
+        width = min(_MAX_SLOTS, _LANES // len(lanes))
         if width == 1:
             _one_slot_step(lanes, lam, level, b1, b2)
         else:
             _block_step(lanes, width, lam, level, b1, b2)
-        lanes.slot += width
 
         done = (lanes.n == 0).nonzero()[0]
         if len(done):

@@ -187,19 +187,28 @@ def _assert_same_bytes(got, want):
 @pytest.mark.parametrize("rho1", [0.8, 1.2])
 @pytest.mark.parametrize("family", sorted(SIM_FAMILIES))
 def test_lane_simulator_matches_scalar_kernel(family, rho1, monkeypatch):
-    # a narrow lane pool makes finished lanes both take new cycles and,
-    # once every cycle has started, drop out
+    # a narrow lane pool takes one-slot steps while finished lanes take new
+    # cycles, then, once every cycle has started, wider steps as they drop out
     monkeypatch.setattr(kernels, "_LANES", 32)
     args = (300, 2024, 1.0, 3) + _laws(family, rho1)
     _assert_same_bytes(kernels.simulate_cycles(*args), _scalar_cycles(*args))
 
 
-@pytest.mark.parametrize("family", sorted(SIM_FAMILIES))
-def test_lane_width_does_not_change_cycles(family, monkeypatch):
-    args = (2000, 17, 1.0, 3) + _laws(family, 1.2)
-    wide = kernels.simulate_cycles(*args)
-    monkeypatch.setattr(kernels, "_LANES", 32)
-    _assert_same_bytes(kernels.simulate_cycles(*args), wide)
+# every family on 32 lanes, and a pool of 1 << 14 lanes on a run longer
+# than the default pool: it starts all 9,000 cycles at once and takes
+# one-slot steps until fewer than 8,193 lanes are live
+LANE_WIDTH_RUNS = [pytest.param(family, 2000, 32, id=family)
+                   for family in sorted(SIM_FAMILIES)]
+LANE_WIDTH_RUNS.append(
+    pytest.param("exp", 9000, 1 << 14, id="exp-16384-lanes"))
+
+
+@pytest.mark.parametrize("family, cycles, width", LANE_WIDTH_RUNS)
+def test_lane_width_does_not_change_cycles(family, cycles, width, monkeypatch):
+    args = (cycles, 17, 1.0, 3) + _laws(family, 1.2)
+    default = kernels.simulate_cycles(*args)
+    monkeypatch.setattr(kernels, "_LANES", width)
+    _assert_same_bytes(kernels.simulate_cycles(*args), default)
 
 
 # 32 lanes, and a pool wider than any run here has cycles
@@ -247,7 +256,6 @@ def test_lookahead_matches_scalar_kernel(case, width, monkeypatch):
         _SCALAR_RUNS[case] = _scalar_cycles(*args)
     if width == "one-slot":
         monkeypatch.setattr(kernels, "_MAX_SLOTS", 1)
-        monkeypatch.setattr(kernels, "_STEP_SLOTS", kernels._LANES)
     else:
         monkeypatch.setattr(kernels, "_LANES", width)
     _assert_same_bytes(kernels.simulate_cycles(*args), _SCALAR_RUNS[case])
@@ -259,7 +267,8 @@ def test_slots_per_step_do_not_change_cycles(family, slots, monkeypatch):
     args = (2000, 17, 1.0, 3) + _laws(family, 1.2)
     default = kernels.simulate_cycles(*args)
     monkeypatch.setattr(kernels, "_MAX_SLOTS", slots)
-    monkeypatch.setattr(kernels, "_STEP_SLOTS", slots * kernels._LANES)
+    # the pool holds the whole run, so every step is `slots` wide
+    monkeypatch.setattr(kernels, "_LANES", slots * args[0])
     _assert_same_bytes(kernels.simulate_cycles(*args), default)
 
 

@@ -25,7 +25,11 @@ p1_exact is 0, with an empty rel_err_p1.  The simulate of 2,000 cycles
 at L = 200 and rho1 just below 1 is the regime of the simulator's check
 at the exact optimum (tests/test_simulator.py), which the benchmark's
 simulate requests at L = 5 never reach: cycles of hundreds of services,
-each step giving every lane several slots drawn under both laws.
+each step giving every lane several slots drawn under both laws.  The
+simulate of 8,193 cycles is one more than the lane pool holds: the pool
+refills exactly one cycle, at its edge, and its drain starts from 8,192
+live lanes.  Its 7 batches split the cycles unevenly, where every benchmark
+simulate request splits 24,000 cycles evenly into 32.
 
 Then each argv of PARSED_ARGV, which only argparse reads (help, a missing
 or unknown command, a flag before the command, a refused, abbreviated or
@@ -66,6 +70,8 @@ ROUTE_ARGV = [
      "--level", "200"],
     ["simulate", "--lambda", "1", "--b1", "exp:1.005", "--b2", "exp:2",
      "--level", "200", "--cycles", "2000"],
+    ["simulate"] + MODEL + ["--level", "5", "--cycles", "8193",
+                            "--batches", "7"],
     ["sweep"] + MODEL + ["--c-grid", "0,0.001,1e308"],
     ["verify", "--lambda", "1", "--b1", "exp:0.5", "--b2", "exp:2",
      "--regime", "upper", "--c", "1500", "--levels", "2000"],
