@@ -7,11 +7,15 @@ Subcommands: analyze (exact metrics), optimize (control problem), verify
 Each option is described once, in OPTIONS; the flag --c-max and the config
 key c_max name the same entry.  COMMANDS lists the options each command
 reads, taken from the flag, else the JSON config file (--config), else the
-default.  A flag the command does not read, an abbreviated flag and a config
-key that names no option are refused.  JSON records go to standard output
-(--format text for a flat view); verify/sweep emit CSV (stdout, or --out).
+default.  A flag the command does not read, an abbreviated flag, a config
+key that names no option and a distribution record that lacks a field of
+its family or holds another are refused.  Each command returns a JSON
+record (--format text for a flat view) or, for verify and sweep, a CSV
+table, and main writes it to stdout or --out by one writer, _emit.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error.
+Exit codes: 0 success, 1 output error (a failed write to stdout or --out;
+silent where the reader stopped early), 2 configuration error, 3 numeric
+error.
 
 A request imports and builds only what it runs.  The exact commands
 (analyze, verify, simulate, optimize --mode exact) import `exact` when they
@@ -118,29 +122,33 @@ def _plain(text):
             and "\\" not in text)
 
 
-def _emit_record(rec, fmt):
-    rec = _round12(rec)
-    if fmt == "json":
-        print(_json(rec))
-    else:
-        for line in _text_lines(rec):
-            print(line)
-
-
 def _fmt(v):
     return "%.12g" % v if isinstance(v, float) else str(v)
 
 
-def _emit_csv(header, rows, path):
-    """One line per row, its cells joined by commas: names, %.12g numbers,
-    inf and empty cells, none of which CSV quotes."""
+class _OutputError(Exception):
+    """A write to stdout or --out failed."""
+
+
+def _emit(lines, path=None):
+    """Write each line and a newline to the file at path, else to stdout,
+    and flush it; a failed write raises _OutputError."""
+    if path is None and sys.stdout is None:
+        raise _OutputError("standard output is closed")
     fh = open(path, "w", newline="") if path else sys.stdout
     try:
-        for cells in [header, *rows]:
-            fh.write(",".join(map(_fmt, cells)) + "\n")
-    finally:
-        if path:
-            fh.close()
+        try:
+            for line in lines:
+                fh.write(line + "\n")
+            fh.flush()
+        finally:
+            if path:
+                fh.close()
+    except OSError as exc:
+        if not path:
+            # what is left in stdout's buffer goes to os.devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _OutputError(exc) from exc
 
 
 def _model_dict(model):
@@ -218,6 +226,9 @@ def _parse_grid(val):
 
 REQUIRED = object()
 
+# --regime -> the sign of verify's drift: rho1 = 1 + sign * C/L
+_SIGNS = {"critical": 0, "upper": 1, "lower": -1}
+
 OPTIONS = {
     "lambda": (as_number, REQUIRED, "arrival rate"),
     "b1": (_dist, REQUIRED, "normal-regime service law, e.g. exp:1.25"),
@@ -230,7 +241,7 @@ OPTIONS = {
     "c_max": (_number_or_none, None, "largest C searched in asymptotic mode"),
     "rho1_min": (as_number, 0.5, "lowest rho1 searched in exact mode"),
     "rho1_max": (as_number, 1.5, "highest rho1 searched in exact mode"),
-    "regime": (_choice("regime", ("critical", "upper", "lower")), REQUIRED,
+    "regime": (_choice("regime", tuple(_SIGNS)), REQUIRED,
                "critical, upper or lower"),
     "c": (as_number, 1.0, "heavy-traffic parameter C"),
     "levels": (_parse_levels, "500,1000,2000", "comma-separated L grid"),
@@ -270,7 +281,8 @@ def _read_options(args, names):
     return opts
 
 
-# --- subcommands: each takes its converted options ---
+# --- subcommands: each takes its converted options and returns its record,
+# or its CSV header and rows, which main writes ---
 
 def cmd_analyze(o):
     model = DamModel(lam=o["lambda"], b1=o["b1"], b2=o["b2"], level=o["level"])
@@ -278,24 +290,11 @@ def cmd_analyze(o):
     from . import exact
 
     sol = exact.solve(model, costs)
-    bp = sol.busy
-    rec = {
-        "command": "analyze",
-        "model": _model_dict(model),
-        "costs": {"j1": costs.j1, "j2": costs.j2},
-        "q_l": bp.e_nu1,
-        "e_nu1": bp.e_nu1,
-        "e_nu2": bp.e_nu2,
-        "e_t1": bp.e_t1,
-        "e_t2": bp.e_t2,
-        "e_t": bp.e_t,
-        "e_idle": bp.e_idle,
-        "p1": sol.p1,
-        "p2": sol.p2,
-        "cost": sol.cost,
-    }
-    _emit_record(rec, o["format"])
-    return 0
+    rec = {"command": "analyze", "model": _model_dict(model),
+           "costs": costs.to_dict(), "q_l": sol.busy.e_nu1}
+    rec.update(sol.busy.to_dict())
+    rec.update(p1=sol.p1, p2=sol.p2, cost=sol.cost)
+    return rec
 
 
 def cmd_optimize(o):
@@ -310,83 +309,66 @@ def cmd_optimize(o):
         sol = control.optimize_exact(
             lam, b1, o["b2"], level, costs,
             rho1_range=(o["rho1_min"], o["rho1_max"]))
-    rec = {"command": "optimize", "mode": mode,
-           "costs": {"j1": costs.j1, "j2": costs.j2},
+    rec = {"command": "optimize", "mode": mode, "costs": costs.to_dict(),
            "rho2": rho2, "level": level}
     rec.update(sol.to_dict())
-    _emit_record(rec, o["format"])
-    return 0
-
-
-def _rel_err(approx, exact):
-    """|approx - exact| / exact, or "" (an empty CSV field) where the exact
-    value is 0 and the relative error is undefined."""
-    return abs(approx - exact) / exact if exact else ""
+    return rec
 
 
 def _compared(exact, approx):
-    """(exact, approx, relative error), with a non-finite approx and its
-    error as empty CSV fields."""
+    """(exact, approx, |approx - exact| / exact); a non-finite approx and its
+    error, and the error where exact is 0, are empty CSV fields."""
     if not math.isfinite(approx):
         return exact, "", ""
-    return exact, approx, _rel_err(approx, exact)
-
-
-def _worst(errs):
-    """The largest relative error that is defined; nan if none is."""
-    return max((e for e in errs if e != ""), default=math.nan)
+    return exact, approx, abs(approx - exact) / exact if exact else ""
 
 
 def cmd_verify(o):
     lam, shape, b2, regime, c = (o["lambda"], o["b1"], o["b2"], o["regime"],
                                  o["c"])
-    if regime in ("upper", "lower") and not c > 0:
+    sign = _SIGNS[regime]
+    if sign and not c > 0:
         raise ValueError("regime %s needs C > 0, got %r" % (regime, c))
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("C must be finite and >= 0, got %r" % (c,))
-    if regime == "lower":
+    if sign < 0:
         short = [level for level in o["levels"] if not c < level]
         if short:
             raise ValueError("regime lower needs C < L, so that rho1 = 1 - C/L "
                              "> 0; got C = %g at L = %d" % (c, short[0]))
+    # the critical rows are at C = 0
+    c = c if sign else 0.0
     rho2 = lam * b2.mean()
     rho12t = asymptotics.rho12_tilde(lam, shape)
+    from . import exact
 
     rows = []
     for level in o["levels"]:
-        if regime == "critical":
-            delta, c_row = 0.0, 0.0
-            b1 = shape.scale_to_mean(1.0 / lam)
+        delta = c / level
+        b1 = shape.scale_to_mean((1.0 + sign * delta) / lam)
+        if sign:
+            formula = (asymptotics.heavy_upper if sign > 0
+                       else asymptotics.heavy_lower)
+            p1_asym, p2_asym = formula(delta, c, rho12t, rho2)
+        else:
             lp1, lp2 = asymptotics.critical_decay(rho12t, rho2)
             p1_asym, p2_asym = lp1 / level, lp2 / level
-        elif regime == "upper":
-            delta, c_row = c / level, c
-            b1 = shape.scale_to_mean((1.0 + delta) / lam)
-            p1_asym, p2_asym = asymptotics.heavy_upper(delta, c, rho12t, rho2)
-        else:
-            delta, c_row = c / level, c
-            b1 = shape.scale_to_mean((1.0 - delta) / lam)
-            p1_asym, p2_asym = asymptotics.heavy_lower(delta, c, rho12t, rho2)
-        model = DamModel(lam=lam, b1=b1, b2=b2, level=level)
-        from . import exact
-
-        p1_exact, p2_exact = exact.stationary_probs(model)
-        rows.append((level, delta, c_row)
+        p1_exact, p2_exact = exact.stationary_probs(
+            DamModel(lam=lam, b1=b1, b2=b2, level=level))
+        rows.append((level, delta, c)
                     + _compared(p1_exact, p1_asym)
                     + _compared(p2_exact, p2_asym))
-
-    _emit_csv(("L", "delta", "C", "p1_exact", "p1_asym", "rel_err_p1",
-               "p2_exact", "p2_asym", "rel_err_p2"), rows, o["out"])
-
-    if regime == "lower":
-        worst_p1 = _worst(r[5] for r in rows)
-        worst_p2 = _worst(r[8] for r in rows)
+    if sign < 0:
+        # the largest relative error of p1 and of p2 that is defined
+        worst = [max((r[i] for r in rows if r[i] != ""), default=math.nan)
+                 for i in (5, 8)]
         print("note: lower-regime columns use the literal heavy-traffic "
               "formulas with exponent rho12_tilde/(2C); they are not expected "
               "to converge to the exact values (max rel err: p1 %.3g, p2 %.3g)."
               " The exact recurrence columns are the ground truth."
-              % (worst_p1, worst_p2), file=sys.stderr)
-    return 0
+              % tuple(worst), file=sys.stderr)
+    return ("L", "delta", "C", "p1_exact", "p1_asym", "rel_err_p1",
+            "p2_exact", "p2_asym", "rel_err_p2"), rows
 
 
 def cmd_simulate(o):
@@ -414,8 +396,7 @@ def cmd_simulate(o):
     rec.update(report.to_dict())
     rec["exact"] = {"p1": sol.p1, "p2": sol.p2, "e_nu1": bp.e_nu1,
                     "e_nu2": bp.e_nu2, "e_t1": bp.e_t1, "e_t2": bp.e_t2}
-    _emit_record(rec, o["format"])
-    return 0
+    return rec
 
 
 def cmd_sweep(o):
@@ -425,8 +406,7 @@ def cmd_sweep(o):
     rho12t = asymptotics.rho12_tilde(lam, o["b1"])
     rows = [(c, asymptotics.j_upper(c, rho12t, rho2, costs),
              asymptotics.j_lower(c, rho12t, rho2, costs)) for c in o["c_grid"]]
-    _emit_csv(("C", "J_upper", "J_lower"), rows, o["out"])
-    return 0
+    return ("C", "J_upper", "J_lower"), rows
 
 
 # --- the commands: name -> (function, help, options read, output flag:
@@ -533,9 +513,21 @@ def main(argv=None):
         args = vars(parsed)
     func, _, names, output = COMMANDS[args["cmd"]]
     try:
-        opts = _read_options(args, names)
-        opts[output] = args[output]
-        return func(opts)
+        result = func(_read_options(args, names))
+        if output == "format":
+            rec = _round12(result)
+            _emit([_json(rec)] if args[output] == "json" else _text_lines(rec))
+        else:
+            # CSV quotes none of the cells: names, %.12g numbers, inf, empty
+            header, rows = result
+            _emit((",".join(map(_fmt, cells)) for cells in [header, *rows]),
+                  args[output])
+        return 0
+    except _OutputError as exc:
+        # a reader that stopped early (a pipe into head) is told nothing
+        if not isinstance(exc.__cause__, BrokenPipeError):
+            print("output error: %s" % exc, file=sys.stderr)
+        return 1
     except (ValueError, OSError, KeyError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -395,6 +395,11 @@ def dist_from_dict(rec):
         cls = _FAMILIES[kind]
     except (TypeError, KeyError):
         raise ValueError("unknown distribution type %r" % (kind,)) from None
+    for name in [*cls._fields, *rec]:
+        if name not in rec:
+            raise ValueError("distribution %r needs field %r" % (kind, name))
+        if name not in cls._fields and name != "type":
+            raise ValueError("distribution %r has no field %r" % (kind, name))
     return _from_fields(cls, [rec[name] for name in cls._fields])
 
 

@@ -445,6 +445,18 @@ def test_wrongly_typed_config_exits_2(tmp_path, capsys, cmd, fields):
     assert err.startswith("config error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("b1, want", [
+    ({"type": "exp"}, "distribution 'exp' needs field 'rate'"),
+    ({"type": "exp", "rate": 1, "shape": 3},
+     "distribution 'exp' has no field 'shape'"),
+])
+def test_distribution_record_names_its_field(tmp_path, capsys, b1, want):
+    code, out, err = _run_config(tmp_path, capsys, "analyze", b1=b1)
+    assert code == 2
+    assert out == ""
+    assert err == "config error: %s\n" % want
+
+
 def test_integral_floats_are_integers(tmp_path, capsys):
     code, out, _ = _run_config(
         tmp_path, capsys, "analyze", level=5.0,
@@ -1313,9 +1325,10 @@ def test_plain_argv_reads_as_argparse_does(argv):
 def test_records_are_written_as_json_dumps_writes_them(capsys, monkeypatch,
                                                          argv):
     records = []
-    emit = cli._emit_record
-    monkeypatch.setattr(cli, "_emit_record",
-                        lambda rec, fmt: records.append(rec) or emit(rec, fmt))
+    func, *rest = cli.COMMANDS[argv[0]]
+    monkeypatch.setitem(cli.COMMANDS, argv[0],
+                        (lambda o: records.append(func(o)) or records[-1],
+                         *rest))
     code, out, _ = run(capsys, argv)
     assert code == 0
     [rec] = records
@@ -1332,3 +1345,72 @@ def test_json_writer_on_every_kind_of_value():
            "text": "exp", "quote": 'a "b" \\ c', "tab": "a\tb", "ascii": "é",
            "keys": {1: "one"}, "tuple": (1, 2)}
     assert cli._json(rec) == json.dumps(rec)
+
+
+# a record, and a table longer than a pipe's buffer
+OUTPUT_ARGV = {
+    "analyze": ["analyze"] + MM1_FLAGS,
+    "sweep": ["sweep", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+              "--c-grid", "0:1000:0.01"],
+}
+
+
+def _run_into(argv, tmp_path, **kwargs):
+    """A request in a fresh interpreter, its stdout as kwargs set it and
+    buffered, as by default, so that a failed write leaves bytes for the
+    interpreter's flush at exit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "damctl.cli"] + argv,
+                          env=dict(env, PYTHONPATH=src), cwd=tmp_path,
+                          stderr=subprocess.PIPE, text=True, timeout=120,
+                          **kwargs)
+
+
+def _assert_output_error(proc, reason):
+    assert proc.returncode == 1
+    assert proc.stderr == "output error: %s\n" % reason
+
+
+@pytest.mark.parametrize("cmd", sorted(OUTPUT_ARGV))
+def test_reader_that_stopped_early_gets_no_message(tmp_path, cmd):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_into(OUTPUT_ARGV[cmd], tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("cmd", sorted(OUTPUT_ARGV))
+def test_full_stdout_is_an_output_error(tmp_path, cmd):
+    with open("/dev/full", "w") as full:
+        proc = _run_into(OUTPUT_ARGV[cmd], tmp_path, stdout=full)
+    _assert_output_error(proc, "[Errno 28] No space left on device")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_out_file_is_an_output_error(tmp_path):
+    proc = _run_into(OUTPUT_ARGV["sweep"] + ["--out", "/dev/full"], tmp_path,
+                     stdout=subprocess.PIPE)
+    _assert_output_error(proc, "[Errno 28] No space left on device")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cmd", sorted(OUTPUT_ARGV))
+def test_closed_stdout_is_an_output_error(tmp_path, cmd):
+    # fd 1 is closed before the interpreter starts, so sys.stdout is None
+    proc = _run_into(OUTPUT_ARGV[cmd], tmp_path, stdout=subprocess.DEVNULL,
+                     preexec_fn=lambda: os.close(1))
+    _assert_output_error(proc, "standard output is closed")
+
+
+def test_out_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys):
+    code, out, err = run(capsys, OUTPUT_ARGV["sweep"][:-2] + [
+        "--c-grid", "0,1", "--out", str(tmp_path / "no" / "table.csv")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: [Errno 2] No such file")

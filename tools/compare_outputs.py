@@ -21,11 +21,15 @@ an optimize --mode exact, and gamma(0.01) at L = 4000, whose band is as
 long as L and never settles: the requests that numpy's loop ran before the
 list loop took every law.  The two CSV requests hold the cells CSV could
 quote or leave empty: a sweep with an inf J_lower, and a verify whose
-p1_exact is 0, with an empty rel_err_p1.  The simulate of 2,000 cycles
-at L = 200 and rho1 just below 1 is the regime of the simulator's check
-at the exact optimum (tests/test_simulator.py), which the benchmark's
-simulate requests at L = 5 never reach: cycles of hundreds of services,
-each step giving every lane several slots drawn under both laws.  The
+p1_exact is 0, with an empty rel_err_p1.  A lower-regime verify checks
+the rows at rho1 = 1 - C/L and the note on stderr, which no workload
+reaches, and two --format text requests, an analyze of a hyper law and
+an optimize, check the flat view and the rounding of a record's lists.
+The simulate of 2,000 cycles at L = 200 and rho1 just below 1 is the
+regime of the simulator's check at the exact optimum
+(tests/test_simulator.py), which the benchmark's simulate requests at
+L = 5 never reach: cycles of hundreds of services, each step giving
+every lane several slots drawn under both laws.  The
 simulate of 8,193 cycles is one more than the lane pool holds: the pool
 refills exactly one cycle, at its edge, and its drain starts from 8,192
 live lanes.  Its 7 batches split the cycles unevenly, where every benchmark
@@ -75,6 +79,12 @@ ROUTE_ARGV = [
     ["sweep"] + MODEL + ["--c-grid", "0,0.001,1e308"],
     ["verify", "--lambda", "1", "--b1", "exp:0.5", "--b2", "exp:2",
      "--regime", "upper", "--c", "1500", "--levels", "2000"],
+    ["verify", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
+     "--regime", "lower", "--c", "2", "--levels", "100,1000,4000"],
+    ["analyze", "--lambda", "1", "--b1", "hyper:0.3:0.5:0.7:2.6", "--b2",
+     "exp:2", "--level", "50", "--format", "text"],
+    ["optimize"] + MODEL + ["--level", "200", "--j1", "2", "--format",
+                            "text"],
 ]
 PARSED_ARGV = [
     ["--help"],
