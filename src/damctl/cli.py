@@ -35,19 +35,29 @@ COMMANDS and OPTIONS, and its JSON record is written by _json; so it
 imports neither argparse (with gettext and locale) nor json, 8-10 ms a
 process.  Any other argv (--help, a refused or abbreviated flag,
 --flag=value, a repeated flag, a value starting with "-", a --format other
-than json or text) goes to argparse, which writes every usage, help and
-error message.  json is imported only to read --config.
+than json or text) goes to argparse, which writes every usage and error
+message; its help goes through _emit, so a failed write of it is an output
+error too.  json is imported only to read --config.
 
-A request also skips the exit's garbage collections.  main registers
-gc.freeze with atexit, once per process, so the collections run while the
-interpreter finalizes skip every object alive at exit (about 21,500 after
-an analyze that loaded numpy), which the OS frees anyway.  That takes the
-time from main's return to the process's end from 23-28 ms to 6-8 ms
-after a command that loaded numpy, and from 10 to 3 ms after one that did
-not.  Output, exit codes and written files are unchanged (files are closed
-before main returns; Python never promises __del__ at exit).  Importing
-damctl or damctl.cli registers nothing, and an in-process caller collects
-as before until its own exit.
+A request runs no garbage collection.  main turns the cyclic collector off
+while the command runs (the allocations of `import numpy` otherwise set
+off about 30 collections, which free nothing), then moves what the command
+left alive into the oldest generation, so that the next young collection
+does not pass over it, and gives the caller the collector back as it
+found it.  main also registers gc.freeze with atexit, once per process, so
+the collections run while the interpreter finalizes skip every object
+alive at exit (about 21,500 after an analyze that loaded numpy), which the
+OS frees anyway.  That took the time from main's return to the process's
+end from 23-28 ms to 6-8 ms after a command that loaded numpy, and from 10
+to 3 ms after one that did not.  Output, exit codes and written files are
+unchanged (files are closed before main returns; Python never promises
+__del__ at exit).  Importing damctl or damctl.cli registers nothing, and
+an in-process caller collects as before after main returns and until its
+own exit.
+
+simulate also raises glibc's malloc trim threshold, through numpy's
+ctypes, so that the heap top its steps free and allocate again stays
+mapped (_keep_heap_top).  No other command, and no library call, sets it.
 """
 
 import atexit
@@ -69,6 +79,10 @@ MAX_C_GRID_POINTS = 10 ** 6
 # simulate refuses a run whose expected services, cycles x (E nu1 + E nu2),
 # exceed this
 MAX_SIM_SERVICES = 10 ** 9
+# glibc's mallopt parameter number for the trim threshold, and the value
+# simulate sets it to
+_M_TRIM_THRESHOLD = -1
+_TRIM_THRESHOLD = 1 << 26
 # main registers gc.freeze to run at exit, on its first call only
 _freeze_at_exit = True
 
@@ -391,12 +405,31 @@ def cmd_simulate(o):
                MAX_SIM_SERVICES))
     from . import simulator
 
+    _keep_heap_top()
     report = simulator.simulate(sim_cfg)
     rec = {"command": "simulate", "model": _model_dict(model)}
     rec.update(report.to_dict())
     rec["exact"] = {"p1": sol.p1, "p2": sol.p2, "e_nu1": bp.e_nu1,
                     "e_nu2": bp.e_nu2, "e_t1": bp.e_t1, "e_t2": bp.e_t2}
     return rec
+
+
+def _keep_heap_top():
+    """Let glibc's malloc keep up to _TRIM_THRESHOLD free bytes at the top
+    of the heap.  Each simulator step frees its arrays and the next step
+    allocates them again; with the default threshold, 128 KiB, malloc hands
+    the heap's top back to the OS in between, and the next step faults in
+    every page of it again.  Where the C library has no mallopt (or ctypes
+    cannot open it), nothing changes."""
+    import ctypes  # numpy has loaded it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def cmd_sweep(o):
@@ -464,7 +497,13 @@ def build_parser():
     """The parser of every command and its options."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # argparse's own help goes to stderr where stdout is closed and
+        # drops a failed write; through _emit either is an output error
+        def print_help(self, file=None):
+            _emit([self.format_help().rstrip("\n")])
+
+    parser = Parser(
         prog="damctl", allow_abbrev=False,
         description="Exact/asymptotic analysis and optimal release-rate "
                     "control of a threshold-modulated M/GI/1 dam")
@@ -497,22 +536,37 @@ def main(argv=None):
     # spinning costs CPU time and saves no wall time on these problem sizes;
     # set here, before a command loads numpy, so library users keep theirs
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _read_argv(argv)
-    if args is None:
-        try:
-            # a flag the command does not take is refused with its own usage
-            # line
+    # no cyclic collection while a command runs (see the module docstring).
+    # freeze and unfreeze move what it left alive (after a simulate,
+    # numpy's modules: about 19,000 objects) to the oldest generation
+    # without a collection; a caller's frozen objects would be thawed too
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _run(argv):
+    """Read argv, run its command and write what it returns; the exit
+    code."""
+    try:
+        args = _read_argv(argv)
+        if args is None:
+            # argparse writes every usage, help and error message, and
+            # raises SystemExit after it; a flag the command does not take
+            # is refused with its own usage line
             parsed, extra = build_parser().parse_known_args(argv)
             if extra:
                 parsed.parser.error("unrecognized arguments: "
                                     + " ".join(extra))
-        except SystemExit as exc:
-            return exc.code if exc.code is not None else 2
-        args = vars(parsed)
-    func, _, names, output = COMMANDS[args["cmd"]]
-    try:
+            args = vars(parsed)
+        func, _, names, output = COMMANDS[args["cmd"]]
         result = func(_read_options(args, names))
         if output == "format":
             rec = _round12(result)
@@ -523,6 +577,9 @@ def main(argv=None):
             _emit((",".join(map(_fmt, cells)) for cells in [header, *rows]),
                   args[output])
         return 0
+    except SystemExit as exc:
+        # argparse's help (0) and usage errors (2)
+        return exc.code if exc.code is not None else 2
     except _OutputError as exc:
         # a reader that stopped early (a pipe into head) is told nothing
         if not isinstance(exc.__cause__, BrokenPipeError):

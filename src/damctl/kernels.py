@@ -92,8 +92,12 @@ def busy_period_recurrence(a, L, x):
 #
 # Every estimate needs only the number of arrivals during each service, not
 # their times: given the service time S it is Poisson(lam S), drawn by
-# inverting the slot's arrival uniforms (_poisson_counts).  The draws follow
-# the key rule of the module docstring.
+# inverting the slot's arrival uniforms (_poisson_counts).  The inversion
+# sums the cdf a term at a time on numpy arrays of the entries still
+# running, until at most _POISSON_TAIL are left; those finish on Python
+# floats with the same IEEE operations in the same order, so a count does
+# not depend on where the switch falls.  The draws follow the key rule of
+# the module docstring.
 #
 # Each lane carries one cycle, and each step gives every live lane
 # `width` slots, about _LANES in all.  A step of one slot, which the full
@@ -104,7 +108,8 @@ def busy_period_recurrence(a, L, x):
 # slot gets both candidates, a b1 service and a b2 service, each with its
 # arrival count.  Then a loop over the slots takes each lane's slot under
 # b1 while n <= level and under b2 above it, and moves n by the count minus
-# one; a lane whose n reaches 0 takes no more slots.  (Drawing there the
+# one; a lane whose n reaches 0 takes no more slots, and the loop stops at
+# the slot after which every lane is at 0.  (Drawing there the
 # law n predicts, and the other law from each lane's first crossing, was
 # measured slower.)  After the step a finished lane's place goes to the
 # next cycle index, or, once every cycle has started, is dropped.  A
@@ -120,10 +125,12 @@ def busy_period_recurrence(a, L, x):
 # lanes in flight at once, and service slots per step: each live lane gets
 # _LANES // lanes of them, at least 1 and at most _MAX_SLOTS.  A step's
 # arrays then hold about 8,192 entries (64 KiB of float64) whether 8,192
-# lanes take one slot each or a run's last long cycles take 256.  A pool of
-# _LANES lanes takes one-slot steps, and lanes drop out only once every
-# cycle has started, so a wider step, which needs at most _LANES // 2 live
-# lanes, runs only in that drain, never beside a refill.
+# lanes take one slot each or a run's last long cycles take 256.  The
+# drain's widest steps use about a fifth of the slots they draw, but caps
+# of 64 and 128 were measured no faster.  A pool of _LANES lanes takes
+# one-slot steps, and lanes drop out only once every cycle has started, so
+# a wider step, which needs at most _LANES // 2 live lanes, runs only in
+# that drain, never beside a refill.
 _LANES = 1 << 13
 _MAX_SLOTS = 256
 
@@ -133,6 +140,10 @@ _MAX_SLOTS = 256
 # underflow at 745, an inversion takes a few hundred terms at most, and a
 # mean of 1e9 needs about 4M parts.
 _POISSON_PART = 256.0
+
+# an inversion with at most this many entries still running finishes them
+# on Python floats
+_POISSON_TAIL = 32
 
 _GOLDEN_U64 = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -198,7 +209,7 @@ def _invert_poisson(mean, u):
     k = 0
     # the inversions still running, compacted by index each term (a gather
     # by index is far cheaper than one by boolean mask)
-    while len(live):
+    while len(live) > _POISSON_TAIL:
         k += 1
         p *= mean / k
         f += p
@@ -206,6 +217,19 @@ def _invert_poisson(mean, u):
         go = ((u > f) & (p > 0.0)).nonzero()[0]
         live, mean, p, f, u = (live.take(go), mean.take(go), p.take(go),
                                f.take(go), u.take(go))
+    # the last few, whose long inversions cost numpy's per-call overhead a
+    # term: the same operations on Python floats
+    tail = []
+    for m, pi, fi, ui in zip(mean.tolist(), p.tolist(), f.tolist(),
+                             u.tolist()):
+        ki, go = k, True
+        while go:
+            ki += 1
+            pi *= m / ki
+            fi += pi
+            go = ui > fi and pi > 0.0
+        tail.append(ki)
+    count[live] = tail
     return count
 
 
@@ -290,9 +314,10 @@ class _Lanes:
         self.k1[lanes] = 0
         self.k2[lanes] = 0
 
-    def keep(self, mask):
+    def keep(self, lanes):
+        """Keep only the given lanes, in order."""
         for name, _ in self._FIELDS:
-            setattr(self, name, getattr(self, name)[mask])
+            setattr(self, name, getattr(self, name).take(lanes))
 
 
 def _running_sum(rows):
@@ -333,12 +358,16 @@ def _block_step(lanes, width, lam, level, b1, b2):
     s1, s2 = s1.reshape(shape), s2.reshape(shape)
     net1, net2 = net[:keys.size].reshape(shape), net[keys.size:].reshape(shape)
 
-    # n at the start of each slot; a lane at 0 takes no more slots
+    # n at the start of each slot; a lane at 0 takes no more slots, and the
+    # loop stops once every lane is at 0
     start = np.empty(shape, dtype=np.int64)
     n = lanes.n
     for j in range(width):
         start[j] = n
         n = np.where(n > 0, n + np.where(n <= level, net1[j], net2[j]), 0)
+        if not n.any():
+            break
+    start, s1, s2 = start[:j + 1], s1[:j + 1], s2[:j + 1]
     first = (start > 0) & (start <= level)
     second = start > level
     s1 *= first
@@ -384,5 +413,5 @@ def simulate_cycles(n_cycles, seed, lam, level, b1, b2):
                 lanes.begin_cycles(done[:refill], started, seed, out_idle, lam)
                 started += refill
             if refill < len(done):
-                lanes.keep(lanes.n > 0)
+                lanes.keep((lanes.n > 0).nonzero()[0])
     return out_idle, out_below, out_above, out_nu1, out_nu2

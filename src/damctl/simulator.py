@@ -72,12 +72,22 @@ def _t_quantile(p, df):
     return t
 
 
+def _batch_sums(x, batch_count):
+    """The sum of each batch of np.array_split(x, batch_count), the first
+    len(x) % batch_count batches one entry longer, as the row sums of at
+    most two reshaped blocks.  A row is contiguous, so numpy sums it
+    pairwise as it sums the batch alone, to the same bits."""
+    size, longer = divmod(len(x), batch_count)
+    cut = longer * (size + 1)
+    return np.concatenate(
+        (x[:cut].reshape(longer, size + 1).sum(axis=1),
+         x[cut:].reshape(batch_count - longer, size).sum(axis=1)))
+
+
 def _batch_halfwidth(num, den, batch_count, tcrit):
     """Half-width of the batch ratios sum(num)/sum(den); a batch mean is the
     ratio with den all ones, as numpy's mean is sum / n."""
-    sums_n = np.array([b.sum() for b in np.array_split(num, batch_count)])
-    sums_d = np.array([b.sum() for b in np.array_split(den, batch_count)])
-    ratios = sums_n / sums_d
+    ratios = _batch_sums(num, batch_count) / _batch_sums(den, batch_count)
     return tcrit * ratios.std(ddof=1) / np.sqrt(batch_count)
 
 

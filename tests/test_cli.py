@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -662,10 +663,10 @@ print(sorted(m for m in sys.modules
 def test_small_problems_do_not_import_numpy(tmp_path):
     """Start-up, the asymptotic commands, config errors, the argv argparse
     reads (--help, a missing or unknown command, a refused flag) and the
-    exact commands on every law run without numpy, dataclasses or inspect,
-    slow tails included, however many weights they read and whether or not
-    their band settles before L; simulate loads numpy after its exact
-    solve, and the first command that loads it pins OpenBLAS to one
+    exact commands on every law run without numpy, dataclasses, inspect or
+    ctypes, slow tails included, however many weights they read and whether
+    or not their band settles before L; simulate loads numpy after its
+    exact solve, and the first command that loads it pins OpenBLAS to one
     thread."""
     script = """
 import contextlib, io, os, sys
@@ -726,8 +727,8 @@ for argv, want in runs:
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == want, argv
     assert not numpy_loaded(), argv
-    assert not loaded("dataclasses", "inspect"), (argv, loaded(
-        "dataclasses", "inspect"))
+    assert not loaded("dataclasses", "inspect", "ctypes"), (argv, loaded(
+        "dataclasses", "inspect", "ctypes"))
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate"] + model + ["--level", "5", "--cycles",
                                             "256"]) == 0
@@ -1347,11 +1348,12 @@ def test_json_writer_on_every_kind_of_value():
     assert cli._json(rec) == json.dumps(rec)
 
 
-# a record, and a table longer than a pipe's buffer
+# a record, a table longer than a pipe's buffer, and argparse's help
 OUTPUT_ARGV = {
     "analyze": ["analyze"] + MM1_FLAGS,
     "sweep": ["sweep", "--lambda", "1", "--b1", "exp:1", "--b2", "exp:2",
               "--c-grid", "0:1000:0.01"],
+    "help": ["--help"],
 }
 
 
@@ -1414,3 +1416,102 @@ def test_out_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("config error: [Errno 2] No such file")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze"] + MM1_FLAGS, 0),
+    (["sweep"] + MM1_FLAGS[:6] + ["--c-grid", "0,1", "--out", "/dev/full"], 1),
+    (["analyze"] + MM1_FLAGS[:6], 2),
+    (["analyze", "--lambda", "1", "--b1", "det:800", "--b2", "exp:2",
+      "--level", "4000"], 3),
+    (["--help"], 0),
+    (["analyze", "--bogus", "1"], 2),
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_gives_back_the_collector_as_it_found_it(capsys, argv, code,
+                                                      enabled):
+    # exit codes 0 to 3, and the help and usage error that argparse ends
+    # with SystemExit; a command reads its options with the collector off
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    read_options = cli._read_options
+    seen = []
+
+    def watched(args, names):
+        seen.append(gc.isenabled())
+        return read_options(args, names)
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(cli, "_read_options", watched):
+            assert run(capsys, argv)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if argv[0].startswith("-") or "--bogus" in argv
+                    else [False])
+
+
+SIMULATE_COLLECTIONS = """
+import contextlib, gc, io, sys
+from damctl import cli
+counts = []
+gc.callbacks.append(lambda phase, info: counts.append(info["generation"])
+                    if phase == "start" else None)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+during = len(counts)
+young = len(gc.get_objects(0))
+print(during, young < gc.get_threshold()[0], gc.isenabled())
+"""
+
+
+def test_simulate_runs_no_collection(tmp_path):
+    """A fresh simulate request, which imports numpy, runs no collection
+    between main's start and its return (29-30 with the collector on), and
+    leaves the young generation nearly empty, so that the first
+    collection after main does not pass over numpy's objects."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = ["simulate"] + MM1_FLAGS[:8] + ["--cycles", "24000"]
+    proc = subprocess.run([sys.executable, "-c", SIMULATE_COLLECTIONS] + argv,
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "True"]
+
+
+class _NoMallopt:
+    pass
+
+
+class _Libc:
+    def __init__(self, mallopt):
+        self.mallopt = mallopt
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+def test_simulate_without_mallopt_prints_the_same_record(capsys):
+    # simulate asks glibc to keep the heap's top, once per request and with
+    # the trim threshold; a C library without mallopt, or none that ctypes
+    # can open, changes nothing printed
+    import ctypes
+
+    argv = ["simulate"] + MM1_FLAGS[:8] + ["--cycles", "3000"]
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    with mock.patch.object(ctypes, "CDLL", lambda name: _Libc(mallopt)):
+        want = run(capsys, argv)
+    assert want[0] == 0
+    assert calls == [(cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    for libc in (lambda name: _NoMallopt(), _no_libc):
+        with mock.patch.object(ctypes, "CDLL", libc):
+            assert run(capsys, argv) == want

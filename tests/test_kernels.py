@@ -351,3 +351,19 @@ def test_poisson_counts_past_exp_underflow():
     assert np.all(np.abs(counts - mean) < 8 * np.sqrt(mean))
     assert counts.tolist() == [_scalar_poisson(m, _Stream(int(k), _ARRIVALS))
                                for m, k in zip(mean.tolist(), keys.tolist())]
+
+
+@pytest.mark.parametrize("tail", [0, 1 << 20])
+def test_poisson_tail_on_python_floats_matches_numpy(tail, monkeypatch):
+    # the inversions finished on Python floats give the counts that numpy's
+    # loop gives them, whether none of them, the last 32 or all of them run
+    # on Python floats: means up to _POISSON_PART, uniforms next to 1, and
+    # terms that underflow
+    rng = np.random.default_rng(4)
+    mean = np.concatenate((rng.exponential(1.0, 5000),
+                           rng.uniform(0.0, kernels._POISSON_PART, 3000),
+                           [255.9, 200.0, 1e-300]))
+    u = np.concatenate((rng.uniform(size=8000), [1.0, 1.0, 1.0]))
+    want = kernels._invert_poisson(mean, u)
+    monkeypatch.setattr(kernels, "_POISSON_TAIL", tail)
+    assert kernels._invert_poisson(mean, u).tolist() == want.tolist()

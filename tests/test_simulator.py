@@ -168,3 +168,28 @@ def test_t_quantile_closed_forms():
     assert simulator._t_quantile(0.975, 2) == pytest.approx(
         a * np.sqrt(2 / (1 - a * a)), rel=1e-13)
     assert simulator._t_quantile(0.5, 7) == 0.0
+
+
+def _array_split_halfwidth(num, den, batch_count, tcrit):
+    """_batch_halfwidth as it was: one sum per batch of np.array_split."""
+    sums_n = np.array([b.sum() for b in np.array_split(num, batch_count)])
+    sums_d = np.array([b.sum() for b in np.array_split(den, batch_count)])
+    ratios = sums_n / sums_d
+    return tcrit * ratios.std(ddof=1) / np.sqrt(batch_count)
+
+
+@pytest.mark.parametrize("n, batch_count", [(24000, 32), (8193, 7),
+                                            (24001, 33), (32, 32)])
+def test_batch_row_sums_match_array_split(n, batch_count):
+    # even and uneven splits, and one cycle a batch: the row sums of the
+    # reshaped blocks give array_split's sums, and the half-width, bit for
+    # bit
+    rng = np.random.default_rng(n)
+    num, den = rng.exponential(size=n), rng.exponential(2.0, size=n)
+    tcrit = simulator._t_quantile(0.975, batch_count - 1)
+    for pair in ((num, den), (num, np.ones(n)), (np.ceil(num * 9), np.ones(n))):
+        for x in pair:
+            want = [b.sum() for b in np.array_split(x, batch_count)]
+            assert simulator._batch_sums(x, batch_count).tolist() == want
+        assert (simulator._batch_halfwidth(*pair, batch_count, tcrit)
+                == _array_split_halfwidth(*pair, batch_count, tcrit))
